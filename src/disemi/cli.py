@@ -79,6 +79,9 @@ def cmd_certify(args):
                             for row in data["levi_basis"]])
         result = certify_disemisimple(g, levi, mode=_mode_from_args(args))
         return _print_certificate(result, args.json)
+    if args.algebra is None or args.module is None:
+        print("certify needs ALGEBRA and MODULE, or --sc FILE", file=sys.stderr)
+        return 2
     spec = parse_algebra(args.algebra)
     rep = to_representation(parse_module(args.module, spec), spec)
     from .liealg import semidirect

@@ -11,6 +11,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 
 from .linalg import (IncrementalSpan, commutator, identity, is_zero_matrix,
                      is_zero_vector, matmul, matvec, mat_add, mat_scale,
@@ -653,19 +654,12 @@ def exp_ad(g, z):
     term = a
     k = 1
     while not is_zero_matrix(term):
-        total = mat_add(total, mat_scale(Fraction(1, _factorial(k)), term))
+        total = mat_add(total, mat_scale(Fraction(1, factorial(k)), term))
         term = matmul(term, a)
         k += 1
         if k > g.dim:
             raise ValueError("ad(z) is not nilpotent")
     return LinearMap(g.dim, g.dim, total)
-
-
-def _factorial(k):
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out
 
 
 def sum_spans(g, u1, u2):

@@ -3,9 +3,19 @@
 Entries are ints or fractions.Fraction; no floating point anywhere.
 Matrices are lists of row lists, vectors are flat lists.  Functions do
 not mutate their arguments unless the name says so.
+
+The modular kernel at the end computes ranks and sparse nullspaces over
+the prime field GF(PRIME).  Its answers are lower bounds or candidates;
+each docstring says what has to be checked exactly before one counts.
 """
 
 from fractions import Fraction
+from math import gcd, isqrt
+
+PRIME = 2 ** 61 - 1
+# Wang's bound: a fraction n/d with |n|, d <= LIFT_BOUND is the only one
+# of that size with its residue, since 2 * LIFT_BOUND**2 < PRIME.
+LIFT_BOUND = isqrt((PRIME - 1) // 2)
 
 
 def zeros(n, m):
@@ -14,14 +24,6 @@ def zeros(n, m):
 
 def identity(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def mat_copy(a):
-    return [list(row) for row in a]
-
-
-def transpose(a):
-    return [list(col) for col in zip(*a)]
 
 
 def mat_add(a, b):
@@ -68,18 +70,6 @@ def commutator(a, b):
 
 def is_zero_matrix(a):
     return all(x == 0 for row in a for x in row)
-
-
-def vec_add(u, v):
-    return [x + y for x, y in zip(u, v)]
-
-
-def vec_sub(u, v):
-    return [x - y for x, y in zip(u, v)]
-
-
-def vec_scale(c, u):
-    return [c * x for x in u]
 
 
 def is_zero_vector(v):
@@ -251,3 +241,147 @@ class IncrementalSpan:
         if not is_zero_vector(r):
             return None
         return expr
+
+
+# ---------------------------------------------------------------------------
+# Modular kernel
+# ---------------------------------------------------------------------------
+
+def residue(x):
+    """x mod PRIME for an int or Fraction; None when PRIME divides the
+    denominator, where reduction is undefined."""
+    if isinstance(x, int):
+        return x % PRIME
+    den = x.denominator % PRIME
+    if not den:
+        return None
+    return x.numerator * pow(den, -1, PRIME) % PRIME
+
+
+def rank_mod_p(a, stop_at=None):
+    """Rank of a reduced mod PRIME; a lower bound for rank(a).
+
+    Reduction mod PRIME is a ring homomorphism on the rationals whose
+    denominators PRIME does not divide, so it commutes with every minor:
+    a minor that is nonzero mod PRIME is nonzero over Q, and the rank
+    mod PRIME never exceeds the rank over Q.  It is equal unless PRIME
+    divides every maximal nonzero minor.  When PRIME divides a
+    denominator the exact rank is returned instead.  stop_at as in rank.
+    """
+    if not a:
+        return 0
+    p = PRIME
+    rows = []
+    for row in a:
+        red = [residue(x) for x in row]
+        if None in red:
+            return rank(a, stop_at)
+        rows.append(red)
+    nr, nc = len(rows), len(rows[0])
+    r = 0
+    for c in range(nc):
+        pr = next((i for i in range(r, nr) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        prow = rows[r]
+        inv = pow(prow[c], -1, p)
+        for i in range(r + 1, nr):
+            f = rows[i][c]
+            if f:
+                f = f * inv % p
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], prow)]
+        r += 1
+        if stop_at is not None and r >= stop_at:
+            return r
+        if r == nr:
+            break
+    return r
+
+
+def rational_reconstruction(u):
+    """The fraction n/d with |n|, d <= LIFT_BOUND and n = u*d mod PRIME,
+    or None.
+
+    Wang's half extended Euclidean algorithm.  The answer is unique when
+    it exists, but it equals the rational that u came from only if that
+    rational is within the bound: a lifted value is a candidate until it
+    is checked exactly.
+    """
+    r0, r1 = PRIME, u % PRIME
+    t0, t1 = 0, 1
+    while r1 > LIFT_BOUND:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        t0, t1 = t1, t0 - q * t1
+    if abs(t1) > LIFT_BOUND or gcd(r1, t1) != 1:
+        return None
+    return Fraction(r1, t1)
+
+
+def sparse_nullspace_mod_p(rows, ncols):
+    """Nullspace of a sparse system mod PRIME, lifted to Q; or None.
+
+    rows are {col: coeff} dicts over Q; each is reduced mod PRIME only
+    when the elimination reaches it, so no second copy of the system is
+    held.  Short rows go first, so that most later rows meet short
+    pivots; the order changes nothing else, since the free columns of
+    an echelon form depend only on the row space.  The basis has one
+    vector per free column of the echelon form mod PRIME, 1 there and 0
+    on the other free columns, and every entry lifted by
+    rational_reconstruction.  None when PRIME divides a denominator or
+    an entry does not lift.
+
+    The vectors are candidates only.  If every one of them is checked
+    exactly to satisfy every row, they are a basis of the nullspace over
+    Q: they are independent, and there are ncols - rank mod PRIME >=
+    ncols - rank over Q of them.
+    """
+    p = PRIME
+    pivots = {}
+    for row in sorted(rows, key=len):
+        red = {}
+        for k, v in row.items():
+            v = residue(v)
+            if v is None:
+                return None
+            if v:
+                red[k] = v
+        while red:
+            c = min(red)
+            piv = pivots.get(c)
+            if piv is None:
+                inv = pow(red[c], -1, p)
+                pivots[c] = {k: v * inv % p for k, v in red.items()}
+                break
+            f = red.pop(c)
+            for k, v in piv.items():
+                if k == c:
+                    continue
+                nv = (red.get(k, 0) - f * v) % p
+                if nv:
+                    red[k] = nv
+                else:
+                    red.pop(k, None)
+    order = sorted(pivots, reverse=True)
+    basis = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        x = {fc: 1}
+        for pc in order:
+            s = 0
+            for k, v in pivots[pc].items():
+                if k != pc and k in x:
+                    s += v * x[k]
+            s %= p
+            if s:
+                x[pc] = p - s
+        lifted = {}
+        for k, v in x.items():
+            q = rational_reconstruction(v)
+            if q is None:
+                return None
+            lifted[k] = q
+        basis.append(lifted)
+    return basis

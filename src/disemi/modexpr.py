@@ -330,11 +330,6 @@ def _print_factor(ast):
     raise ValueError("unknown AST node %r" % (ast,))
 
 
-def print_descriptor(desc):
-    """Canonical machine syntax for a ModuleDescriptor."""
-    return str(desc)
-
-
 def pretty_weight(block):
     """Readable form of one weight block, e.g. (1,0,2) -> w1+2w3."""
     parts = []

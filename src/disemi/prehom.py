@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import rank
+from .linalg import rank, rank_mod_p
 from .liealg import (IncrementalSpan, LinearMap, Subspace, apply_map_subspace,
                      exp_ad, is_nilpotent, is_semisimple, solvable_radical,
                      subalgebra, sum_spans)
@@ -66,13 +66,8 @@ def evaluation_matrix(r, v):
     if len(v) != r.dim:
         raise ValueError("vector length %d != module dimension %d"
                          % (len(v), r.dim))
-    cols = []
-    for m in r.action:
-        col = [sum(m[a][b] * v[b] for b in range(r.dim) if v[b])
-               for a in range(r.dim)]
-        cols.append(col)
-    matrix = [[cols[j][a] for j in range(len(cols))] for a in range(r.dim)]
-    return EvaluationMatrix(matrix=matrix, vector=list(v))
+    return EvaluationMatrix(matrix=syzygy.evaluation_rows(r, v),
+                            vector=list(v))
 
 
 @dataclass
@@ -139,20 +134,10 @@ def _validated_yes(r, v, mode, seed=None, trials_used=None):
 
 
 def _witness_rank(r, v):
-    """Forward-elimination row rank of the evaluation matrix at v."""
-    ev = evaluation_matrix(r, v)
-    return rank(ev.matrix, stop_at=r.dim), ev
-
-
-def _fixed_points(d):
-    pts = [
-        [1] * d,
-        [1 if i % 2 == 0 else 0 for i in range(d)],
-        [0 if i % 2 == 0 else 1 for i in range(d)],
-        [i + 1 for i in range(d)],
-        [1 if i % 3 == 0 else (-1 if i % 3 == 2 else 0) for i in range(d)],
-    ]
-    return pts
+    """Rank mod PRIME of the evaluation matrix at v, a lower bound for
+    its rank: a point reaching dim V is a witness, which _validated_yes
+    still re-checks exactly."""
+    return rank_mod_p(evaluation_matrix(r, v).matrix, stop_at=r.dim)
 
 
 def symbolic_generic_rank(r):
@@ -165,27 +150,26 @@ def _symbolic_decide(r):
 
     Any specialisation with full row rank is already a witness; if every
     sampled point is deficient, the generic rank decides, since the rank
-    at each point is bounded by the generic rank.
+    at each point is bounded by the generic rank.  Each sampled point is
+    ranked once: its rank also serves as the generic rank's lower bound.
     """
     d = r.dim
-    rnd = random.Random(20240601)
-    points = _fixed_points(d)
-    for _ in range(16):
-        points.append([rnd.randint(-7, 7) for _ in range(d)])
-    for v in points:
-        rk, _ = _witness_rank(r, v)
+    sampled = []
+    for v in syzygy.sample_points(d):
+        rk = _witness_rank(r, v)
         if rk == d:
             return _validated_yes(r, v, mode="symbolic")
-    grank = symbolic_generic_rank(r)
+        sampled.append((v, rk))
+    grank = syzygy.generic_rank_certified(r, sampled)
     if grank < d:
         return PrehomCertificate(verdict="not_prehomogeneous",
                                  reason=SYMBOLIC_RANK_DEFICIT,
                                  generic_rank=grank, mode="symbolic")
     # generically full rank: keep specialising until a witness appears
+    rnd = random.Random(syzygy.SAMPLE_SEED)
     for _ in range(1000):
         v = [rnd.randint(-99, 99) for _ in range(d)]
-        rk, _ = _witness_rank(r, v)
-        if rk == d:
+        if _witness_rank(r, v) == d:
             return _validated_yes(r, v, mode="symbolic")
     raise AssertionError("full generic rank but no witness found")
 
@@ -218,8 +202,7 @@ def is_prehomogeneous(r, mode=None):
         for trial in range(mode.trials):
             v = [rnd.randint(-mode.coord_bound, mode.coord_bound)
                  for _ in range(r.dim)]
-            rk, _ = _witness_rank(r, v)
-            if rk == r.dim:
+            if _witness_rank(r, v) == r.dim:
                 return _validated_yes(r, v, mode="randomized",
                                       seed=mode.seed, trials_used=trial + 1)
         # inconclusive-toward-No: escalate to the certified engine

@@ -10,6 +10,7 @@ result a certificate for rank deficits.
 """
 
 from fractions import Fraction
+from math import lcm
 
 FIELD_BITS = 16
 
@@ -43,10 +44,6 @@ def poly_add(p, q):
         else:
             out.pop(m, None)
     return out
-
-
-def poly_neg(p):
-    return {m: -c for m, c in p.items()}
 
 
 def poly_mul(p, q):
@@ -180,6 +177,13 @@ def generic_rank(matrix, nvars):
     return rnk
 
 
+def clear_denominators(m):
+    """(D, D*m) for the least positive integer D making the matrix m integral."""
+    den = lcm(1, *(x.denominator for row in m for x in row
+                   if isinstance(x, Fraction)))
+    return den, [[int(x * den) for x in row] for row in m]
+
+
 def linear_forms_matrix(action, dim):
     """The evaluation matrix of a module action at a generic vector.
 
@@ -190,27 +194,7 @@ def linear_forms_matrix(action, dim):
     ncols = len(action)
     rows = [[{} for _ in range(ncols)] for _ in range(dim)]
     for j, m in enumerate(action):
-        denom = 1
+        _, m = clear_denominators(m)
         for a in range(dim):
-            for b in range(dim):
-                x = m[a][b]
-                if isinstance(x, Fraction) and x.denominator != 1:
-                    denom = denom * x.denominator // _gcd(denom, x.denominator)
-        for a in range(dim):
-            row = m[a]
-            entry = {}
-            for b in range(dim):
-                x = row[b]
-                if x:
-                    c = Fraction(x) * denom
-                    if c.denominator != 1:
-                        raise AssertionError("column denominator clearing failed")
-                    entry[var_monomial(b)] = int(c)
-            rows[a][j] = entry
+            rows[a][j] = {var_monomial(b): x for b, x in enumerate(m[a]) if x}
     return rows
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a

@@ -12,20 +12,25 @@ Three exact facts bound its rank over the rational function field:
 
 When the bounds meet, the generic rank is known exactly without any
 elimination; otherwise fraction-free elimination decides.  Syzygies are
-found in low degree by sparse exact linear algebra and re-verified by
-symbolic expansion before use.
+found in low degree by sparse linear algebra mod a prime, lifted to Q,
+and re-verified by symbolic expansion over the exact action before use.
+Ranks at points are taken mod the same prime: they only serve as the
+lower bound and in the upper bound's subtracted term, where a smaller
+value can only loosen the sandwich, never make it unsound.
 """
 
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import lcm
+from operator import mul
 
-from .linalg import rank
+from .linalg import rank_mod_p, sparse_nullspace_mod_p
 from . import symrank
 
 MAX_SYZYGY_DEGREE = 3
 MAX_UNKNOWNS = 20000
-_SAMPLE_SEED = 20240601
+SAMPLE_SEED = 20240601
 
 
 def _monomials(coords, degree):
@@ -94,11 +99,46 @@ def sparse_nullspace(rows, ncols):
     """Nullspace basis of a sparse system; rows are {col: coeff} dicts.
 
     Returns sparse basis vectors as {col: Fraction} dicts, one per free
-    column of the row echelon form.
+    column of the row echelon form.  rows must be re-iterable.  The
+    basis is solved mod PRIME and lifted by rational reconstruction;
+    it is returned only after every vector is checked exactly against
+    every row, which makes it a basis over Q (see
+    linalg.sparse_nullspace_mod_p).  Otherwise the exact elimination
+    decides.
     """
+    basis = sparse_nullspace_mod_p(rows, ncols)
+    if basis is None or not _annihilated(rows, basis):
+        return sparse_nullspace_exact(rows, ncols)
+    return basis
+
+
+def _annihilated(rows, basis):
+    """Exact check that every row vanishes on every basis vector.
+
+    Each vector is first scaled to integers, which keeps the answer and
+    keeps Fraction arithmetic out of the loop over the rows.
+    """
+    by_col = {}
+    for b, x in enumerate(basis):
+        den = lcm(*(v.denominator for v in x.values()))
+        for k, v in x.items():
+            by_col.setdefault(k, []).append(
+                (b, v.numerator * (den // v.denominator)))
+    for row in rows:
+        acc = {}
+        for k, c in row.items():
+            for b, xv in by_col.get(k, ()):
+                acc[b] = acc.get(b, 0) + c * xv
+        if any(acc.values()):
+            return False
+    return True
+
+
+def sparse_nullspace_exact(rows, ncols):
+    """sparse_nullspace by elimination over Fraction; the reference."""
     pivots = {}
     for row in rows:
-        row = dict(row)
+        row = {k: v for k, v in row.items() if v}
         while row:
             c = min(row)
             p = pivots.get(c)
@@ -131,29 +171,39 @@ def sparse_nullspace(rows, ncols):
     return basis
 
 
+def cleared_action(rep):
+    """(scale_j, scale_j * action[j]) per algebra basis vector, each
+    scale the least one that makes the matrix integral."""
+    return [symrank.clear_denominators(m) for m in rep.action]
+
+
 def _action_rows_nnz(action, dim):
     """Per matrix, per row: the nonzero (column, coefficient) pairs."""
     return [[[(e, m[c][e]) for e in range(dim) if m[c][e]]
              for c in range(dim)] for m in action]
 
 
-def kernel_syzygies(rep, degree, blocks=None):
+def kernel_syzygies(rep, degree, blocks=None, cleared=None):
     """Polynomial maps w of the exact degree with w(v)^T M_v = 0.
 
     Each result is a tuple of dim V sparse polynomials.  The system
     splits along the multidegree grading over the action-stable
     coordinate blocks, so each sector is solved independently; sectors
     over the size budget are skipped (missing a syzygy only costs the
-    shortcut, never correctness).
+    shortcut, never correctness).  cleared is cleared_action(rep), for
+    callers that solve at several degrees.
     """
     d = rep.dim
     if blocks is None:
         blocks = coordinate_blocks(rep.action, d)
+    if cleared is None:
+        cleared = cleared_action(rep)
     block_of = {}
     for s, blk in enumerate(blocks):
         for c in blk:
             block_of[c] = s
-    rows_nnz = _action_rows_nnz(rep.action, d)
+    # scaling action[j] scales the equations (j, .) only: same nullspace
+    rows_nnz = _action_rows_nnz([m for _, m in cleared], d)
     nj = len(rep.action)
     out = []
     for grade in _sector_multidegrees(len(blocks), degree + 1):
@@ -205,19 +255,23 @@ def _verify_kernel_syzygies(rep, syzygies):
                 raise AssertionError("kernel syzygy fails exact verification")
 
 
-def stabilizer_syzygies(rep, degree, blocks=None):
+def stabilizer_syzygies(rep, degree, blocks=None, cleared=None):
     """Polynomial maps x into the algebra with rho(x(v)) v = 0.
 
     Each result is a tuple of dim s sparse polynomials (coefficients of
     the algebra basis).  Solved per multidegree sector over the
-    coordinate blocks; oversized sectors are skipped.
+    coordinate blocks; oversized sectors are skipped.  cleared as in
+    kernel_syzygies.
     """
     d = rep.dim
     ds = len(rep.action)
     if blocks is None:
         blocks = coordinate_blocks(rep.action, d)
+    if cleared is None:
+        cleared = cleared_action(rep)
+    # x_j solves the system of scale_j * action[j] as x_j / scale_j
     nnz_all = []
-    for m in rep.action:
+    for _, m in cleared:
         nnz_all.append([(a, e, m[a][e]) for a in range(d) for e in range(d)
                         if m[a][e]])
     out = []
@@ -240,7 +294,7 @@ def stabilizer_syzygies(rep, degree, blocks=None):
             for u, coeff in x.items():
                 j, mi = divmod(u, nm)
                 if coeff:
-                    xs[j][monos[mi]] = coeff
+                    xs[j][monos[mi]] = coeff * cleared[j][0]
             out.append(tuple(xs))
     _verify_stabilizer_syzygies(rep, out)
     return out
@@ -274,33 +328,38 @@ def sample_points(dim, count=40):
         [i + 1 for i in range(dim)],
         [1 if i % 3 == 0 else (-1 if i % 3 == 2 else 0) for i in range(dim)],
     ]
-    rnd = random.Random(_SAMPLE_SEED)
+    rnd = random.Random(SAMPLE_SEED)
     while len(pts) < count:
         pts.append([rnd.randint(-7, 7) for _ in range(dim)])
     return pts
 
 
-def _eval_matrix_rows(rep, v):
-    d = rep.dim
-    return [[sum(m[a][b] * v[b] for b in range(d) if v[b])
-             for m in rep.action] for a in range(d)]
+def evaluation_rows(rep, v):
+    """The evaluation matrix at v: entry (a, j) is (rho(b_j) v)_a."""
+    return [[sum(filter(None, map(mul, m[a], v))) for m in rep.action]
+            for a in range(rep.dim)]
 
 
-def generic_rank_certified(rep):
+def generic_rank_certified(rep, sampled=None):
     """The exact rank of the evaluation matrix over Q(v).
 
-    Tries the syzygy sandwich at increasing degree and falls back to
-    fraction-free elimination when the bounds do not meet.
+    sampled holds (point, rank) pairs the caller already ranked, each
+    rank a lower bound for the rank at its point; by default the points
+    of sample_points are ranked mod PRIME here.  The largest is a lower
+    bound for the generic rank.  Tries the syzygy sandwich at increasing
+    degree and falls back to fraction-free elimination when the bounds
+    do not meet.
     """
     d = rep.dim
     if d == 0:
         return 0
     ds = len(rep.action)
+    if sampled is None:
+        sampled = ((v, rank_mod_p(evaluation_rows(rep, v), stop_at=d))
+                   for v in sample_points(d))
     best_rank = 0
     best_points = []
-    for v in sample_points(d):
-        rows = _eval_matrix_rows(rep, v)
-        rk = rank(rows, stop_at=d)
+    for v, rk in sampled:
         if rk > best_rank:
             best_rank = rk
             best_points = [v]
@@ -309,39 +368,28 @@ def generic_rank_certified(rep):
         if best_rank == min(d, ds):
             return best_rank
     blocks = coordinate_blocks(rep.action, d)
+    cleared = cleared_action(rep)
     kernel_all = []
     stab_all = []
     for degree in range(1, MAX_SYZYGY_DEGREE + 1):
-        kernel_all.extend(kernel_syzygies(rep, degree, blocks))
-        stab_all.extend(stabilizer_syzygies(rep, degree, blocks))
-        upper = min(d - _stack_rank_kernel(kernel_all, best_points, d),
-                    ds - _stack_rank_stab(stab_all, best_points, ds))
+        kernel_all.extend(kernel_syzygies(rep, degree, blocks, cleared))
+        stab_all.extend(stabilizer_syzygies(rep, degree, blocks, cleared))
+        upper = min(d - _stack_rank(kernel_all, best_points, d),
+                    ds - _stack_rank(stab_all, best_points, ds))
         if upper == best_rank:
             return best_rank
-    rows = symrank.linear_forms_matrix(rep.action, d)
+    # the rank is the same for the integral matrices
+    rows = symrank.linear_forms_matrix([m for _, m in cleared], d)
     grank = symrank.generic_rank(rows, d)
     if grank < best_rank:
         raise AssertionError("elimination rank below a specialisation rank")
     return grank
 
 
-def _stack_rank_kernel(syzygies, points, d):
-    best = 0
-    for v in points:
-        stack = []
-        for w in syzygies:
-            stack.append([symrank.poly_eval(w[c], v) for c in range(d)])
-        if stack:
-            best = max(best, rank(stack))
-    return best
-
-
-def _stack_rank_stab(syzygies, points, ds):
-    best = 0
-    for v in points:
-        stack = []
-        for xs in syzygies:
-            stack.append([symrank.poly_eval(xs[j], v) for j in range(ds)])
-        if stack:
-            best = max(best, rank(stack))
-    return best
+def _stack_rank(syzygies, points, width):
+    """Largest rank mod PRIME of the syzygies evaluated at the points: a
+    lower bound for the number of syzygies independent over Q(v)."""
+    if not syzygies:
+        return 0
+    return max((rank_mod_p([[symrank.poly_eval(s[i], v) for i in range(width)]
+                            for s in syzygies]) for v in points), default=0)

@@ -99,6 +99,13 @@ class TestCertifyCommand:
         assert code == 0
         assert "intersection dim = 1" in out
 
+    @pytest.mark.parametrize("argv", [(), ("A1",)])
+    def test_missing_module_is_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, "certify", *argv)
+        assert code == 2
+        assert out == ""
+        assert "needs ALGEBRA and MODULE" in err
+
 
 class TestOtherCommands:
     def test_decompose(self, capsys):

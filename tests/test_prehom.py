@@ -89,6 +89,16 @@ class TestVerdicts:
         assert cert.reason == SYMBOLIC_RANK_DEFICIT
         assert cert.generic_rank == 3
 
+    def test_no_ranks_each_sample_point_once(self, monkeypatch):
+        from disemi import syzygy
+        r = realize_label(spec_of(A1, A1), lab((1,), (1,)))
+        ranked = []
+        build = syzygy.evaluation_rows
+        monkeypatch.setattr(syzygy, "evaluation_rows",
+                            lambda rep, v: ranked.append(v) or build(rep, v))
+        assert not is_prehomogeneous(r, mode=Symbolic())
+        assert ranked == syzygy.sample_points(r.dim)
+
     def test_mixed_pair_yes(self):
         spec = spec_of(A1, A1)
         r = realize(spec, ModuleDescriptor([lab((0,), (1,)), lab((1,), (0,))]))

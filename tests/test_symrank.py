@@ -99,3 +99,9 @@ class TestLinearFormsMatrix:
         for row in rows:
             for p in row:
                 assert all(isinstance(c, int) for c in p.values())
+
+
+def test_clear_denominators():
+    m = [[Fraction(1, 2), 0], [Fraction(-2, 3), 5]]
+    assert symrank.clear_denominators(m) == (6, [[3, 0], [-4, 30]])
+    assert symrank.clear_denominators([[Fraction(4), 2]]) == (1, [[4, 2]])

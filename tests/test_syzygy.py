@@ -1,6 +1,10 @@
-import pytest
+from fractions import Fraction
+from types import SimpleNamespace
 
-from disemi import symrank, syzygy
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from disemi import linalg, symrank, syzygy
 from disemi.linalg import rank
 from disemi.prehom import evaluation_matrix
 from disemi.repbuilder import (ModuleDescriptor, direct_sum, natural, realize,
@@ -28,6 +32,42 @@ class TestSparseNullspace:
     def test_full_rank(self):
         rows = [{0: 1}, {1: 2}]
         assert syzygy.sparse_nullspace(rows, 2) == []
+
+    @given(st.integers(1, 8).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+        st.dictionaries(st.integers(0, n - 1),
+                        st.integers(-3, 3) | st.fractions(-3, 3, max_denominator=4),
+                        max_size=3),
+        max_size=8))))
+    @settings(max_examples=100, deadline=None)
+    def test_modular_matches_exact(self, system):
+        # both give the one basis that is 1 on its free column, 0 on the
+        # others, so equal lists mean equal spans
+        n, rows = system
+        assert (syzygy.sparse_nullspace(rows, n)
+                == syzygy.sparse_nullspace_exact(rows, n))
+
+    def test_wrong_lift_falls_back_to_exact(self):
+        # 2**40 lifts to 1/2**21 mod PRIME; the exact check rejects it
+        rows = [{0: 1, 1: -(2 ** 40)}]
+        assert linalg.sparse_nullspace_mod_p(rows, 2) == [
+            {1: 1, 0: Fraction(1, 2 ** 21)}]
+        assert syzygy.sparse_nullspace(rows, 2) == [{1: 1, 0: 2 ** 40}]
+
+    def test_failed_lift_falls_back_to_exact(self, monkeypatch):
+        rows = [{0: 1, 1: 1}, {1: 1, 2: -1}]
+        exact = syzygy.sparse_nullspace_exact(rows, 3)
+        calls = []
+        monkeypatch.setattr(linalg, "rational_reconstruction", lambda u: None)
+        monkeypatch.setattr(syzygy, "sparse_nullspace_exact",
+                            lambda r, n: calls.append(n) or exact)
+        assert linalg.sparse_nullspace_mod_p(rows, 3) is None
+        assert syzygy.sparse_nullspace(rows, 3) == exact
+        assert calls == [3]
+
+    def test_denominator_divisible_by_prime(self):
+        rows = [{0: Fraction(1, linalg.PRIME), 1: 1}]
+        assert linalg.sparse_nullspace_mod_p(rows, 2) is None
+        assert syzygy.sparse_nullspace(rows, 2) == [{1: 1, 0: -linalg.PRIME}]
 
 
 class TestCoordinateBlocks:
@@ -75,6 +115,30 @@ class TestStabilizerSyzygies:
                 out = [sum(ev.matrix[a][j] * coeffs[j] for j in range(3))
                        for a in range(3)]
                 assert out == [0, 0, 0]
+
+
+class TestIntegerAction:
+    def test_syzygies_of_a_rescaled_action(self):
+        # scaling action[j] by c_j leaves the kernel syzygies alone and
+        # divides x_j by c_j, up to one factor per syzygy; both kinds are
+        # re-verified against the scaled action inside the calls
+        adj = realize_label(spec_of(A1), lab((2,)))
+        scales = [Fraction(1, 3), Fraction(-2, 5), 7]
+        scaled = SimpleNamespace(dim=adj.dim, action=[
+            [[c * x for x in row] for row in m]
+            for c, m in zip(scales, adj.action)])
+        assert (syzygy.kernel_syzygies(scaled, 1)
+                == syzygy.kernel_syzygies(adj, 1))
+        plain = syzygy.stabilizer_syzygies(adj, 1)
+        got = syzygy.stabilizer_syzygies(scaled, 1)
+        assert len(got) == len(plain) >= 1
+        for xs, ys in zip(got, plain):
+            back = {(j, m): c * scales[j]
+                    for j, x in enumerate(xs) for m, c in x.items()}
+            flat = {(j, m): c for j, y in enumerate(ys) for m, c in y.items()}
+            assert back.keys() == flat.keys()
+            ratio = {Fraction(back[k]) / flat[k] for k in flat}
+            assert len(ratio) == 1
 
 
 class TestGenericRankCertified:
