@@ -9,6 +9,7 @@ without type-A factors.
 """
 
 import json
+import os
 from dataclasses import dataclass
 
 from .liealg import (Subspace, free_two_step, lower_central_series,
@@ -379,15 +380,26 @@ class Report:
         return json.dumps(self.to_json_dict(), separators=(",", ":"))
 
 
-def _verdict_worker(args):
-    """Module-level so process pools can pick it up."""
-    family, rank, entries = args
-    t = SimpleType(family, rank)
-    spec = SemisimpleSpec((t,))
-    desc = ModuleDescriptor([(label, mult) for label, mult in entries])
-    rep = realize(spec, desc)
-    cert = is_prehomogeneous(rep, mode=Symbolic())
-    return bool(cert)
+def _decide(args):
+    """Verdict on one module over a simple type; module-level so that
+    process pools can pick it up."""
+    family, rank, items, mode = args
+    spec = SemisimpleSpec((SimpleType(family, rank),))
+    rep = realize(spec, ModuleDescriptor(list(items)))
+    return bool(is_prehomogeneous(rep, mode=mode))
+
+
+def _decide_all(t, modules, mode, jobs):
+    """_decide on each module, given by its descriptor items, in
+    min(jobs, CPU count, number of modules) worker processes when that
+    is more than one."""
+    args = [(t.family, t.rank, items, mode) for items in modules]
+    workers = min(jobs, os.cpu_count() or 1, len(args))
+    if workers <= 1:
+        return [_decide(a) for a in args]
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(_decide, args))
 
 
 def cross_check_vinberg(t, bound=None, jobs=1):
@@ -400,13 +412,7 @@ def cross_check_vinberg(t, bound=None, jobs=1):
         bound = DESK_BOUNDS[t]
     spec = SemisimpleSpec((t,))
     modules = list(enumerate_modules(spec, bound))
-    args = [(t.family, t.rank, desc.entries) for desc in modules]
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            verdicts = list(pool.map(_verdict_worker, args))
-    else:
-        verdicts = [_verdict_worker(a) for a in args]
+    verdicts = _decide_all(t, [d.entries for d in modules], Symbolic(), jobs)
     positives = [d for d, v in zip(modules, verdicts) if v]
     table = vinberg_table(t)
     table_set = set(d.entries for d in table)
@@ -484,35 +490,16 @@ def type12_candidates(t, dim_bound=None):
     return out
 
 
-def _candidate_worker(args):
-    family, rank, labels = args
-    t = SimpleType(family, rank)
-    spec = SemisimpleSpec((t,))
-    rep = realize(spec, ModuleDescriptor(list(labels)))
-    return bool(is_prehomogeneous(rep, mode=Symbolic()))
-
-
 def search_type12(t, dim_bound=None, mode=None, jobs=1):
     """Candidates whose realized direct sum is prehomogeneous.
 
     Simple algebras admit none, so the expected result is empty; a
     non-empty result would contradict the classification tables.
     """
-    spec = SemisimpleSpec((t,))
     cands = type12_candidates(t, dim_bound)
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        args = [(t.family, t.rank, c.labels) for c in cands]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            verdicts = list(pool.map(_candidate_worker, args))
-        return [c for c, v in zip(cands, verdicts) if v]
-    hits = []
-    for cand in cands:
-        rep = realize(spec, cand.descriptor())
-        cert = is_prehomogeneous(rep, mode=mode if mode is not None else Symbolic())
-        if cert:
-            hits.append(cand)
-    return hits
+    verdicts = _decide_all(t, [c.labels for c in cands],
+                           mode if mode is not None else Symbolic(), jobs)
+    return [c for c, v in zip(cands, verdicts) if v]
 
 
 # ---------------------------------------------------------------------------
@@ -586,7 +573,7 @@ def radical_module(g, spec):
     nd = g.dim - ds
     action = []
     for i in range(ds):
-        m = [[0] * nd for _ in range(nd)]
+        m = [{} for _ in range(nd)]
         for b in range(nd):
             for k, c in g.structure(i, ds + b).items():
                 if k < ds:
@@ -713,12 +700,10 @@ def _check_block_brackets(spec, rep):
         dim_t = t.algebra_dim
         touched = set()
         for k in range(pos, pos + dim_t):
-            m = rep.action[k]
-            for a in range(rep.dim):
-                for b in range(rep.dim):
-                    if m[a][b]:
-                        touched.add(a)
-                        touched.add(b)
+            for a, row in enumerate(rep.action[k]):
+                if row:
+                    touched.add(a)
+                    touched.update(row)
         supports.append(touched)
         pos += dim_t
     for i in range(len(supports)):

@@ -3,7 +3,9 @@
 Every pipeline is exposed as a subcommand; --json switches to the
 serialised certificate or report.  Exit codes: 0 for a positive result
 (prehomogeneous / certificate found / clean diff), 1 for a negative
-one, 2 for usage or parse errors.
+one, 2 for usage, parse or input errors, 3 for an internal error (a
+failed invariant check, reported as "internal error: ..."; never a
+verdict).
 """
 
 import argparse
@@ -14,7 +16,7 @@ from fractions import Fraction
 from .classify import (cross_check_vinberg, search_type12, sk_reduced_table,
                        construct_type1, construct_type2, radical_module,
                        vinberg_table)
-from .liealg import Subspace, from_json_dict
+from .liealg import Subspace, check_jacobi, from_json_dict, rational
 from .modexpr import (ModuleParseError, parse_algebra, parse_module,
                       pretty_descriptor, to_representation)
 from .prehom import (DecompositionCertificate, Randomized, Refusal, Symbolic,
@@ -70,13 +72,29 @@ def _print_certificate(result, as_json):
     return 0
 
 
+def _read_sc(path):
+    """(algebra, Levi subspace) from a structure-constant file.  Every
+    check runs before anything is computed, so a malformed file raises
+    ValueError: the schema, indices, rationals, Levi row lengths and the
+    Jacobi identity."""
+    with open(path) as fh:
+        data = json.load(fh)
+    try:
+        g = from_json_dict(data["algebra"])
+        levi = [[rational(x) for x in row] for row in data["levi_basis"]]
+    except (KeyError, TypeError) as exc:
+        raise ValueError("the file needs 'algebra' and 'levi_basis': %s"
+                         % exc) from None
+    if any(len(row) != g.dim for row in levi):
+        raise ValueError("every levi_basis row needs %d entries" % g.dim)
+    if not check_jacobi(g):
+        raise ValueError("the structure constants violate the Jacobi identity")
+    return g, Subspace(g, levi)
+
+
 def cmd_certify(args):
     if args.sc:
-        with open(args.sc) as fh:
-            data = json.load(fh)
-        g = from_json_dict(data["algebra"])
-        levi = Subspace(g, [[Fraction(x) for x in row]
-                            for row in data["levi_basis"]])
+        g, levi = _read_sc(args.sc)
         result = certify_disemisimple(g, levi, mode=_mode_from_args(args))
         return _print_certificate(result, args.json)
     if args.algebra is None or args.module is None:
@@ -320,6 +338,9 @@ def main(argv=None):
     except (ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    except AssertionError as exc:
+        print("internal error: %s" % exc, file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -8,6 +8,7 @@ representations defined on generators extend mechanically.
 """
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -491,7 +492,8 @@ def semidirect(s, rho, n=None):
     """Semidirect product s x| n for a representation rho of s on n.
 
     n defaults to the abelian algebra on the module space.  Checks that
-    rho is a homomorphism and that every rho(b_i) is a derivation of n.
+    rho is a homomorphism of s (rho.check_homomorphism) and that every
+    rho(b_i) is a derivation of n; raises ValueError otherwise.
     The bracket is [(x,v),(y,w)] = ([x,y], x.w - y.v + [v,w]_n).
     """
     if n is None:
@@ -499,46 +501,24 @@ def semidirect(s, rho, n=None):
     if rho.dim != n.dim:
         raise ValueError("module dimension %d != algebra dimension %d"
                          % (rho.dim, n.dim))
-    if rho.algebra.dim != s.dim:
+    if rho.algebra.dim != s.dim or rho.algebra.table != s.table:
         raise ValueError("representation is over a different algebra")
-    # homomorphism check on all basis pairs
-    for j in range(s.dim):
-        for i in range(j):
-            expect = zeros(rho.dim, rho.dim)
-            for k, c in s.structure(i, j).items():
-                expect = mat_add(expect, mat_scale(c, rho.action[k]))
-            if commutator(rho.action[i], rho.action[j]) != expect:
-                raise ValueError("rho is not a Lie algebra homomorphism "
-                                 "(fails on basis pair (%d, %d))" % (i, j))
-    # derivation check against the bracket of n (vacuous for abelian n)
-    if n.table:
-        for i in range(s.dim):
-            m = rho.action[i]
-            cols = [[m[q][a] for q in range(n.dim)] for a in range(n.dim)]
-            for a in range(n.dim):
-                for b in range(a + 1, n.dim):
-                    lhs = [0] * n.dim
-                    for k, c in n.structure(a, b).items():
-                        if c:
-                            for q in range(n.dim):
-                                if m[q][k]:
-                                    lhs[q] += c * m[q][k]
-                    ea = n.basis_vector(a)
-                    eb = n.basis_vector(b)
-                    rhs = [x + y for x, y in zip(n.bracket(cols[a], eb),
-                                                 n.bracket(ea, cols[b]))]
-                    if lhs != rhs:
-                        raise ValueError("rho(b_%d) is not a derivation of n" % i)
+    if not rho.check_homomorphism():
+        raise ValueError("rho is not a Lie algebra homomorphism")
     ds = s.dim
-    table = {}
-    for key, row in s.table.items():
-        table[key] = dict(row)
+    table = {key: dict(row) for key, row in s.table.items()}
     for i in range(ds):
-        m = rho.action[i]
-        for a in range(n.dim):
-            col = {ds + k: m[k][a] for k in range(n.dim) if m[k][a]}
+        # cols[a] is rho(b_i) applied to basis vector a of n
+        cols = [{} for _ in range(n.dim)]
+        for k, row in enumerate(rho.action[i]):
+            for a, x in row.items():
+                cols[a][k] = x
+        # vacuous for abelian n
+        if n.table and not _is_derivation(n, cols):
+            raise ValueError("rho(b_%d) is not a derivation of n" % i)
+        for a, col in enumerate(cols):
             if col:
-                table[(i, ds + a)] = col
+                table[(i, ds + a)] = {ds + k: x for k, x in col.items()}
     for (a, b), row in n.table.items():
         table[(ds + a, ds + b)] = {ds + k: c for k, c in row.items()}
     labels = None
@@ -549,6 +529,29 @@ def semidirect(s, rho, n=None):
                    bracket_defs=s.bracket_defs)
     g.levi_basis = Subspace(g, [g.basis_vector(i) for i in range(ds)])
     return g
+
+
+def _is_derivation(n, cols):
+    """True iff the linear map D sending basis vector a of n to the
+    sparse vector cols[a] is a derivation of n: the defect
+    D[e_a, e_b] - [D e_a, e_b] + [D e_b, e_a] vanishes on all ordered
+    basis pairs.  Only brackets that are nonzero in n are visited."""
+    brackets = [[] for _ in range(n.dim)]     # q -> [(b, [e_q, e_b])]
+    for (a, b), row in n.table.items():
+        brackets[a].append((b, row))
+        brackets[b].append((a, {k: -c for k, c in row.items()}))
+    defect = Counter()
+    for a in range(n.dim):
+        for b, row in brackets[a]:
+            for k, c in row.items():
+                for q, x in cols[k].items():
+                    defect[a, b, q] += c * x
+        for q, x in cols[a].items():
+            for b, row in brackets[q]:
+                for k, c in row.items():
+                    defect[a, b, k] -= x * c
+                    defect[b, a, k] += x * c
+    return not any(defect.values())
 
 
 def free_two_step(rho):
@@ -690,11 +693,40 @@ def to_json_dict(g):
     return out
 
 
+def rational(x):
+    """A JSON integer, or a string such as "-3/4", as a Fraction; raises
+    ValueError for anything else."""
+    if type(x) is not int and not isinstance(x, str):
+        raise ValueError("%r is not a rational number" % (x,))
+    try:
+        return Fraction(x)
+    except ZeroDivisionError:
+        raise ValueError("%r has a zero denominator" % (x,)) from None
+
+
 def from_json_dict(data):
-    table = {}
-    for i, j, row in data["entries"]:
-        table[(i, j)] = {int(k): Fraction(c) for k, c in row}
-    return LieAlgebra(int(data["dim"]), table, labels=data.get("labels"))
+    """Inverse of to_json_dict.  The input is checked before use, so a
+    malformed one raises ValueError: the schema, integer indices below
+    dim with i < j in every entry [i, j, [[k, c], ...]], and rational
+    coefficients."""
+    try:
+        dim = data["dim"]
+        table = {(i, j): {k: rational(c) for k, c in row}
+                 for i, j, row in data["entries"]}
+        labels = data.get("labels")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError("malformed algebra: %s" % exc) from None
+    indices = [x for (i, j), row in table.items() for x in (i, j, *row)]
+    if type(dim) is not int or dim < 0 or not all(
+            type(x) is int and 0 <= x < dim for x in indices):
+        raise ValueError("'dim' must be a natural number and every index "
+                         "an integer below it")
+    if any(i >= j for i, j in table):
+        raise ValueError("every entry [i, j, ...] needs i < j")
+    if labels is not None and not (isinstance(labels, list)
+                                   and len(labels) == dim):
+        raise ValueError("'labels' must name each of the %d basis vectors" % dim)
+    return LieAlgebra(dim, table, labels=labels)
 
 
 def dumps(g):

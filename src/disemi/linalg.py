@@ -197,13 +197,6 @@ class IncrementalSpan:
                         expr[k] += c * e
         return r, expr
 
-    def dim(self):
-        return len(self.rows)
-
-    def contains(self, v):
-        r, _ = self._reduce(v)
-        return is_zero_vector(r)
-
     def add(self, v):
         """Add v as a generator; True if it enlarged the span.
 
@@ -229,18 +222,8 @@ class IncrementalSpan:
 
     def solve(self, v):
         """Coefficients of v over the added generators, or None."""
-        r = list(v)
-        expr = [0] * self.nadded
-        for pc, row, rexpr in self.rows:
-            c = r[pc]
-            if c:
-                r = [x - c * y for x, y in zip(r, row)]
-                for k, e in enumerate(rexpr):
-                    if e:
-                        expr[k] += c * e
-        if not is_zero_vector(r):
-            return None
-        return expr
+        r, expr = self._reduce(v)
+        return expr if is_zero_vector(r) else None
 
 
 # ---------------------------------------------------------------------------

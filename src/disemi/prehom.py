@@ -114,9 +114,9 @@ def has_trivial_summand(r):
     """
     if r.dim == 0:
         return False
-    stacked = []
-    for m in r.action:
-        stacked.extend(m)
+    # exact rank: a rank mod PRIME could fall short and fake a summand
+    stacked = [[row.get(b, 0) for b in range(r.dim)]
+               for m in r.action for row in m if row]
     if not stacked:
         return True
     return rank(stacked, stop_at=r.dim) < r.dim
@@ -281,15 +281,14 @@ def adjoint_radical_module(g, levi, radical=None):
         span.add(row)
     action = []
     for u in levi.basis:
-        cols = []
-        for rbasis in rad.basis:
-            w = g.bracket(u, rbasis)
-            coeffs = span.solve(w)
+        m = [{} for _ in range(rad.dim)]
+        for b, rbasis in enumerate(rad.basis):
+            coeffs = span.solve(g.bracket(u, rbasis))
             if coeffs is None:
                 raise ValueError("radical is not stable under the Levi action")
-            cols.append(coeffs)
-        action.append([[cols[b][a] for b in range(rad.dim)]
-                       for a in range(rad.dim)])
+            for a, x in enumerate(coeffs):
+                m[a][b] = x
+        action.append(m)
     return Representation(None, lev_alg, action, False), rad
 
 

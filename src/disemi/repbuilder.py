@@ -1,9 +1,10 @@
 """Explicit matrix representations of the classical semisimple algebras.
 
 Every Representation stores one exact action matrix per basis element of
-its algebra.  All constructors keep the Cartan subalgebra diagonal
-(weight_basis), so highest-weight extraction is plain kernel computation
-in fixed coordinate blocks and never needs diagonalisation.
+its algebra, as sparse row dicts (see Representation).  All constructors
+keep the Cartan subalgebra diagonal (weight_basis), so highest-weight
+extraction is plain kernel computation in fixed coordinate blocks and
+never needs diagonalisation.
 """
 
 from dataclasses import dataclass
@@ -11,8 +12,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
-from .linalg import (IncrementalSpan, commutator, identity, mat_add,
-                     mat_scale, mat_sub, matmul, nullspace, zeros)
+from .linalg import IncrementalSpan, identity, nullspace
 from .liealg import chevalley, direct_sum as algebra_direct_sum
 from .rootdata import (SimpleType, as_coords, dual_weight, weyl_dim,
                        zero_weight)
@@ -154,15 +154,24 @@ def descriptor(spec, *labels):
 
 
 class Representation:
-    """A module for a semisimple algebra, one matrix per basis element."""
+    """A module for a semisimple algebra, one matrix per basis element.
+
+    action[k] is the matrix of basis element k as a list of dim row
+    dicts: row a maps column b to the entry (a, b) and holds only the
+    nonzero entries.  The constructor is the one place where entries are
+    normalised: zeros are dropped and integral Fractions become ints.
+    """
 
     def __init__(self, spec, algebra, action, weight_basis):
-        self.spec = spec
-        self.algebra = algebra
-        self.action = action
-        self.dim = len(action[0]) if action and algebra.dim else 0
         if algebra.dim != len(action):
             raise ValueError("need one action matrix per algebra basis element")
+        self.spec = spec
+        self.algebra = algebra
+        self.dim = len(action[0]) if action else 0
+        if any(len(m) != self.dim for m in action):
+            raise ValueError("every action matrix needs one row per coordinate")
+        self.action = [[{b: _entry(x) for b, x in row.items() if x} for row in m]
+                       for m in action]
         self.weight_basis = weight_basis
         self._weights = None
         if weight_basis:
@@ -170,11 +179,8 @@ class Representation:
             if gens is None:
                 raise ValueError("weight_basis needs Chevalley generator data")
             for h in gens[0]:
-                m = self.action[h]
-                for a in range(self.dim):
-                    for b in range(self.dim):
-                        if a != b and m[a][b]:
-                            raise ValueError("Cartan action is not diagonal")
+                if any(b != a for a, row in enumerate(self.action[h]) for b in row):
+                    raise ValueError("Cartan action is not diagonal")
 
     def __repr__(self):
         return "Representation(%s, dim=%d)" % (self.spec, self.dim)
@@ -188,14 +194,10 @@ class Representation:
             h_idx = self.algebra.generator_indices()[0]
             out = []
             for c in range(self.dim):
-                w = []
-                for h in h_idx:
-                    x = self.action[h][c][c]
-                    xf = Fraction(x)
-                    if xf.denominator != 1:
-                        raise AssertionError("non-integral weight entry")
-                    w.append(int(xf))
-                out.append(tuple(w))
+                w = tuple(self.action[h][c].get(c, 0) for h in h_idx)
+                if not all(isinstance(x, int) for x in w):
+                    raise AssertionError("non-integral weight entry")
+                out.append(w)
             self._weights = out
         return self._weights
 
@@ -208,18 +210,80 @@ class Representation:
             pos += t.rank
         return tuple(blocks)
 
+    def _bracket_holds(self, i, j):
+        """Exact check of action([b_i, b_j]) = [action(b_i), action(b_j)]."""
+        expect = _combination(((c, self.action[k]) for k, c
+                               in self.algebra.structure(i, j).items()), self.dim)
+        return _commutator(self.action[i], self.action[j]) == expect
+
     def check_homomorphism(self):
         """Exact check of action([x,y]) = [action(x), action(y)] on all
-        basis pairs; quadratic in the algebra dimension."""
-        g = self.algebra
-        for j in range(g.dim):
-            for i in range(j):
-                expect = zeros(self.dim, self.dim)
-                for k, c in g.structure(i, j).items():
-                    expect = mat_add(expect, mat_scale(c, self.action[k]))
-                if commutator(self.action[i], self.action[j]) != expect:
-                    return False
-        return True
+        basis pairs; quadratic in the algebra dimension, each pair a
+        sparse product."""
+        return all(self._bracket_holds(i, j)
+                   for j in range(self.algebra.dim) for i in range(j))
+
+
+# ---------------------------------------------------------------------------
+# Row-dict matrices, the format of Representation.action
+# ---------------------------------------------------------------------------
+
+def _entry(x):
+    """x as an int when it is an integral Fraction, else x itself."""
+    return x.numerator if isinstance(x, Fraction) and x.denominator == 1 else x
+
+
+def _combination(terms, dim):
+    """sum of c * m over the (c, m) pairs, zero entries dropped."""
+    out = [{} for _ in range(dim)]
+    for c, m in terms:
+        for row, mrow in zip(out, m):
+            for b, x in mrow.items():
+                row[b] = row.get(b, 0) + c * x
+    return [{b: x for b, x in row.items() if x} for row in out]
+
+
+def _product(a, b):
+    """The matrix product a b."""
+    out = []
+    for arow in a:
+        row = {}
+        for k, x in arow.items():
+            for j, y in b[k].items():
+                row[j] = row.get(j, 0) + x * y
+        out.append(row)
+    return out
+
+
+def _commutator(a, b):
+    """[a, b] = ab - ba, zero entries dropped."""
+    return _combination(((1, _product(a, b)), (-1, _product(b, a))), len(a))
+
+
+def _columns(m, dim):
+    """Per column b of m, the (row, entry) pairs of its nonzero entries."""
+    cols = [[] for _ in range(dim)]
+    for a, row in enumerate(m):
+        for b, x in row.items():
+            cols[b].append((a, x))
+    return cols
+
+
+def _apply(m, v):
+    """The vector m v, for a dense vector v."""
+    return [sum(x * v[b] for b, x in row.items()) for row in m]
+
+
+def _kron_sum(m1, m2, d1, d2):
+    """m1 ox 1 + 1 ox m2 in the Kronecker basis (first factor major)."""
+    out = []
+    for a in range(d1):
+        for i in range(d2):
+            row = {a * d2 + j: x for j, x in m2[i].items()}
+            for b, x in m1[a].items():
+                row[b * d2 + i] = row.get(b * d2 + i, 0) + x
+            out.append(row)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -227,16 +291,12 @@ class Representation:
 # ---------------------------------------------------------------------------
 
 def _spot_check(rep):
-    """One-pair homomorphism check on the first sl2 triple; cheap for
-    sparse actions and catches sign mistakes in new constructors."""
+    """One-pair homomorphism check on the first sl2 triple; cheap, and
+    catches sign mistakes in new constructors."""
     if rep.dim == 0 or rep.algebra.factors is None:
         return rep
     fac = rep.algebra.factors[0]
-    e, f = fac.e[0], fac.f[0]
-    expect = zeros(rep.dim, rep.dim)
-    for k, c in rep.algebra.structure(e, f).items():
-        expect = mat_add(expect, mat_scale(c, rep.action[k]))
-    if commutator(rep.action[e], rep.action[f]) != expect:
+    if not rep._bracket_holds(fac.e[0], fac.f[0]):
         raise AssertionError("constructed action fails the spot check")
     return rep
 
@@ -249,18 +309,20 @@ def natural(t):
     from .liealg import _chevalley_with_matrices
     alg, mats = _chevalley_with_matrices(t)
     spec = SemisimpleSpec((t,))
-    return Representation(spec, alg, [[list(row) for row in m] for m in mats], True)
+    return Representation(spec, alg, [[dict(enumerate(row)) for row in m]
+                                      for m in mats], True)
 
 
 def trivial(spec, k=1):
     """The k-dimensional trivial module over spec."""
     alg = spec.algebra()
-    return Representation(spec, alg, [zeros(k, k) for _ in range(alg.dim)], True)
+    return Representation(spec, alg, [[{} for _ in range(k)]
+                                      for _ in range(alg.dim)], True)
 
 
 def dual(r):
     """The dual module, acting by x -> -x^T."""
-    action = [[[-m[b][a] for b in range(r.dim)] for a in range(r.dim)]
+    action = [[{b: -x for b, x in col} for col in _columns(m, r.dim)]
               for m in r.action]
     return _spot_check(Representation(r.spec, r.algebra, action, r.weight_basis))
 
@@ -269,22 +331,8 @@ def tensor(r1, r2):
     """Tensor product of two modules over the same algebra."""
     if r1.algebra is not r2.algebra and r1.spec != r2.spec:
         raise ValueError("tensor needs modules over the same algebra")
-    d1, d2 = r1.dim, r2.dim
-    action = []
-    for m1, m2 in zip(r1.action, r2.action):
-        m = zeros(d1 * d2, d1 * d2)
-        for a in range(d1):
-            base = a * d2
-            for i in range(d2):
-                for j in range(d2):
-                    if m2[i][j]:
-                        m[base + i][base + j] += m2[i][j]
-            for b in range(d1):
-                if m1[a][b]:
-                    c = m1[a][b]
-                    for i in range(d2):
-                        m[base + i][b * d2 + i] += c
-        action.append(m)
+    action = [_kron_sum(m1, m2, r1.dim, r2.dim)
+              for m1, m2 in zip(r1.action, r2.action)]
     return _spot_check(Representation(r1.spec, r1.algebra, action,
                                       r1.weight_basis and r2.weight_basis))
 
@@ -298,17 +346,12 @@ def direct_sum(rs):
     for r in rs[1:]:
         if r.algebra is not alg and r.spec != spec:
             raise ValueError("direct_sum needs modules over the same algebra")
-    total = sum(r.dim for r in rs)
     action = []
     for k in range(alg.dim):
-        m = zeros(total, total)
+        m = []
         off = 0
         for r in rs:
-            mk = r.action[k]
-            for i in range(r.dim):
-                for j in range(r.dim):
-                    if mk[i][j]:
-                        m[off + i][off + j] = mk[i][j]
+            m.extend({off + j: x for j, x in row.items()} for row in r.action[k])
             off += r.dim
         action.append(m)
     return _spot_check(Representation(spec, alg, action,
@@ -324,25 +367,8 @@ def outer_tensor(r1, r2):
     spec = SemisimpleSpec(r1.spec.factors + r2.spec.factors)
     alg = spec.algebra()
     d1, d2 = r1.dim, r2.dim
-    action = []
-    for m1 in r1.action:
-        m = zeros(d1 * d2, d1 * d2)
-        for a in range(d1):
-            for b in range(d1):
-                if m1[a][b]:
-                    c = m1[a][b]
-                    for i in range(d2):
-                        m[a * d2 + i][b * d2 + i] += c
-        action.append(m)
-    for m2 in r2.action:
-        m = zeros(d1 * d2, d1 * d2)
-        for a in range(d1):
-            base = a * d2
-            for i in range(d2):
-                for j in range(d2):
-                    if m2[i][j]:
-                        m[base + i][base + j] += m2[i][j]
-        action.append(m)
+    action = ([_kron_sum(m1, [{}] * d2, d1, d2) for m1 in r1.action]
+              + [_kron_sum([{}] * d1, m2, d1, d2) for m2 in r2.action])
     return _spot_check(Representation(spec, alg, action,
                                       r1.weight_basis and r2.weight_basis))
 
@@ -360,22 +386,23 @@ def wedge_power(r, k):
     d = len(subsets)
     action = []
     for m in r.action:
-        cols = [[(i, m[i][j]) for i in range(n) if m[i][j]] for j in range(n)]
-        out = zeros(d, d)
+        cols = _columns(m, n)
+        out = [{} for _ in range(d)]
         for si, s in enumerate(subsets):
             inside = set(s)
             for p, sp in enumerate(s):
                 for j, c in cols[sp]:
                     if j == sp:
-                        out[si][si] += c
+                        row = out[si]
+                    elif j in inside:
                         continue
-                    if j in inside:
-                        continue
-                    rest = s[:p] + s[p + 1:]
-                    pos = sum(1 for x in rest if x < j)
-                    tgt = tuple(sorted(rest + (j,)))
-                    sign = -1 if (p - pos) % 2 else 1
-                    out[index[tgt]][si] += sign * c
+                    else:
+                        rest = s[:p] + s[p + 1:]
+                        pos = sum(1 for x in rest if x < j)
+                        row = out[index[tuple(sorted(rest + (j,)))]]
+                        if (p - pos) % 2:
+                            c = -c
+                    row[si] = row.get(si, 0) + c
         action.append(out)
     return _spot_check(Representation(r.spec, r.algebra, action, r.weight_basis))
 
@@ -388,15 +415,15 @@ def sym2(r):
     d = len(pairs)
     action = []
     for m in r.action:
-        cols = [[(i, m[i][j]) for i in range(n) if m[i][j]] for j in range(n)]
-        out = zeros(d, d)
+        cols = _columns(m, n)
+        out = [{} for _ in range(d)]
         for pi, (a, b) in enumerate(pairs):
             for j, c in cols[a]:
-                tgt = (j, b) if j <= b else (b, j)
-                out[index[tgt]][pi] += c
+                row = out[index[(j, b) if j <= b else (b, j)]]
+                row[pi] = row.get(pi, 0) + c
             for j, c in cols[b]:
-                tgt = (a, j) if a <= j else (j, a)
-                out[index[tgt]][pi] += c
+                row = out[index[(a, j) if a <= j else (j, a)]]
+                row[pi] = row.get(pi, 0) + c
         action.append(out)
     return _spot_check(Representation(r.spec, r.algebra, action, r.weight_basis))
 
@@ -405,40 +432,32 @@ def sym2(r):
 # Spin modules via a fermionic mode basis
 # ---------------------------------------------------------------------------
 
-def _mode_matrices(l, masks):
-    """Creation/annihilation matrices on the given subset masks."""
-    index = {m: i for i, m in enumerate(masks)}
-    d = len(masks)
-
-    def sign_below(mask, i):
-        return -1 if bin(mask & ((1 << i) - 1)).count("1") % 2 else 1
-
+def _mode_matrices(l):
+    """Creation/annihilation matrices on the 2^l subset masks."""
+    d = 1 << l
     create, destroy = [], []
     for i in range(l):
-        cm = zeros(d, d)
-        dm = zeros(d, d)
-        for mi, mask in enumerate(masks):
-            if not mask & (1 << i):
-                tgt = mask | (1 << i)
-                if tgt in index:
-                    cm[index[tgt]][mi] = sign_below(mask, i)
+        cm = [{} for _ in range(d)]
+        dm = [{} for _ in range(d)]
+        for mask in range(d):
+            sign = -1 if bin(mask & ((1 << i) - 1)).count("1") % 2 else 1
+            if mask & (1 << i):
+                dm[mask & ~(1 << i)][mask] = sign
             else:
-                tgt = mask & ~(1 << i)
-                if tgt in index:
-                    dm[index[tgt]][mi] = sign_below(mask, i)
+                cm[mask | (1 << i)][mask] = sign
         create.append(cm)
         destroy.append(dm)
     return create, destroy
 
 
-def _rep_from_generators(alg, images, dim):
+def _rep_from_generators(alg, images):
     """Extend generator images along the algebra's bracket definitions."""
     action = [None] * alg.dim
     for idx, m in images.items():
         action[idx] = m
     for m in sorted(alg.bracket_defs):
         i, j = alg.bracket_defs[m]
-        action[m] = commutator(action[i], action[j])
+        action[m] = _commutator(action[i], action[j])
     if any(a is None for a in action):
         raise AssertionError("generator images do not cover the algebra")
     return action
@@ -455,52 +474,47 @@ def _spin_rep(t, parity=None):
     l = t.rank
     alg = chevalley(t)
     fac = alg.factors[0]
-    full = list(range(1 << l))
-    create, destroy = _mode_matrices(l, full)
+    full = range(1 << l)
+    create, destroy = _mode_matrices(l)
     dfull = len(full)
-    number = [matmul(create[i], destroy[i]) for i in range(l)]
+    one = [{m: 1} for m in full]
+    number = [_product(create[i], destroy[i]) for i in range(l)]
     images = {}
     for i in range(l - 1):
-        images[fac.e[i]] = matmul(create[i], destroy[i + 1])
-        images[fac.f[i]] = matmul(create[i + 1], destroy[i])
-        images[fac.h[i]] = mat_sub(number[i], number[i + 1])
+        images[fac.e[i]] = _product(create[i], destroy[i + 1])
+        images[fac.f[i]] = _product(create[i + 1], destroy[i])
+        images[fac.h[i]] = _combination(((1, number[i]), (-1, number[i + 1])),
+                                        dfull)
     if t.family == "D":
         if parity not in (0, 1):
             raise ValueError("D-type spin module needs a subset parity")
-        images[fac.e[l - 1]] = matmul(create[l - 2], create[l - 1])
-        images[fac.f[l - 1]] = matmul(destroy[l - 1], destroy[l - 2])
-        hm = mat_add(number[l - 2], number[l - 1])
-        images[fac.h[l - 1]] = mat_add(hm, mat_scale(-1, identity(dfull)))
+        images[fac.e[l - 1]] = _product(create[l - 2], create[l - 1])
+        images[fac.f[l - 1]] = _product(destroy[l - 1], destroy[l - 2])
+        images[fac.h[l - 1]] = _combination(
+            ((1, number[l - 2]), (1, number[l - 1]), (-1, one)), dfull)
     elif t.family == "B":
         # short-root vectors live in the even Clifford algebra through
         # the parity involution c with c^2 = 1
-        c = zeros(dfull, dfull)
-        for mi, mask in enumerate(full):
-            c[mi][mi] = -1 if bin(mask).count("1") % 2 else 1
-        images[fac.e[l - 1]] = matmul(create[l - 1], c)
-        images[fac.f[l - 1]] = mat_scale(-1, matmul(destroy[l - 1], c))
-        nm = mat_scale(2, number[l - 1])
-        images[fac.h[l - 1]] = mat_add(nm, mat_scale(-1, identity(dfull)))
+        c = [{m: -1 if bin(m).count("1") % 2 else 1} for m in full]
+        images[fac.e[l - 1]] = _product(create[l - 1], c)
+        images[fac.f[l - 1]] = _combination(
+            ((-1, _product(destroy[l - 1], c)),), dfull)
+        images[fac.h[l - 1]] = _combination(((2, number[l - 1]), (-1, one)),
+                                            dfull)
     else:
         raise ValueError("spin modules exist for families B and D only")
     if t.family == "D":
         keep = [m for m in full if bin(m).count("1") % 2 == parity]
-        pos = {m: i for i, m in enumerate(full)}
-        rows = [pos[m] for m in keep]
+        pos = {m: i for i, m in enumerate(keep)}
         restricted = {}
         for idx, m in images.items():
-            sub = [[m[a][b] for b in rows] for a in rows]
             # the quadratics preserve parity, so nothing may leak out
-            leak = any(m[a][b] for a in rows for b in range(dfull)
-                       if b not in set(rows))
-            if leak:
+            if any(b not in pos for a in keep for b in m[a]):
                 raise AssertionError("spin generator does not preserve parity")
-            restricted[idx] = sub
+            restricted[idx] = [{pos[b]: x for b, x in m[a].items()}
+                               for a in keep]
         images = restricted
-        d = len(keep)
-    else:
-        d = dfull
-    action = _rep_from_generators(alg, images, d)
+    action = _rep_from_generators(alg, images)
     rep = Representation(SemisimpleSpec((t,)), alg, action, True)
     if not rep.check_homomorphism():
         raise AssertionError("spin construction failed the homomorphism check")
@@ -541,14 +555,10 @@ def highest_weight_vectors(r, coord_mask=None):
         cols = blocks[w]
         rows = []
         for e in e_idx:
-            m = r.action[e]
-            touched = set()
-            for c in cols:
-                for a in range(r.dim):
-                    if m[a][c]:
-                        touched.add(a)
-            for a in sorted(touched):
-                rows.append([m[a][c] for c in cols])
+            for row in r.action[e]:
+                vals = [row.get(c, 0) for c in cols]
+                if any(vals):
+                    rows.append(vals)
         if rows:
             kern = nullspace(rows, ncols=len(cols))
         else:
@@ -609,16 +619,13 @@ def _restrict(r, vectors):
     d = len(vectors)
     action = []
     for m in r.action:
-        out = zeros(d, d)
+        out = [{} for _ in range(d)]
         for j, v in enumerate(vectors):
-            img = [sum(m[a][c] * v[c] for c in range(r.dim) if v[c])
-                   for a in range(r.dim)]
-            coeffs = span.solve(img)
+            coeffs = span.solve(_apply(m, v))
             if coeffs is None:
                 raise ValueError("subspace is not action-stable")
             for i, c in enumerate(coeffs):
-                if c:
-                    out[i][j] = c
+                out[i][j] = c
         action.append(out)
     return Representation(r.spec, r.algebra, action, r.weight_basis)
 
@@ -635,9 +642,7 @@ def cyclic_submodule(r, v0):
         new = []
         for v in frontier:
             for f in f_idx:
-                m = r.action[f]
-                img = [sum(m[a][c] * v[c] for c in range(r.dim) if v[c])
-                       for a in range(r.dim)]
+                img = _apply(r.action[f], v)
                 if any(img) and span.add(img):
                     basis.append(img)
                     new.append(img)

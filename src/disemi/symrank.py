@@ -178,23 +178,25 @@ def generic_rank(matrix, nvars):
 
 
 def clear_denominators(m):
-    """(D, D*m) for the least positive integer D making the matrix m integral."""
-    den = lcm(1, *(x.denominator for row in m for x in row
+    """(D, D*m) for the least positive integer D making the row-dict
+    matrix m integral."""
+    den = lcm(1, *(x.denominator for row in m for x in row.values()
                    if isinstance(x, Fraction)))
-    return den, [[int(x * den) for x in row] for row in m]
+    return den, [{b: int(x * den) for b, x in row.items()} for row in m]
 
 
 def linear_forms_matrix(action, dim):
     """The evaluation matrix of a module action at a generic vector.
 
     Column j is action[j] applied to v, so entry (a, j) is the linear
-    form sum_b action[j][a][b] v_b.  Denominators are cleared per
-    column, which rescales columns and leaves all ranks unchanged.
+    form sum_b action[j][a][b] v_b, for row-dict matrices as in
+    Representation.action.  Denominators are cleared per column, which
+    rescales columns and leaves all ranks unchanged.
     """
     ncols = len(action)
     rows = [[{} for _ in range(ncols)] for _ in range(dim)]
     for j, m in enumerate(action):
         _, m = clear_denominators(m)
-        for a in range(dim):
-            rows[a][j] = {var_monomial(b): x for b, x in enumerate(m[a]) if x}
+        for a, row in enumerate(m):
+            rows[a][j] = {var_monomial(b): x for b, x in row.items()}
     return rows

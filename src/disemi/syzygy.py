@@ -23,7 +23,6 @@ import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import lcm
-from operator import mul
 
 from .linalg import rank_mod_p, sparse_nullspace_mod_p
 from . import symrank
@@ -59,12 +58,11 @@ def coordinate_blocks(action, dim):
         return x
 
     for m in action:
-        for a in range(dim):
-            for b in range(dim):
-                if m[a][b]:
-                    ra, rb = find(a), find(b)
-                    if ra != rb:
-                        parent[ra] = rb
+        for a, row in enumerate(m):
+            for b in row:
+                ra, rb = find(a), find(b)
+                if ra != rb:
+                    parent[ra] = rb
     groups = {}
     for c in range(dim):
         groups.setdefault(find(c), []).append(c)
@@ -177,12 +175,6 @@ def cleared_action(rep):
     return [symrank.clear_denominators(m) for m in rep.action]
 
 
-def _action_rows_nnz(action, dim):
-    """Per matrix, per row: the nonzero (column, coefficient) pairs."""
-    return [[[(e, m[c][e]) for e in range(dim) if m[c][e]]
-             for c in range(dim)] for m in action]
-
-
 def kernel_syzygies(rep, degree, blocks=None, cleared=None):
     """Polynomial maps w of the exact degree with w(v)^T M_v = 0.
 
@@ -198,13 +190,8 @@ def kernel_syzygies(rep, degree, blocks=None, cleared=None):
         blocks = coordinate_blocks(rep.action, d)
     if cleared is None:
         cleared = cleared_action(rep)
-    block_of = {}
-    for s, blk in enumerate(blocks):
-        for c in blk:
-            block_of[c] = s
     # scaling action[j] scales the equations (j, .) only: same nullspace
-    rows_nnz = _action_rows_nnz([m for _, m in cleared], d)
-    nj = len(rep.action)
+    mats = [m for _, m in cleared]
     out = []
     for grade in _sector_multidegrees(len(blocks), degree + 1):
         unknowns = []      # (c, mono)
@@ -216,11 +203,10 @@ def kernel_syzygies(rep, degree, blocks=None, cleared=None):
             unknowns.extend((c, mono) for c in blk for mono in monos)
         if not unknowns or len(unknowns) > MAX_UNKNOWNS:
             continue
-        index = {um: i for i, um in enumerate(unknowns)}
         equations = {}
-        for (c, mono), u in index.items():
-            for j in range(nj):
-                for e, coeff in rows_nnz[j][c]:
+        for u, (c, mono) in enumerate(unknowns):
+            for j, m in enumerate(mats):
+                for e, coeff in m[c].items():
                     key = (j, mono + symrank.var_monomial(e))
                     row = equations.setdefault(key, {})
                     row[u] = row.get(u, 0) + coeff
@@ -231,28 +217,8 @@ def kernel_syzygies(rep, degree, blocks=None, cleared=None):
                 if coeff:
                     w[c][mono] = coeff
             out.append(tuple(w))
-    _verify_kernel_syzygies(rep, out)
+    _verify_syzygies(_action_forms(rep), out, "kernel")
     return out
-
-
-def _verify_kernel_syzygies(rep, syzygies):
-    """Exact expansion of <w(v), rho(b_j) v> for every j and syzygy."""
-    d = rep.dim
-    rows_nnz = _action_rows_nnz(rep.action, d)
-    for w in syzygies:
-        for j in range(len(rep.action)):
-            total = {}
-            for c in range(d):
-                if not w[c]:
-                    continue
-                col_poly = {}
-                for e, coeff in rows_nnz[j][c]:
-                    col_poly[symrank.var_monomial(e)] = coeff
-                if col_poly:
-                    total = symrank.poly_add(total,
-                                             symrank.poly_mul(w[c], col_poly))
-            if total:
-                raise AssertionError("kernel syzygy fails exact verification")
 
 
 def stabilizer_syzygies(rep, degree, blocks=None, cleared=None):
@@ -269,11 +235,6 @@ def stabilizer_syzygies(rep, degree, blocks=None, cleared=None):
         blocks = coordinate_blocks(rep.action, d)
     if cleared is None:
         cleared = cleared_action(rep)
-    # x_j solves the system of scale_j * action[j] as x_j / scale_j
-    nnz_all = []
-    for _, m in cleared:
-        nnz_all.append([(a, e, m[a][e]) for a in range(d) for e in range(d)
-                        if m[a][e]])
     out = []
     for mdeg in _sector_multidegrees(len(blocks), degree):
         monos = _sector_monomials(blocks, mdeg)
@@ -281,14 +242,14 @@ def stabilizer_syzygies(rep, degree, blocks=None, cleared=None):
         if not nm or ds * nm > MAX_UNKNOWNS:
             continue
         equations = {}
-        for j in range(ds):
-            base = j * nm
-            for mi, mono in enumerate(monos):
-                u = base + mi
-                for a, e, coeff in nnz_all[j]:
-                    key = (a, mono + symrank.var_monomial(e))
-                    row = equations.setdefault(key, {})
-                    row[u] = row.get(u, 0) + coeff
+        # x_j solves the system of scale_j * action[j] as x_j / scale_j
+        for j, (_, m) in enumerate(cleared):
+            for a, mrow in enumerate(m):
+                for e, coeff in mrow.items():
+                    ve = symrank.var_monomial(e)
+                    for u, mono in enumerate(monos, j * nm):
+                        row = equations.setdefault((a, mono + ve), {})
+                        row[u] = row.get(u, 0) + coeff
         for x in sparse_nullspace(equations.values(), ds * nm):
             xs = [{} for _ in range(ds)]
             for u, coeff in x.items():
@@ -296,28 +257,32 @@ def stabilizer_syzygies(rep, degree, blocks=None, cleared=None):
                 if coeff:
                     xs[j][monos[mi]] = coeff * cleared[j][0]
             out.append(tuple(xs))
-    _verify_stabilizer_syzygies(rep, out)
+    _verify_syzygies(list(zip(*_action_forms(rep))), out, "stabilizer")
     return out
 
 
-def _verify_stabilizer_syzygies(rep, syzygies):
-    """Exact expansion of rho(x(v)) v for every syzygy."""
-    d = rep.dim
-    rows_nnz = _action_rows_nnz(rep.action, d)
-    for xs in syzygies:
-        for a in range(d):
+def _action_forms(rep):
+    """Entry (j, a) is the linear form (rho(b_j) v)_a, over the exact
+    action with its denominators: a stabilizer solution was rescaled by
+    each column's clearing factor, so only the uncleared action checks
+    the identity the caller relies on."""
+    return [[{symrank.var_monomial(b): x for b, x in row.items()} for row in m]
+            for m in rep.action]
+
+
+def _verify_syzygies(forms, syzygies, kind):
+    """Exact expansion of sum_i forms[r][i] * s[i] = 0 in Q[v] for every
+    row r of the matrix of linear forms and every syzygy s.  Kernel
+    syzygies pair with _action_forms(rep) itself, stabilizer syzygies
+    with its transpose."""
+    for s in syzygies:
+        for row in forms:
             total = {}
-            for j in range(len(rep.action)):
-                if not xs[j]:
-                    continue
-                col_poly = {}
-                for e, coeff in rows_nnz[j][a]:
-                    col_poly[symrank.var_monomial(e)] = coeff
-                if col_poly:
-                    total = symrank.poly_add(total,
-                                             symrank.poly_mul(xs[j], col_poly))
+            for form, p in zip(row, s):
+                if form and p:
+                    total = symrank.poly_add(total, symrank.poly_mul(p, form))
             if total:
-                raise AssertionError("stabilizer syzygy fails exact verification")
+                raise AssertionError("%s syzygy fails exact verification" % kind)
 
 
 def sample_points(dim, count=40):
@@ -336,7 +301,7 @@ def sample_points(dim, count=40):
 
 def evaluation_rows(rep, v):
     """The evaluation matrix at v: entry (a, j) is (rho(b_j) v)_a."""
-    return [[sum(filter(None, map(mul, m[a], v))) for m in rep.action]
+    return [[sum(x * v[b] for b, x in m[a].items()) for m in rep.action]
             for a in range(rep.dim)]
 
 

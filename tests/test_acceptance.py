@@ -16,7 +16,7 @@ from disemi.classify import (cross_check_vinberg, construct_type1,
 from disemi.cli import main as cli_main
 from disemi.liealg import (chevalley, is_semisimple, semidirect, subalgebra,
                            sum_spans)
-from disemi.linalg import rank, zeros
+from disemi.linalg import rank
 from disemi.modexpr import parse_algebra, parse_module, print_module
 from disemi.prehom import (DecompositionCertificate, Refusal, Symbolic,
                            certify_disemisimple, evaluation_matrix,
@@ -141,13 +141,7 @@ def test_criterion_05_low_dimensional_trio():
     assert isinstance(certify_disemisimple(g2), Refusal)
     from disemi.liealg import LieAlgebra
     n3 = LieAlgebra(3, {(0, 1): {2: 1}})
-    mats = []
-    for m in natural(A1).action:
-        big = zeros(3, 3)
-        for a in range(2):
-            for b in range(2):
-                big[a][b] = m[a][b]
-        mats.append(big)
+    mats = [[dict(row) for row in m] + [{}] for m in natural(A1).action]
     rho = Representation(spec_of(A1), sl2, mats, False)
     g3 = semidirect(sl2, rho, n3)
     assert isinstance(certify_disemisimple(g3), Refusal)

@@ -316,6 +316,40 @@ class TestCrossCheck:
         assert report.tested_count == 19
 
 
+class TestWorkers:
+    def test_pools_get_the_capped_count(self, monkeypatch):
+        # a stand-in executor records max_workers and starts no process
+        import concurrent.futures
+        from disemi import classify
+        seen = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, args):
+                return map(fn, args)
+
+        monkeypatch.setattr(classify.os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            RecordingPool)
+        # A2 has 7 modules below its bound and 2 type-1/2 candidates
+        assert cross_check_vinberg(A2, jobs=1000).clean
+        assert search_type12(A2, jobs=1000) == []
+        assert cross_check_vinberg(A2, jobs=2).clean
+        assert cross_check_vinberg(A2, jobs=1).clean
+        assert seen == [3, 2, 2]
+        monkeypatch.setattr(classify.os, "cpu_count", lambda: None)
+        assert search_type12(A2, jobs=8) == []
+        assert seen == [3, 2, 2]
+
+
 class TestType12:
     def test_a2_candidates(self):
         cands = type12_candidates(A2)

@@ -99,6 +99,43 @@ class TestCertifyCommand:
         assert code == 0
         assert "intersection dim = 1" in out
 
+    @pytest.mark.parametrize("change", [
+        # schema: no Levi basis, no algebra, a dim that is not an integer
+        lambda d: d.pop("levi_basis"),
+        lambda d: d.pop("algebra"),
+        lambda d: d["algebra"].update(dim="5"),
+        # a bracket index k >= dim, and an entry with i >= j
+        lambda d: d["algebra"]["entries"][0][2].append([5, "1"]),
+        lambda d: d["algebra"]["entries"].append([4, 1, [[3, "1"]]]),
+        # rationals that do not parse
+        lambda d: d["algebra"]["entries"][0][2].append([3, "1/0"]),
+        lambda d: d["levi_basis"][0].__setitem__(0, "one"),
+        # a Levi row of the wrong length
+        lambda d: d["levi_basis"][1].pop(),
+        # sl2 plus a line on which h and e both act by 1: not Jacobi
+        lambda d: d.update(algebra={"dim": 4, "entries": [
+            [0, 1, [[1, "2"]]], [0, 2, [[2, "-2"]]], [1, 2, [[0, "1"]]],
+            [0, 3, [[3, "1"]]], [1, 3, [[3, "1"]]]]},
+            levi_basis=[["1", "0", "0", "0"], ["0", "1", "0", "0"],
+                        ["0", "0", "1", "0"]]),
+    ], ids=["no-levi", "no-algebra", "dim-string", "index-range", "i-not-below-j",
+            "bad-rational", "bad-levi-rational", "levi-row-length", "jacobi"])
+    def test_malformed_structure_constant_file(self, capsys, tmp_path, change):
+        g = semidirect(chevalley(SimpleType("A", 1)), natural(SimpleType("A", 1)))
+        payload = {
+            "algebra": to_json_dict(g),
+            "levi_basis": [["1", "0", "0", "0", "0"],
+                           ["0", "1", "0", "0", "0"],
+                           ["0", "0", "1", "0", "0"]],
+        }
+        change(payload)
+        path = tmp_path / "alg.json"
+        path.write_text(json.dumps(payload))
+        code, out, err = run(capsys, "certify", "--sc", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
     @pytest.mark.parametrize("argv", [(), ("A1",)])
     def test_missing_module_is_usage_error(self, capsys, argv):
         code, out, err = run(capsys, "certify", *argv)
@@ -166,6 +203,19 @@ class TestOtherCommands:
     def test_usage_error(self, capsys):
         code, _, _ = run(capsys, "nonsense")
         assert code == 2
+
+
+class TestExitCodes:
+    def test_internal_error_exit_3(self, capsys, monkeypatch):
+        import disemi.cli
+
+        def broken(*args, **kwargs):
+            raise AssertionError("witness failed independent rank validation")
+        monkeypatch.setattr(disemi.cli, "is_prehomogeneous", broken)
+        code, out, err = run(capsys, "prehom", "A1", "L(1)")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("internal error: witness failed")
 
 
 class TestGoldenOutput:

@@ -190,13 +190,7 @@ class TestCertify:
 
     def test_sl2_n3_refused(self):
         n3 = LieAlgebra(3, {(0, 1): {2: 1}})
-        mats = []
-        for m in natural(A1).action:
-            big = zeros(3, 3)
-            for a in range(2):
-                for b in range(2):
-                    big[a][b] = m[a][b]
-            mats.append(big)
+        mats = [[dict(row) for row in m] + [{}] for m in natural(A1).action]
         rho = Representation(spec_of(A1), chevalley(A1), mats, False)
         g = semidirect(chevalley(A1), rho, n3)
         res = certify_disemisimple(g)

@@ -94,7 +94,7 @@ class TestLinearFormsMatrix:
         assert symrank.generic_rank(rows, 2) == 2
 
     def test_denominator_clearing(self):
-        action = [[[Fraction(1, 2), 0], [0, Fraction(1, 3)]]]
+        action = [[{0: Fraction(1, 2)}, {1: Fraction(1, 3)}]]
         rows = symrank.linear_forms_matrix(action, 2)
         for row in rows:
             for p in row:
@@ -102,6 +102,6 @@ class TestLinearFormsMatrix:
 
 
 def test_clear_denominators():
-    m = [[Fraction(1, 2), 0], [Fraction(-2, 3), 5]]
-    assert symrank.clear_denominators(m) == (6, [[3, 0], [-4, 30]])
-    assert symrank.clear_denominators([[Fraction(4), 2]]) == (1, [[4, 2]])
+    m = [{0: Fraction(1, 2)}, {0: Fraction(-2, 3), 1: 5}]
+    assert symrank.clear_denominators(m) == (6, [{0: 3}, {0: -4, 1: 30}])
+    assert symrank.clear_denominators([{0: Fraction(4), 1: 2}]) == (1, [{0: 4, 1: 2}])

@@ -117,6 +117,26 @@ class TestStabilizerSyzygies:
                 assert out == [0, 0, 0]
 
 
+class TestVerifySyzygies:
+    def test_one_verifier_for_both_kinds(self):
+        # kernel syzygies pair with the action's linear forms, stabilizer
+        # syzygies with their transpose; a perturbed one must fail
+        adj = realize_label(spec_of(A1), lab((2,)))
+        forms = syzygy._action_forms(adj)
+        for kind, found, mat in [
+                ("kernel", syzygy.kernel_syzygies(adj, 1), forms),
+                ("stabilizer", syzygy.stabilizer_syzygies(adj, 1),
+                 list(zip(*forms)))]:
+            assert found
+            syzygy._verify_syzygies(mat, found, kind)
+            bad = [dict(p) for p in found[0]]
+            c = next(i for i, p in enumerate(bad) if p)
+            mono = next(iter(bad[c]))
+            bad[c][mono] += 1
+            with pytest.raises(AssertionError, match=kind):
+                syzygy._verify_syzygies(mat, [tuple(bad)], kind)
+
+
 class TestIntegerAction:
     def test_syzygies_of_a_rescaled_action(self):
         # scaling action[j] by c_j leaves the kernel syzygies alone and
@@ -125,7 +145,7 @@ class TestIntegerAction:
         adj = realize_label(spec_of(A1), lab((2,)))
         scales = [Fraction(1, 3), Fraction(-2, 5), 7]
         scaled = SimpleNamespace(dim=adj.dim, action=[
-            [[c * x for x in row] for row in m]
+            [{b: c * x for b, x in row.items()} for row in m]
             for c, m in zip(scales, adj.action)])
         assert (syzygy.kernel_syzygies(scaled, 1)
                 == syzygy.kernel_syzygies(adj, 1))
