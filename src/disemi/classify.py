@@ -529,13 +529,14 @@ def _complement_ideal_vectors(rep, keep_vector, keep_label):
     return vectors
 
 
-def _build_two_step(spec, gen_rep, keep_vector, keep_label, expected_dim):
+def _build_two_step(spec, gen_rep, wedge_rep, keep_vector, labels,
+                    expected_dim):
     """s |x (free 2-step on gen_rep) modulo the complement of one kept
-    copy inside the derived part."""
+    copy inside the derived part; wedge_rep is wedge2(gen_rep), and the
+    kept copy has the last of the radical's labels."""
     s = spec.algebra()
-    f_alg, tau = free_two_step(gen_rep)
-    wedge_rep = wedge2(gen_rep)
-    comp = _complement_ideal_vectors(wedge_rep, keep_vector, keep_label)
+    f_alg, tau = free_two_step(gen_rep, wedge_rep)
+    comp = _complement_ideal_vectors(wedge_rep, keep_vector, labels[-1])
     g_full = semidirect(s, tau, f_alg)
     off = s.dim + gen_rep.dim
     ideal_rows = []
@@ -549,16 +550,16 @@ def _build_two_step(spec, gen_rep, keep_vector, keep_label, expected_dim):
     if g.dim != expected_dim:
         raise AssertionError("constructed algebra has dim %d, expected %d"
                              % (g.dim, expected_dim))
-    series = lower_central_series(g, _radical_subspace(g))
+    rad = Subspace(g, [g.basis_vector(i) for i in range(s.dim, g.dim)])
+    series = lower_central_series(g, rad)
     if len(series) != 3 or series[-1].dim != 0:
         raise AssertionError("radical is not nilpotent of class exactly 2")
+    want = ModuleDescriptor(labels)
+    got = decompose(radical_module(g, spec))
+    if got != want:
+        raise AssertionError("radical decomposes as %s, expected %s"
+                             % (got, want))
     return g
-
-
-def _radical_subspace(g):
-    ds = g.levi_basis.dim
-    rows = [g.basis_vector(i) for i in range(ds, g.dim)]
-    return Subspace(g, rows)
 
 
 def radical_module(g, spec):
@@ -599,13 +600,8 @@ def construct_type1(t, label_a, label_b):
         raise ValueError("label %s does not embed in the exterior square"
                          % (ModuleDescriptor([label_b]),))
     expected = spec.dim + rep_a.dim + spec.label_dim(label_b)
-    g = _build_two_step(spec, rep_a, hws[0], label_b, expected)
-    want = ModuleDescriptor([label_a, label_b])
-    got = decompose(radical_module(g, spec))
-    if got != want:
-        raise AssertionError("radical decomposes as %s, expected %s"
-                             % (got, want))
-    return g
+    return _build_two_step(spec, rep_a, wedge_rep, hws[0], (label_a, label_b),
+                           expected)
 
 
 def construct_type2(t, label_a, label_b, label_c):
@@ -633,13 +629,8 @@ def construct_type2(t, label_a, label_b, label_c):
         raise ValueError("label %s does not embed in the tensor product"
                          % (ModuleDescriptor([label_c]),))
     expected = (spec.dim + rep_a.dim + rep_b.dim + spec.label_dim(label_c))
-    g = _build_two_step(spec, gen_rep, hws[0], label_c, expected)
-    want = ModuleDescriptor([label_a, label_b, label_c])
-    got = decompose(radical_module(g, spec))
-    if got != want:
-        raise AssertionError("radical decomposes as %s, expected %s"
-                             % (got, want))
-    return g
+    return _build_two_step(spec, gen_rep, wedge_rep, hws[0],
+                           (label_a, label_b, label_c), expected)
 
 
 # ---------------------------------------------------------------------------

@@ -8,15 +8,15 @@ representations defined on generators extend mechanically.
 """
 
 import json
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .linalg import (IncrementalSpan, commutator, identity, is_zero_matrix,
-                     is_zero_vector, matmul, matvec, mat_add, mat_scale,
-                     nullspace, rank, rref, zeros)
+from .linalg import (IncrementalSpan, apply, columns, combination, commutator,
+                     dense, identity, matmul, matvec, nullspace, rank, sparse,
+                     zeros)
 from .rootdata import SimpleType
 
 
@@ -60,31 +60,39 @@ class LieAlgebra:
             return self.table.get((i, j), {})
         return {k: -c for k, c in self.table.get((j, i), {}).items()}
 
-    def bracket(self, x, y):
-        out = [0] * self.dim
-        nx = [(i, c) for i, c in enumerate(x) if c]
-        ny = [(j, c) for j, c in enumerate(y) if c]
-        for i, xi in nx:
-            for j, yj in ny:
-                if i == j:
-                    continue
-                coeff = xi * yj
+    def sparse_bracket(self, x, y):
+        """[x, y] for sparse {index: coefficient} vectors, as a dict
+        (entries that cancel are kept as zeros)."""
+        out = {}
+        for i, xi in x.items():
+            for j, yj in y.items():
                 if i < j:
-                    for k, c in self.table.get((i, j), {}).items():
-                        out[k] += coeff * c
+                    row, coeff = self.table.get((i, j)), xi * yj
+                elif i > j:
+                    row, coeff = self.table.get((j, i)), -xi * yj
                 else:
-                    for k, c in self.table.get((j, i), {}).items():
-                        out[k] -= coeff * c
+                    continue
+                if row:
+                    for k, c in row.items():
+                        out[k] = out.get(k, 0) + coeff * c
         return out
 
+    def bracket(self, x, y):
+        """[x, y] for dense coordinate vectors, as a dense vector."""
+        return dense(self.sparse_bracket(sparse(x), sparse(y)), self.dim)
+
     def ad(self, x):
-        """Matrix of ad(x) acting on coordinate columns."""
-        cols = []
-        for j in range(self.dim):
-            e = [0] * self.dim
-            e[j] = 1
-            cols.append(self.bracket(x, e))
-        return [[cols[j][i] for j in range(self.dim)] for i in range(self.dim)]
+        """ad(x) as a row-dict matrix: entry (k, j) is the coefficient
+        of b_k in [x, b_j]."""
+        m = [{} for _ in range(self.dim)]
+        for (i, j), row in self.table.items():
+            xi, xj = x[i], x[j]
+            for k, c in row.items():
+                if xi:
+                    m[k][j] = m[k].get(j, 0) + xi * c
+                if xj:
+                    m[k][i] = m[k].get(i, 0) - xj * c
+        return [{j: v for j, v in row.items() if v} for row in m]
 
     def basis_vector(self, i):
         v = [0] * self.dim
@@ -104,7 +112,13 @@ class LieAlgebra:
 
 
 class Subspace:
-    """A subspace of a LieAlgebra with a canonical reduced basis."""
+    """A subspace of a LieAlgebra, given by independent dense basis rows.
+
+    span is the IncrementalSpan of the rows; membership, coordinates and
+    residues all go through it.  pivots are its pivot columns, which
+    depend on the subspace only (see IncrementalSpan), so two Subspaces
+    with the same rows in another order or scaling have the same ones.
+    """
 
     def __init__(self, parent, basis_rows):
         self.parent = parent
@@ -113,31 +127,38 @@ class Subspace:
             if len(r) != parent.dim:
                 raise ValueError("basis row length %d != algebra dim %d"
                                  % (len(r), parent.dim))
-        reduced, pivots = rref(rows) if rows else ([], [])
-        if len(reduced) != len(rows):
+        self.span = IncrementalSpan(parent.dim)
+        if not all(self.span.add(r) for r in rows):
             raise ValueError("basis rows are linearly dependent")
         self.basis = rows
-        self.reduced = [tuple(r) for r in reduced]
-        self.pivots = tuple(pivots)
+        self.pivots = tuple(self.span.pivots)
 
     @property
     def dim(self):
-        return len(self.reduced)
+        return len(self.basis)
 
     def contains(self, v):
-        r = list(v)
-        for row, pc in zip(self.reduced, self.pivots):
-            c = r[pc]
-            if c:
-                r = [x - c * y for x, y in zip(r, row)]
-        return is_zero_vector(r)
+        return not self.span.residue(v)
+
+    def is_ideal(self):
+        """True iff [b_i, r] lies in the subspace for every basis vector
+        b_i of the parent and every basis row r; each bracket is summed
+        sparsely from the structure constants."""
+        g = self.parent
+        for r in map(sparse, self.basis):
+            for i in range(g.dim):
+                if not self.contains(g.sparse_bracket({i: 1}, r)):
+                    return False
+        return True
 
     def __eq__(self, other):
+        # equal dimensions make one inclusion enough for equality
         return (isinstance(other, Subspace) and self.parent is other.parent
-                and self.reduced == other.reduced)
+                and self.dim == other.dim
+                and all(self.contains(r) for r in other.basis))
 
     def __hash__(self):
-        return hash((id(self.parent), tuple(self.reduced)))
+        return hash((id(self.parent), self.dim))
 
     def __repr__(self):
         return "Subspace(dim=%d of %d)" % (self.dim, self.parent.dim)
@@ -155,17 +176,13 @@ def zero_subspace(g):
 # Chevalley construction for the classical families
 # ---------------------------------------------------------------------------
 
-def _E(n, i, j, c=1):
-    m = zeros(n, n)
-    m[i][j] = c
+def _matrix(n, *entries):
+    """The n x n row-dict matrix with the given (row, column, entry)
+    triples."""
+    m = [{} for _ in range(n)]
+    for a, b, c in entries:
+        m[a][b] = c
     return m
-
-
-def _madd(*ms):
-    out = ms[0]
-    for m in ms[1:]:
-        out = mat_add(out, m)
-    return out
 
 
 def _natural_generators(t):
@@ -179,92 +196,78 @@ def _natural_generators(t):
     fam = t.family
     if fam == "A":
         n = l + 1
-        e = [_E(n, i, i + 1) for i in range(l)]
-        f = [_E(n, i + 1, i) for i in range(l)]
-        h = [_madd(_E(n, i, i), _E(n, i + 1, i + 1, -1)) for i in range(l)]
+        e = [_matrix(n, (i, i + 1, 1)) for i in range(l)]
+        f = [_matrix(n, (i + 1, i, 1)) for i in range(l)]
+        h = [_matrix(n, (i, i, 1), (i + 1, i + 1, -1)) for i in range(l)]
         return h, e, f
+    n = 2 * l + 1 if fam == "B" else 2 * l
+    # the first l - 1 simple roots are the same for B, C and D
+    e = [_matrix(n, (i, i + 1, 1), (l + i + 1, l + i, -1)) for i in range(l - 1)]
+    f = [_matrix(n, (i + 1, i, 1), (l + i, l + i + 1, -1)) for i in range(l - 1)]
+    h = [_matrix(n, (i, i, 1), (i + 1, i + 1, -1), (l + i, l + i, -1),
+                 (l + i + 1, l + i + 1, 1)) for i in range(l - 1)]
     if fam == "C":
-        n = 2 * l
-        e, f, h = [], [], []
-        for i in range(l - 1):
-            e.append(_madd(_E(n, i, i + 1), _E(n, l + i + 1, l + i, -1)))
-            f.append(_madd(_E(n, i + 1, i), _E(n, l + i, l + i + 1, -1)))
-            h.append(_madd(_E(n, i, i), _E(n, i + 1, i + 1, -1),
-                           _E(n, l + i, l + i, -1), _E(n, l + i + 1, l + i + 1)))
-        e.append(_E(n, l - 1, 2 * l - 1))
-        f.append(_E(n, 2 * l - 1, l - 1))
-        h.append(_madd(_E(n, l - 1, l - 1), _E(n, 2 * l - 1, 2 * l - 1, -1)))
-        return h, e, f
-    if fam == "B":
-        n = 2 * l + 1
+        e.append(_matrix(n, (l - 1, 2 * l - 1, 1)))
+        f.append(_matrix(n, (2 * l - 1, l - 1, 1)))
+        h.append(_matrix(n, (l - 1, l - 1, 1), (2 * l - 1, 2 * l - 1, -1)))
+    elif fam == "B":
         u = 2 * l
-        e, f, h = [], [], []
-        for i in range(l - 1):
-            e.append(_madd(_E(n, i, i + 1), _E(n, l + i + 1, l + i, -1)))
-            f.append(_madd(_E(n, i + 1, i), _E(n, l + i, l + i + 1, -1)))
-            h.append(_madd(_E(n, i, i), _E(n, i + 1, i + 1, -1),
-                           _E(n, l + i, l + i, -1), _E(n, l + i + 1, l + i + 1)))
         # short root: e maps u -> v_l and w_l -> -u; f is scaled so that
         # (e, f, h) is an sl2 triple with h the coroot
-        e.append(_madd(_E(n, l - 1, u), _E(n, u, 2 * l - 1, -1)))
-        f.append(_madd(_E(n, u, l - 1, 2), _E(n, 2 * l - 1, u, -2)))
-        h.append(_madd(_E(n, l - 1, l - 1, 2), _E(n, 2 * l - 1, 2 * l - 1, -2)))
-        return h, e, f
-    # family D
-    n = 2 * l
-    e, f, h = [], [], []
-    for i in range(l - 1):
-        e.append(_madd(_E(n, i, i + 1), _E(n, l + i + 1, l + i, -1)))
-        f.append(_madd(_E(n, i + 1, i), _E(n, l + i, l + i + 1, -1)))
-        h.append(_madd(_E(n, i, i), _E(n, i + 1, i + 1, -1),
-                       _E(n, l + i, l + i, -1), _E(n, l + i + 1, l + i + 1)))
-    e.append(_madd(_E(n, l - 2, 2 * l - 1), _E(n, l - 1, 2 * l - 2, -1)))
-    f.append(_madd(_E(n, 2 * l - 1, l - 2), _E(n, 2 * l - 2, l - 1, -1)))
-    h.append(_madd(_E(n, l - 2, l - 2), _E(n, l - 1, l - 1),
-                   _E(n, 2 * l - 2, 2 * l - 2, -1), _E(n, 2 * l - 1, 2 * l - 1, -1)))
+        e.append(_matrix(n, (l - 1, u, 1), (u, 2 * l - 1, -1)))
+        f.append(_matrix(n, (u, l - 1, 2), (2 * l - 1, u, -2)))
+        h.append(_matrix(n, (l - 1, l - 1, 2), (2 * l - 1, 2 * l - 1, -2)))
+    else:
+        e.append(_matrix(n, (l - 2, 2 * l - 1, 1), (l - 1, 2 * l - 2, -1)))
+        f.append(_matrix(n, (2 * l - 1, l - 2, 1), (2 * l - 2, l - 1, -1)))
+        h.append(_matrix(n, (l - 2, l - 2, 1), (l - 1, l - 1, 1),
+                         (2 * l - 2, 2 * l - 2, -1), (2 * l - 1, 2 * l - 1, -1)))
     return h, e, f
-
-
-def _flatten(m):
-    return [x for row in m for x in row]
 
 
 @lru_cache(maxsize=None)
 def _chevalley_with_matrices(t):
-    """(LieAlgebra, natural-module matrices per basis element) for type t."""
+    """(LieAlgebra, natural-module row-dict matrices per basis element)
+    for type t.
+
+    Bracket closure from the generators: every pair of basis elements is
+    bracketed once, and its commutator either joins the basis or is
+    solved over it, which gives that pair's structure constants.
+    """
     h, e, f = _natural_generators(t)
     l = t.rank
     n = len(h[0])
     basis = list(h) + list(e) + list(f)
     span = IncrementalSpan(n * n)
+
+    def flat(m):
+        return {a * n + b: x for a, row in enumerate(m) for b, x in row.items()}
+
     for m in basis:
-        if not span.add(_flatten(m)):
+        if not span.add(flat(m)):
             raise AssertionError("Chevalley generators dependent for %s" % (t,))
     defs = {}
-    from collections import deque
+    table = {}
     queue = deque((i, j) for j in range(len(basis)) for i in range(j))
     while queue:
         i, j = queue.popleft()
         c = commutator(basis[i], basis[j])
-        if is_zero_matrix(c):
+        if not any(c):
             continue
-        if span.add(_flatten(c)):
+        coeffs = span.solve(flat(c))
+        if coeffs is None:
+            span.add(flat(c))
             m = len(basis)
             basis.append(c)
             defs[m] = (i, j)
+            table[(i, j)] = {m: 1}
             queue.extend((k, m) for k in range(m))
+        else:
+            table[(i, j)] = {k: v for k, v in enumerate(coeffs) if v}
     dim = len(basis)
     if dim != t.algebra_dim:
         raise AssertionError("closure reached dim %d, expected %d for %s"
                              % (dim, t.algebra_dim, t))
-    table = {}
-    for j in range(dim):
-        for i in range(j):
-            c = commutator(basis[i], basis[j])
-            if is_zero_matrix(c):
-                continue
-            coeffs = span.solve(_flatten(c))
-            table[(i, j)] = {k: v for k, v in enumerate(coeffs) if v}
     labels = (["h%d" % (i + 1) for i in range(l)]
               + ["e%d" % (i + 1) for i in range(l)]
               + ["f%d" % (i + 1) for i in range(l)]
@@ -335,11 +338,12 @@ def derived_span(g, rows1, rows2):
     """Row basis of span{[x, y] : x in rows1, y in rows2}."""
     out = []
     span = IncrementalSpan(g.dim)
-    for x in rows1:
-        for y in rows2:
-            v = g.bracket(x, y)
-            if not is_zero_vector(v) and span.add(v):
-                out.append(v)
+    ys = [sparse(y) for y in rows2]
+    for x in map(sparse, rows1):
+        for y in ys:
+            v = g.sparse_bracket(x, y)
+            if span.add(v):
+                out.append(dense(v, g.dim))
     return out
 
 
@@ -349,26 +353,14 @@ def is_perfect(g):
     return len(derived_span(g, basis, basis)) == g.dim
 
 
-def derived_series(g, sub=None):
-    """Derived series of a subalgebra (default: g itself), as Subspaces."""
-    cur = sub.basis if sub is not None else identity(g.dim)
-    series = [Subspace(g, cur)]
-    while cur:
-        nxt = derived_span(g, cur, cur)
-        if len(nxt) == len(cur):
-            break
-        series.append(Subspace(g, nxt))
-        cur = nxt
-    return series
-
-
-def lower_central_series(g, sub=None):
-    """Lower central series of a subalgebra, as Subspaces."""
+def _series(g, sub, lower):
+    """The lower central series (lower) or the derived series of a
+    subalgebra (default: g itself), as Subspaces."""
     top = sub.basis if sub is not None else identity(g.dim)
     series = [Subspace(g, top)]
     cur = top
     while cur:
-        nxt = derived_span(g, top, cur)
+        nxt = derived_span(g, top if lower else cur, cur)
         if len(nxt) == len(cur):
             break
         series.append(Subspace(g, nxt))
@@ -376,18 +368,21 @@ def lower_central_series(g, sub=None):
     return series
 
 
-def _check_closed(g, sub):
-    for i, x in enumerate(sub.basis):
-        for y in sub.basis[i + 1:]:
-            if not sub.contains(g.bracket(x, y)):
-                return False
-    return True
+def derived_series(g, sub=None):
+    """Derived series of a subalgebra (default: g itself), as Subspaces."""
+    return _series(g, sub, lower=False)
+
+
+def lower_central_series(g, sub=None):
+    """Lower central series of a subalgebra, as Subspaces."""
+    return _series(g, sub, lower=True)
 
 
 def is_nilpotent(g, sub=None):
-    """True iff the lower central series of the subalgebra reaches 0."""
-    if sub is not None and not _check_closed(g, sub):
-        raise ValueError("subspace is not closed under the bracket")
+    """True iff the lower central series of the subalgebra reaches 0;
+    raises ValueError (through subalgebra) if sub is not closed."""
+    if sub is not None:
+        subalgebra(g, sub)
     return lower_central_series(g, sub)[-1].dim == 0
 
 
@@ -400,19 +395,18 @@ def is_abelian(g):
 
 
 def killing_form(g):
-    """Matrix K[i][j] = trace(ad b_i . ad b_j)."""
+    """Dense matrix K[i][j] = trace(ad b_i . ad b_j), a system for rank."""
     ads = [g.ad(g.basis_vector(i)) for i in range(g.dim)]
-    sparse = [[(a, b, c) for a, row in enumerate(m) for b, c in enumerate(row) if c]
-              for m in ads]
     k = zeros(g.dim, g.dim)
-    for i in range(g.dim):
+    for i, mi in enumerate(ads):
         for j in range(i, g.dim):
             mj = ads[j]
             s = 0
-            for a, b, c in sparse[i]:
-                x = mj[b][a]
-                if x:
-                    s += c * x
+            for a, row in enumerate(mi):
+                for b, c in row.items():
+                    x = mj[b].get(a)
+                    if x:
+                        s += c * x
             k[i][j] = s
             k[j][i] = s
     return k
@@ -440,24 +434,20 @@ def solvable_radical(g):
     radical = Subspace(g, rad_rows)
     if not is_solvable(g, radical):
         raise AssertionError("radical candidate is not solvable")
-    for i in range(g.dim):
-        for r in radical.basis:
-            if not radical.contains(g.bracket(g.basis_vector(i), r)):
-                raise AssertionError("radical candidate is not an ideal")
+    if not radical.is_ideal():
+        raise AssertionError("radical candidate is not an ideal")
     return radical
 
 
 def check_jacobi(g):
     """Exact Jacobi check over all basis triples; True when it holds."""
-    vecs = [g.basis_vector(i) for i in range(g.dim)]
     for i in range(g.dim):
         for j in range(i + 1, g.dim):
-            bij = g.bracket(vecs[i], vecs[j])
             for k in range(j + 1, g.dim):
-                s = g.bracket(bij, vecs[k])
-                s = [a + b for a, b in zip(s, g.bracket(g.bracket(vecs[j], vecs[k]), vecs[i]))]
-                s = [a + b for a, b in zip(s, g.bracket(g.bracket(vecs[k], vecs[i]), vecs[j]))]
-                if not is_zero_vector(s):
+                s = Counter()
+                for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                    s.update(g.sparse_bracket(g.structure(a, b), {c: 1}))
+                if any(s.values()):
                     return False
     return True
 
@@ -468,14 +458,11 @@ def subalgebra(g, sub):
     Structure constants are written in the rows of sub.basis; raises if
     the subspace is not closed.
     """
-    span = IncrementalSpan(g.dim)
-    for r in sub.basis:
-        span.add(r)
+    rows = [sparse(r) for r in sub.basis]
     table = {}
     for j in range(sub.dim):
         for i in range(j):
-            v = g.bracket(sub.basis[i], sub.basis[j])
-            coeffs = span.solve(v)
+            coeffs = sub.span.solve(g.sparse_bracket(rows[i], rows[j]))
             if coeffs is None:
                 raise ValueError("subspace is not closed under the bracket")
             row = {k: c for k, c in enumerate(coeffs) if c}
@@ -509,10 +496,7 @@ def semidirect(s, rho, n=None):
     table = {key: dict(row) for key, row in s.table.items()}
     for i in range(ds):
         # cols[a] is rho(b_i) applied to basis vector a of n
-        cols = [{} for _ in range(n.dim)]
-        for k, row in enumerate(rho.action[i]):
-            for a, x in row.items():
-                cols[a][k] = x
+        cols = [dict(col) for col in columns(rho.action[i], n.dim)]
         # vacuous for abelian n
         if n.table and not _is_derivation(n, cols):
             raise ValueError("rho(b_%d) is not a derivation of n" % i)
@@ -554,12 +538,13 @@ def _is_derivation(n, cols):
     return not any(defect.values())
 
 
-def free_two_step(rho):
+def free_two_step(rho, wedge=None):
     """Free 2-step nilpotent algebra on the module space of rho.
 
     The underlying space is A + wedge^2 A with [a, a'] = a ^ a' and the
     exterior square central; returns (f, tau) where tau is the induced
     module structure on f, which acts by derivations by construction.
+    wedge is wedge2(rho), built here when not given.
     """
     from .repbuilder import direct_sum as rep_direct_sum, wedge2
     from itertools import combinations
@@ -570,7 +555,7 @@ def free_two_step(rho):
     for (i, j), k in index.items():
         table[(i, j)] = {d + k: 1}
     f = LieAlgebra(d + len(pairs), table)
-    tau = rep_direct_sum([rho, wedge2(rho)])
+    tau = rep_direct_sum([rho, wedge if wedge is not None else wedge2(rho)])
     return f, tau
 
 
@@ -579,38 +564,29 @@ def quotient_by_ideal(g, u):
 
     Returns (q, proj) where proj is a LinearMap from g onto q.  The
     quotient basis is the set of standard coordinates complementary to
-    the pivots of u, so Levi metadata survives whenever u avoids it.
+    the pivots of u, so Levi metadata survives whenever u avoids it.  A
+    vector projects to its residue modulo u (IncrementalSpan.residue),
+    which vanishes on the pivots, read on the other coordinates; pivots
+    and residue depend on u only, not on its basis rows.
     """
-    for i in range(g.dim):
-        e = g.basis_vector(i)
-        for r in u.basis:
-            w = g.bracket(e, r)
-            if not is_zero_vector(w) and not u.contains(w):
-                raise ValueError("subspace is not an ideal")
+    if not u.is_ideal():
+        raise ValueError("subspace is not an ideal")
     pivots = set(u.pivots)
     comp = [c for c in range(g.dim) if c not in pivots]
     qdim = len(comp)
+    index = {c: i for i, c in enumerate(comp)}
 
     def project(v):
-        r = list(v)
-        for row, pc in zip(u.reduced, u.pivots):
-            c = r[pc]
-            if c:
-                r = [x - c * y for x, y in zip(r, row)]
-        return [r[c] for c in comp]
+        return {index[k]: x for k, x in sorted(u.span.residue(v).items())}
 
-    proj_matrix = [[0] * g.dim for _ in range(qdim)]
+    proj_matrix = [{} for _ in range(qdim)]
     for c in range(g.dim):
-        e = [0] * g.dim
-        e[c] = 1
-        col = project(e)
-        for r in range(qdim):
-            proj_matrix[r][c] = col[r]
+        for r, x in project({c: 1}).items():
+            proj_matrix[r][c] = x
     table = {}
     for j in range(qdim):
         for i in range(j):
-            w = project(g.bracket(g.basis_vector(comp[i]), g.basis_vector(comp[j])))
-            row = {k: c for k, c in enumerate(w) if c}
+            row = project(g.structure(comp[i], comp[j]))
             if row:
                 table[(i, j)] = row
     labels = [g.labels[c] for c in comp] if g.labels else None
@@ -625,7 +601,7 @@ def quotient_by_ideal(g, u):
                         if m < qdim and comp[m] == m and comp[i] == i and comp[j] == j}
     q = LieAlgebra(qdim, table, labels=labels, factors=factors, bracket_defs=defs)
     if g.levi_basis is not None:
-        rows = [project(r) for r in g.levi_basis.basis]
+        rows = [dense(project(r), qdim) for r in g.levi_basis.basis]
         if rank(rows) == len(rows):
             q.levi_basis = Subspace(q, rows)
     proj = LinearMap(g.dim, qdim, proj_matrix)
@@ -634,17 +610,19 @@ def quotient_by_ideal(g, u):
 
 @dataclass
 class LinearMap:
+    """A linear map by its row-dict matrix, applied to dense vectors."""
+
     source_dim: int
     target_dim: int
     matrix: list
 
     def __post_init__(self):
         if len(self.matrix) != self.target_dim or any(
-                len(r) != self.source_dim for r in self.matrix):
+                not 0 <= b < self.source_dim for row in self.matrix for b in row):
             raise ValueError("matrix shape does not match declared dimensions")
 
     def __call__(self, v):
-        return matvec(self.matrix, v)
+        return apply(self.matrix, v)
 
 
 def exp_ad(g, z):
@@ -653,11 +631,12 @@ def exp_ad(g, z):
     Nilpotency is decided by exact matrix powering bounded by dim g.
     """
     a = g.ad(z)
-    total = identity(g.dim)
+    total = [{i: 1} for i in range(g.dim)]
     term = a
     k = 1
-    while not is_zero_matrix(term):
-        total = mat_add(total, mat_scale(Fraction(1, factorial(k)), term))
+    while any(term):
+        total = combination(((1, total), (Fraction(1, factorial(k)), term)),
+                            g.dim)
         term = matmul(term, a)
         k += 1
         if k > g.dim:

@@ -1,14 +1,20 @@
-"""Exact rational linear algebra on plain list-of-lists matrices.
+"""Exact rational linear algebra: the one kernel of modules and Lie algebras.
 
 Entries are ints or fractions.Fraction; no floating point anywhere.
-Matrices are lists of row lists, vectors are flat lists.  Functions do
-not mutate their arguments unless the name says so.
+Matrices are row dicts: a list of rows, and row a maps a column b to the
+nonzero entry (a, b).  Module actions, ad matrices, the Chevalley
+matrices and every LinearMap use this format.  Dense lists of rows are
+kept only for the systems handed to rank, rref and nullspace; vectors
+are flat lists.  Functions do not mutate their arguments unless the
+name says so.
 
 The modular kernel at the end computes ranks and sparse nullspaces over
 the prime field GF(PRIME).  Its answers are lower bounds or candidates;
 each docstring says what has to be checked exactly before one counts.
 """
 
+from bisect import insort
+from heapq import heapify, heappop, heappush
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -26,55 +32,73 @@ def identity(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+def matvec(a, v):
+    """a v for a dense matrix a."""
+    return [sum(c * x for c, x in zip(row, v) if c) for row in a]
 
 
-def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+def sparse(v):
+    """A dense list or a dict as a {index: entry} dict of its nonzero
+    entries."""
+    items = v.items() if isinstance(v, dict) else enumerate(v)
+    return {k: x for k, x in items if x}
 
 
-def mat_scale(c, a):
-    return [[c * x for x in row] for row in a]
+def dense(v, n):
+    """A sparse vector as a dense list of length n."""
+    return [v.get(k, 0) for k in range(n)]
+
+
+# ---------------------------------------------------------------------------
+# Row-dict matrices
+# ---------------------------------------------------------------------------
+
+def combination(terms, n):
+    """sum of c * m over the (c, m) pairs of n-row matrices, zero
+    entries dropped."""
+    out = [{} for _ in range(n)]
+    for c, m in terms:
+        for row, mrow in zip(out, m):
+            for b, x in mrow.items():
+                row[b] = row.get(b, 0) + c * x
+    return [{b: x for b, x in row.items() if x} for row in out]
 
 
 def matmul(a, b):
-    """Sparse-aware product; skips zero entries of the left factor."""
-    n = len(a)
-    m = len(b[0]) if b else 0
-    out = [[0] * m for _ in range(n)]
-    brows = [[(j, x) for j, x in enumerate(row) if x] for row in b]
-    for i, arow in enumerate(a):
-        oi = out[i]
-        for k, c in enumerate(arow):
-            if c:
-                for j, x in brows[k]:
-                    oi[j] += c * x
-    return out
-
-
-def matvec(a, v):
+    """The matrix product a b, zero entries dropped."""
     out = []
-    for row in a:
-        s = 0
-        for c, x in zip(row, v):
-            if c and x:
-                s += c * x
-        out.append(s)
+    for arow in a:
+        row = {}
+        for k, x in arow.items():
+            for j, y in b[k].items():
+                row[j] = row.get(j, 0) + x * y
+        out.append({j: x for j, x in row.items() if x})
     return out
 
 
 def commutator(a, b):
-    return mat_sub(matmul(a, b), matmul(b, a))
+    """[a, b] = ab - ba, zero entries dropped."""
+    return combination(((1, matmul(a, b)), (-1, matmul(b, a))), len(a))
 
 
-def is_zero_matrix(a):
-    return all(x == 0 for row in a for x in row)
+def columns(m, n):
+    """Per column b < n of m, the (row, entry) pairs of its nonzero
+    entries."""
+    cols = [[] for _ in range(n)]
+    for a, row in enumerate(m):
+        for b, x in row.items():
+            cols[b].append((a, x))
+    return cols
 
 
-def is_zero_vector(v):
-    return all(x == 0 for x in v)
+def apply(m, v):
+    """The dense vector m v, for a dense vector v."""
+    return [sum(x * v[b] for b, x in row.items()) for row in m]
 
+
+# ---------------------------------------------------------------------------
+# Dense systems
+# ---------------------------------------------------------------------------
 
 def rref(a):
     """Reduced row echelon form.
@@ -158,43 +182,68 @@ def nullspace(a, ncols=None):
     return basis
 
 
-def solve_exact(a, b):
-    """One solution x of a x = b, or None if inconsistent."""
-    nc = len(a[0]) if a else 0
-    aug = [list(row) + [bv] for row, bv in zip(a, b)]
-    rows, pivots = rref(aug)
-    for row, pc in zip(rows, pivots):
-        if pc == nc:
-            return None
-    x = [0] * nc
-    for row, pc in zip(rows, pivots):
-        x[pc] = row[nc]
-    return x
+def entry(x):
+    """x as an int when it is an integral Fraction, else x itself."""
+    return x.numerator if isinstance(x, Fraction) and x.denominator == 1 else x
 
 
 class IncrementalSpan:
     """Grows a row space one vector at a time, with coordinate recovery.
 
-    Keeps reduced pivot rows plus, for each, its expression in terms of
-    the vectors that were actually added.  solve() then writes any
-    vector of the span as a combination of the added generators.
+    This is the one reduction against pivot rows in the package.  A
+    vector is a dense list or a sparse {column: entry} dict.  Each pivot
+    row is a sparse dict with 1 at its pivot column, zeros left of it
+    and at every pivot column that existed when it was added; it is kept
+    with its expression, also a sparse dict, over the vectors that were
+    actually added.  solve() then writes any vector of the span as a
+    combination of the added generators.
+
+    pivots lists the pivot columns in increasing order, and as a set it
+    depends only on the row space, not on the order or scaling of the
+    generators.  The pivot rows have distinct leading columns, so a
+    combination of them leads at the smallest leading column it uses;
+    hence c is a pivot exactly when the span has more vectors vanishing
+    left of c than vanishing left of c + 1, a property of the space
+    alone.  The same argument makes residue() unique: two vectors of
+    v + span that vanish on every pivot column differ by a vector of the
+    span that vanishes there, which is 0.  So coordinates read off the
+    pivots and residues agree with those of any other echelon form, the
+    reduced one of rref included.
     """
 
     def __init__(self, width):
         self.width = width
-        self.rows = []      # (pivot col, reduced row, expr over added vecs)
+        self.pivots = []
+        self.rows = {}      # pivot col -> (reduced row, expr over added vecs)
         self.nadded = 0
 
-    def _reduce(self, v):
-        r = list(v)
-        expr = [0] * self.nadded
-        for pc, row, rexpr in self.rows:
-            c = r[pc]
-            if c:
-                r = [x - c * y for x, y in zip(r, row)]
-                for k, e in enumerate(rexpr):
-                    if e:
-                        expr[k] += c * e
+    def _reduce(self, v, track=True):
+        """(r, expr) with v = r + sum_k expr[k] . added_k and r zero on
+        every pivot column; expr is None unless track.  Pivot rows are
+        zero left of their pivot, so clearing the pivot columns of r in
+        increasing order (a heap of those r has) clears them all."""
+        r = sparse(v)
+        expr = {} if track else None
+        rows = self.rows
+        todo = [k for k in r if k in rows]
+        heapify(todo)
+        while todo:
+            pc = heappop(todo)
+            c = r.get(pc)
+            if not c:
+                continue
+            row, rexpr = rows[pc]
+            for k, y in row.items():
+                x = r.get(k, 0) - c * y
+                if x:
+                    if k not in r and k in rows:
+                        heappush(todo, k)
+                    r[k] = x
+                else:
+                    del r[k]
+            if track:
+                for k, e in rexpr.items():
+                    expr[k] = expr.get(k, 0) + c * e
         return r, expr
 
     def add(self, v):
@@ -204,26 +253,30 @@ class IncrementalSpan:
         coordinate slot, so solve() coordinates match the accepted ones.
         """
         r, expr = self._reduce(v)
-        pc = next((i for i, x in enumerate(r) if x), None)
-        if pc is None:
+        if not r:
             return False
-        self.nadded += 1
-        for row in self.rows:
-            row[2].append(0)
+        pc = min(r)
         p = r[pc]
-        row = [Fraction(x, 1) / p if not isinstance(x, Fraction) else x / p for x in r]
-        # v = r + sum expr_k . added_k, so row = (v - sum expr_k . added_k)/p
-        rexpr = [-Fraction(e, 1) / p if not isinstance(e, Fraction) else -e / p
-                 for e in expr] + [0]
-        rexpr[self.nadded - 1] = Fraction(1, 1) / p
-        self.rows.append([pc, row, rexpr])
-        self.rows.sort(key=lambda t: t[0])
+        # v = r + sum expr_k . added_k, so r/p = (v - sum expr_k . added_k)/p
+        rexpr = {k: -e for k, e in expr.items() if e}
+        rexpr[self.nadded] = 1
+        if p != 1:
+            r = {k: entry(Fraction(x, p)) for k, x in r.items()}
+            rexpr = {k: entry(Fraction(e, p)) for k, e in rexpr.items()}
+        self.rows[pc] = (r, rexpr)
+        insort(self.pivots, pc)
+        self.nadded += 1
         return True
 
     def solve(self, v):
         """Coefficients of v over the added generators, or None."""
         r, expr = self._reduce(v)
-        return expr if is_zero_vector(r) else None
+        return None if r else [expr.get(k, 0) for k in range(self.nadded)]
+
+    def residue(self, v):
+        """The vector of v + span that vanishes on every pivot column,
+        as a sparse dict; unique, see the class docstring."""
+        return self._reduce(v, track=False)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,9 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import rank, rank_mod_p
-from .liealg import (IncrementalSpan, LinearMap, Subspace, apply_map_subspace,
-                     exp_ad, is_nilpotent, is_semisimple, solvable_radical,
+from .linalg import columns, dense, rank, rank_mod_p, sparse
+from .liealg import (LinearMap, Subspace, apply_map_subspace, exp_ad,
+                     is_nilpotent, is_semisimple, solvable_radical,
                      subalgebra, sum_spans)
 from .repbuilder import Representation
 from . import syzygy
@@ -115,8 +115,7 @@ def has_trivial_summand(r):
     if r.dim == 0:
         return False
     # exact rank: a rank mod PRIME could fall short and fake a summand
-    stacked = [[row.get(b, 0) for b in range(r.dim)]
-               for m in r.action for row in m if row]
+    stacked = [dense(row, r.dim) for m in r.action for row in m if row]
     if not stacked:
         return True
     return rank(stacked, stop_at=r.dim) < r.dim
@@ -262,7 +261,8 @@ class DecompositionCertificate:
             "refused": False,
             "levi_basis": [vec(r) for r in self.levi_basis.basis],
             "z": vec(self.z),
-            "phi": [vec(r) for r in self.phi.matrix],
+            "phi": [vec(dense(r, self.phi.source_dim))
+                    for r in self.phi.matrix],
             "s2_basis": [vec(r) for r in self.s2_basis.basis],
             "intersection_dim": self.intersection_dim,
         }
@@ -276,14 +276,12 @@ def adjoint_radical_module(g, levi, radical=None):
     as a Representation over the Levi's own structure constants."""
     rad = radical if radical is not None else solvable_radical(g)
     lev_alg = subalgebra(g, levi)
-    span = IncrementalSpan(g.dim)
-    for row in rad.basis:
-        span.add(row)
+    rows = [sparse(r) for r in rad.basis]
     action = []
-    for u in levi.basis:
+    for u in map(sparse, levi.basis):
         m = [{} for _ in range(rad.dim)]
-        for b, rbasis in enumerate(rad.basis):
-            coeffs = span.solve(g.bracket(u, rbasis))
+        for b, rbasis in enumerate(rows):
+            coeffs = rad.span.solve(g.sparse_bracket(u, rbasis))
             if coeffs is None:
                 raise ValueError("radical is not stable under the Levi action")
             for a, x in enumerate(coeffs):
@@ -344,12 +342,15 @@ def certify_disemisimple(g, levi=None, mode=None):
 
 
 def _is_bracket_preserving(g, phi):
-    """Exact check of phi([x, y]) = [phi x, phi y] on all basis pairs."""
-    images = [phi(g.basis_vector(i)) for i in range(g.dim)]
-    for i in range(g.dim):
-        for j in range(i + 1, g.dim):
-            lhs = phi(g.bracket(g.basis_vector(i), g.basis_vector(j)))
-            rhs = g.bracket(images[i], images[j])
-            if lhs != rhs:
+    """Exact check of phi([b_i, b_j]) = [phi b_i, phi b_j] on all basis
+    pairs, on the sparse columns phi b_i of phi."""
+    images = [dict(col) for col in columns(phi.matrix, g.dim)]
+    for j in range(g.dim):
+        for i in range(j):
+            lhs = {}
+            for k, c in g.structure(i, j).items():
+                for a, x in images[k].items():
+                    lhs[a] = lhs.get(a, 0) + c * x
+            if sparse(lhs) != sparse(g.sparse_bracket(images[i], images[j])):
                 return False
     return True

@@ -8,12 +8,13 @@ never needs diagonalisation.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
-from .linalg import IncrementalSpan, identity, nullspace
-from .liealg import chevalley, direct_sum as algebra_direct_sum
+from .linalg import (IncrementalSpan, apply, columns, combination, commutator,
+                     entry, identity, matmul, nullspace)
+from .liealg import (_chevalley_with_matrices, chevalley,
+                     direct_sum as algebra_direct_sum)
 from .rootdata import (SimpleType, as_coords, dual_weight, weyl_dim,
                        zero_weight)
 
@@ -170,7 +171,7 @@ class Representation:
         self.dim = len(action[0]) if action else 0
         if any(len(m) != self.dim for m in action):
             raise ValueError("every action matrix needs one row per coordinate")
-        self.action = [[{b: _entry(x) for b, x in row.items() if x} for row in m]
+        self.action = [[{b: entry(x) for b, x in row.items() if x} for row in m]
                        for m in action]
         self.weight_basis = weight_basis
         self._weights = None
@@ -212,9 +213,9 @@ class Representation:
 
     def _bracket_holds(self, i, j):
         """Exact check of action([b_i, b_j]) = [action(b_i), action(b_j)]."""
-        expect = _combination(((c, self.action[k]) for k, c
-                               in self.algebra.structure(i, j).items()), self.dim)
-        return _commutator(self.action[i], self.action[j]) == expect
+        expect = combination(((c, self.action[k]) for k, c
+                              in self.algebra.structure(i, j).items()), self.dim)
+        return commutator(self.action[i], self.action[j]) == expect
 
     def check_homomorphism(self):
         """Exact check of action([x,y]) = [action(x), action(y)] on all
@@ -222,56 +223,6 @@ class Representation:
         sparse product."""
         return all(self._bracket_holds(i, j)
                    for j in range(self.algebra.dim) for i in range(j))
-
-
-# ---------------------------------------------------------------------------
-# Row-dict matrices, the format of Representation.action
-# ---------------------------------------------------------------------------
-
-def _entry(x):
-    """x as an int when it is an integral Fraction, else x itself."""
-    return x.numerator if isinstance(x, Fraction) and x.denominator == 1 else x
-
-
-def _combination(terms, dim):
-    """sum of c * m over the (c, m) pairs, zero entries dropped."""
-    out = [{} for _ in range(dim)]
-    for c, m in terms:
-        for row, mrow in zip(out, m):
-            for b, x in mrow.items():
-                row[b] = row.get(b, 0) + c * x
-    return [{b: x for b, x in row.items() if x} for row in out]
-
-
-def _product(a, b):
-    """The matrix product a b."""
-    out = []
-    for arow in a:
-        row = {}
-        for k, x in arow.items():
-            for j, y in b[k].items():
-                row[j] = row.get(j, 0) + x * y
-        out.append(row)
-    return out
-
-
-def _commutator(a, b):
-    """[a, b] = ab - ba, zero entries dropped."""
-    return _combination(((1, _product(a, b)), (-1, _product(b, a))), len(a))
-
-
-def _columns(m, dim):
-    """Per column b of m, the (row, entry) pairs of its nonzero entries."""
-    cols = [[] for _ in range(dim)]
-    for a, row in enumerate(m):
-        for b, x in row.items():
-            cols[b].append((a, x))
-    return cols
-
-
-def _apply(m, v):
-    """The vector m v, for a dense vector v."""
-    return [sum(x * v[b] for b, x in row.items()) for row in m]
 
 
 def _kron_sum(m1, m2, d1, d2):
@@ -306,11 +257,8 @@ def natural(t):
     """The defining module of t, in a basis with diagonal Cartan action."""
     if not isinstance(t, SimpleType):
         raise ValueError("natural() expects a SimpleType")
-    from .liealg import _chevalley_with_matrices
     alg, mats = _chevalley_with_matrices(t)
-    spec = SemisimpleSpec((t,))
-    return Representation(spec, alg, [[dict(enumerate(row)) for row in m]
-                                      for m in mats], True)
+    return Representation(SemisimpleSpec((t,)), alg, mats, True)
 
 
 def trivial(spec, k=1):
@@ -322,7 +270,7 @@ def trivial(spec, k=1):
 
 def dual(r):
     """The dual module, acting by x -> -x^T."""
-    action = [[{b: -x for b, x in col} for col in _columns(m, r.dim)]
+    action = [[{b: -x for b, x in col} for col in columns(m, r.dim)]
               for m in r.action]
     return _spot_check(Representation(r.spec, r.algebra, action, r.weight_basis))
 
@@ -386,7 +334,7 @@ def wedge_power(r, k):
     d = len(subsets)
     action = []
     for m in r.action:
-        cols = _columns(m, n)
+        cols = columns(m, n)
         out = [{} for _ in range(d)]
         for si, s in enumerate(subsets):
             inside = set(s)
@@ -415,7 +363,7 @@ def sym2(r):
     d = len(pairs)
     action = []
     for m in r.action:
-        cols = _columns(m, n)
+        cols = columns(m, n)
         out = [{} for _ in range(d)]
         for pi, (a, b) in enumerate(pairs):
             for j, c in cols[a]:
@@ -457,7 +405,7 @@ def _rep_from_generators(alg, images):
         action[idx] = m
     for m in sorted(alg.bracket_defs):
         i, j = alg.bracket_defs[m]
-        action[m] = _commutator(action[i], action[j])
+        action[m] = commutator(action[i], action[j])
     if any(a is None for a in action):
         raise AssertionError("generator images do not cover the algebra")
     return action
@@ -478,29 +426,29 @@ def _spin_rep(t, parity=None):
     create, destroy = _mode_matrices(l)
     dfull = len(full)
     one = [{m: 1} for m in full]
-    number = [_product(create[i], destroy[i]) for i in range(l)]
+    number = [matmul(create[i], destroy[i]) for i in range(l)]
     images = {}
     for i in range(l - 1):
-        images[fac.e[i]] = _product(create[i], destroy[i + 1])
-        images[fac.f[i]] = _product(create[i + 1], destroy[i])
-        images[fac.h[i]] = _combination(((1, number[i]), (-1, number[i + 1])),
-                                        dfull)
+        images[fac.e[i]] = matmul(create[i], destroy[i + 1])
+        images[fac.f[i]] = matmul(create[i + 1], destroy[i])
+        images[fac.h[i]] = combination(((1, number[i]), (-1, number[i + 1])),
+                                       dfull)
     if t.family == "D":
         if parity not in (0, 1):
             raise ValueError("D-type spin module needs a subset parity")
-        images[fac.e[l - 1]] = _product(create[l - 2], create[l - 1])
-        images[fac.f[l - 1]] = _product(destroy[l - 1], destroy[l - 2])
-        images[fac.h[l - 1]] = _combination(
+        images[fac.e[l - 1]] = matmul(create[l - 2], create[l - 1])
+        images[fac.f[l - 1]] = matmul(destroy[l - 1], destroy[l - 2])
+        images[fac.h[l - 1]] = combination(
             ((1, number[l - 2]), (1, number[l - 1]), (-1, one)), dfull)
     elif t.family == "B":
         # short-root vectors live in the even Clifford algebra through
         # the parity involution c with c^2 = 1
         c = [{m: -1 if bin(m).count("1") % 2 else 1} for m in full]
-        images[fac.e[l - 1]] = _product(create[l - 1], c)
-        images[fac.f[l - 1]] = _combination(
-            ((-1, _product(destroy[l - 1], c)),), dfull)
-        images[fac.h[l - 1]] = _combination(((2, number[l - 1]), (-1, one)),
-                                            dfull)
+        images[fac.e[l - 1]] = matmul(create[l - 1], c)
+        images[fac.f[l - 1]] = combination(
+            ((-1, matmul(destroy[l - 1], c)),), dfull)
+        images[fac.h[l - 1]] = combination(((2, number[l - 1]), (-1, one)),
+                                           dfull)
     else:
         raise ValueError("spin modules exist for families B and D only")
     if t.family == "D":
@@ -607,6 +555,13 @@ class UnconstructibleLabel(ValueError):
     """Raised when a label falls outside the documented constructible set."""
 
 
+# realize_simple refuses labels of larger Weyl dimension.  It recurses
+# once per unit of the highest weight, through tensor products that grow
+# with the label: A1 L(1000) would end in a RecursionError, and the cost
+# grows quickly long before that.
+MAX_LABEL_DIM = 128
+
+
 def _restrict(r, vectors):
     """Restrict r to the span of the given vectors (must be stable).
 
@@ -621,7 +576,7 @@ def _restrict(r, vectors):
     for m in r.action:
         out = [{} for _ in range(d)]
         for j, v in enumerate(vectors):
-            coeffs = span.solve(_apply(m, v))
+            coeffs = span.solve(apply(m, v))
             if coeffs is None:
                 raise ValueError("subspace is not action-stable")
             for i, c in enumerate(coeffs):
@@ -642,7 +597,7 @@ def cyclic_submodule(r, v0):
         new = []
         for v in frontier:
             for f in f_idx:
-                img = _apply(r.action[f], v)
+                img = apply(r.action[f], v)
                 if any(img) and span.add(img):
                     basis.append(img)
                     new.append(img)
@@ -673,10 +628,16 @@ def realize_simple(t, coords):
     Supported: the zero weight, fundamental weights (wedge powers of the
     natural module, spin constructions for the B/D spin nodes), and
     arbitrary dominant weights through iterated highest-weight extraction
-    from tensor products.  Labels outside this set raise
-    UnconstructibleLabel.
+    from tensor products, all up to dimension MAX_LABEL_DIM.  Labels
+    outside this set raise UnconstructibleLabel.
     """
     coords = as_coords(t, coords)
+    dim = weyl_dim(t, coords)
+    if dim > MAX_LABEL_DIM:
+        raise UnconstructibleLabel(
+            "L(%s) of %s has dimension %d, above the limit of %d for a "
+            "realised label" % (",".join(map(str, coords)), t, dim,
+                                MAX_LABEL_DIM))
     l = t.rank
     spec = SemisimpleSpec((t,))
     if all(c == 0 for c in coords):

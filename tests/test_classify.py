@@ -395,6 +395,28 @@ class TestConstructions:
         res = certify_disemisimple(g)
         assert isinstance(res, Refusal)
 
+    @pytest.mark.parametrize("kind,labels", [
+        ("type1", (lab((1, 0)), lab((0, 1)))),
+        ("type2", (lab((1, 0)), lab((1, 0)), lab((0, 1)))),
+    ])
+    def test_one_exterior_square_per_construction(self, monkeypatch, kind,
+                                                  labels):
+        import disemi.classify
+        import disemi.repbuilder
+        calls = []
+        original = disemi.repbuilder.wedge2
+
+        def counting(r):
+            calls.append(r.dim)
+            return original(r)
+        # classify imports wedge2 by name; free_two_step looks it up in
+        # repbuilder at call time
+        monkeypatch.setattr(disemi.classify, "wedge2", counting)
+        monkeypatch.setattr(disemi.repbuilder, "wedge2", counting)
+        build = construct_type1 if kind == "type1" else construct_type2
+        build(A2, *labels)
+        assert len(calls) == 1
+
     def test_type2_bad_c_rejected(self):
         with pytest.raises(ValueError):
             construct_type2(A2, lab((1, 0)), lab((1, 0)), lab((1, 0)))

@@ -204,6 +204,15 @@ class TestOtherCommands:
         code, _, _ = run(capsys, "nonsense")
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [("prehom", "A1", "L(1000)"),
+                                      ("certify", "A1", "L(129)")])
+    def test_label_above_size_limit(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "limit" in err
+        assert "Traceback" not in err
+
 
 class TestExitCodes:
     def test_internal_error_exit_3(self, capsys, monkeypatch):
@@ -235,3 +244,30 @@ class TestGoldenOutput:
         assert out.strip() == (
             '{"type":"C2","bound":9,"tested_count":4,"positives":["L(1,0)"],'
             '"table":["L(1,0)"],"diff":{"missing":[],"extra":[]}}')
+
+    def test_certify_json_golden(self, capsys):
+        code, out, _ = run(capsys, "certify", "A1", "nat", "--json")
+        assert code == 0
+        assert out == (
+            '{"refused":false,"levi_basis":[["1","0","0","0","0"],'
+            '["0","1","0","0","0"],["0","0","1","0","0"]],'
+            '"z":["0","0","0","-10","9"],'
+            '"phi":[["1","0","0","0","0"],["0","1","0","0","0"],'
+            '["0","0","1","0","0"],["10","-9","0","1","0"],'
+            '["9","0","10","0","1"]],'
+            '"s2_basis":[["1","0","0","10","9"],["0","1","0","-9","0"],'
+            '["0","0","1","0","10"]],"intersection_dim":1,'
+            '"radical_certificate":{"verdict":"prehomogeneous",'
+            '"witness":["10","-9"],"rank":2,"mode":"randomized",'
+            '"seed":1729,"trials_used":1}}\n')
+
+    def test_construct_json_golden(self, capsys):
+        code, out, _ = run(capsys, "construct", "type1", "A2", "L(1,0)",
+                           "L(0,1)", "--json")
+        assert code == 0
+        assert out == (
+            '{"dim":14,"radical":"L(0,1) + L(1,0)","certificate":'
+            '{"refused":true,"reason":"radical_not_prehomogeneous",'
+            '"radical_certificate":{"verdict":"not_prehomogeneous",'
+            '"reason":"symbolic_rank_deficit","generic_rank":5,'
+            '"mode":"symbolic"}}}\n')

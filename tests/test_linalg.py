@@ -3,9 +3,9 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from disemi.linalg import (LIFT_BOUND, PRIME, IncrementalSpan, commutator,
-                           identity, matmul, matvec, nullspace, rank,
+                           dense, identity, matmul, matvec, nullspace, rank,
                            rank_mod_p, rational_reconstruction, residue, rref,
-                           solve_exact)
+                           sparse)
 
 
 def test_rref_rank_nullspace():
@@ -26,19 +26,12 @@ def test_rank_early_stop():
     assert rank(a) == 5
 
 
-def test_solve_exact():
-    a = [[2, 0], [0, 4]]
-    x = solve_exact(a, [1, 2])
-    assert x == [Fraction(1, 2), Fraction(1, 2)]
-    assert solve_exact([[1, 0], [1, 0]], [1, 2]) is None
-
-
 def test_matmul_commutator():
-    e = [[0, 1], [0, 0]]
-    f = [[0, 0], [1, 0]]
+    e = [{1: 1}, {}]
+    f = [{}, {0: 1}]
     h = commutator(e, f)
-    assert h == [[1, 0], [0, -1]]
-    assert matmul(e, f) == [[1, 0], [0, 0]]
+    assert h == [{0: 1}, {1: -1}]
+    assert matmul(e, f) == [{0: 1}, {}]
 
 
 def test_incremental_span_solve():
@@ -80,6 +73,34 @@ def test_incremental_span_matches_rank(rows):
 
 
 small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+
+
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(st.integers(-3, 3) | small_fractions, min_size=n,
+                      max_size=n), min_size=1, max_size=6),
+    st.lists(st.integers(-5, 5), min_size=n, max_size=n))))
+@settings(max_examples=100, deadline=None)
+def test_incremental_span_matches_dense_rref(case):
+    rows, v = case
+    n = len(v)
+    span = IncrementalSpan(n)
+    added = [r for r in rows if span.add(r)]
+    reduced, pivots = rref(rows)
+    assert len(added) == rank(rows)
+    assert span.pivots == pivots
+    for r in rows:
+        coeffs = span.solve(r)
+        assert span.solve(sparse(r)) == coeffs
+        assert [sum(c * a[k] for c, a in zip(coeffs, added))
+                for k in range(n)] == r
+    # the residue vanishes on every pivot column and is the one rref gives
+    res = span.residue(v)
+    assert not set(res) & set(pivots)
+    expect = list(v)
+    for row, pc in zip(reduced, pivots):
+        expect = [x - v[pc] * y for x, y in zip(expect, row)]
+    assert dense(res, n) == expect
+    assert not span.residue([x - y for x, y in zip(v, expect)])
 
 
 @given(st.integers(1, 5).flatmap(lambda n: st.lists(

@@ -223,7 +223,7 @@ class TestCertify:
     def test_certify_in_scrambled_coordinates(self):
         # conjugate sl2 x| V(2) by an invertible rational matrix and
         # certify from raw structure constants plus an explicit Levi
-        from disemi.linalg import matmul, matvec, solve_exact
+        from disemi.linalg import IncrementalSpan, matvec
         g = semidirect(chevalley(A1), natural(A1))
         t = [[1, 2, 0, 0, 1],
              [0, 1, 0, 3, 0],
@@ -231,12 +231,15 @@ class TestCertify:
              [0, 0, 2, 1, 0],
              [0, 1, 0, 0, 1]]
         cols = [[t[a][b] for a in range(5)] for b in range(5)]
+        # the solution x of t x = v is v's coordinates over t's columns
+        col_span = IncrementalSpan(5)
+        assert all(col_span.add(c) for c in cols)
 
         def transform(v):
             return matvec(t, v)
 
         def untransform(v):
-            out = solve_exact(t, v)
+            out = col_span.solve(v)
             assert out is not None
             return out
 
