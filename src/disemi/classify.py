@@ -511,7 +511,7 @@ def _complement_ideal_vectors(rep, keep_vector, keep_label):
     keep_vector inside rep; keep_vector must be a highest weight vector
     of weight keep_label."""
     hws = highest_weight_vectors(rep)
-    span = IncrementalSpan(rep.dim)
+    span = IncrementalSpan()
     span.add(keep_vector)
     generators = []
     for v, label in hws:
@@ -521,7 +521,7 @@ def _complement_ideal_vectors(rep, keep_vector, keep_label):
         else:
             generators.append(v)
     vectors = []
-    vspan = IncrementalSpan(rep.dim)
+    vspan = IncrementalSpan()
     for v in generators:
         for w in cyclic_submodule(rep, v):
             if vspan.add(w):

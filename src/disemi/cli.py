@@ -17,11 +17,11 @@ from .classify import (cross_check_vinberg, search_type12, sk_reduced_table,
                        construct_type1, construct_type2, radical_module,
                        vinberg_table)
 from .liealg import Subspace, check_jacobi, from_json_dict, rational
-from .modexpr import (ModuleParseError, parse_algebra, parse_module,
-                      pretty_descriptor, to_representation)
+from .modexpr import (ModuleParseError, module_dim, parse_algebra,
+                      parse_module, pretty_descriptor, to_representation)
 from .prehom import (DecompositionCertificate, Randomized, Refusal, Symbolic,
-                     certify_disemisimple, is_prehomogeneous,
-                     DEFAULT_SEED, DEFAULT_TRIALS)
+                     certify_disemisimple, dimension_verdict,
+                     is_prehomogeneous, DEFAULT_SEED, DEFAULT_TRIALS)
 from .repbuilder import decompose, SemisimpleSpec
 
 
@@ -40,8 +40,14 @@ def _parse_type(text):
 
 def cmd_prehom(args):
     spec = parse_algebra(args.algebra)
-    rep = to_representation(parse_module(args.module, spec), spec)
-    cert = is_prehomogeneous(rep, mode=_mode_from_args(args))
+    ast = parse_module(args.module, spec)
+    dim = module_dim(ast, spec)
+    # the dimensions can decide before the module is built, which may
+    # be too large to build
+    cert = dimension_verdict(dim, spec.dim)
+    if cert is None:
+        cert = is_prehomogeneous(to_representation(ast, spec),
+                                 mode=_mode_from_args(args))
     if args.json:
         print(json.dumps(cert.to_json_dict(), separators=(",", ":")))
     else:
@@ -51,7 +57,7 @@ def cmd_prehom(args):
                      cert.mode))
         else:
             extra = ("" if cert.generic_rank is None
-                     else ", generic rank %d < %d" % (cert.generic_rank, rep.dim))
+                     else ", generic rank %d < %d" % (cert.generic_rank, dim))
             print("not prehomogeneous: %s%s" % (cert.reason, extra))
     return 0 if cert else 1
 
@@ -123,12 +129,12 @@ def cmd_decompose(args):
 
 def cmd_dim(args):
     spec = parse_algebra(args.algebra)
-    rep = to_representation(parse_module(args.module, spec), spec)
+    dim = module_dim(parse_module(args.module, spec), spec)
     if args.json:
-        print(json.dumps({"dim": rep.dim, "algebra_dim": spec.dim},
+        print(json.dumps({"dim": dim, "algebra_dim": spec.dim},
                          separators=(",", ":")))
     else:
-        print(rep.dim)
+        print(dim)
     return 0
 
 

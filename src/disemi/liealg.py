@@ -15,8 +15,7 @@ from functools import lru_cache
 from math import factorial
 
 from .linalg import (IncrementalSpan, apply, columns, combination, commutator,
-                     dense, identity, matmul, matvec, nullspace, rank, sparse,
-                     zeros)
+                     dense, identity, matmul, nullspace, rank, sparse)
 from .rootdata import SimpleType
 
 
@@ -127,7 +126,7 @@ class Subspace:
             if len(r) != parent.dim:
                 raise ValueError("basis row length %d != algebra dim %d"
                                  % (len(r), parent.dim))
-        self.span = IncrementalSpan(parent.dim)
+        self.span = IncrementalSpan()
         if not all(self.span.add(r) for r in rows):
             raise ValueError("basis rows are linearly dependent")
         self.basis = rows
@@ -238,7 +237,7 @@ def _chevalley_with_matrices(t):
     l = t.rank
     n = len(h[0])
     basis = list(h) + list(e) + list(f)
-    span = IncrementalSpan(n * n)
+    span = IncrementalSpan()
 
     def flat(m):
         return {a * n + b: x for a, row in enumerate(m) for b, x in row.items()}
@@ -337,7 +336,7 @@ def abelian_algebra(n, labels=None):
 def derived_span(g, rows1, rows2):
     """Row basis of span{[x, y] : x in rows1, y in rows2}."""
     out = []
-    span = IncrementalSpan(g.dim)
+    span = IncrementalSpan()
     ys = [sparse(y) for y in rows2]
     for x in map(sparse, rows1):
         for y in ys:
@@ -395,9 +394,9 @@ def is_abelian(g):
 
 
 def killing_form(g):
-    """Dense matrix K[i][j] = trace(ad b_i . ad b_j), a system for rank."""
+    """The row-dict matrix K[i][j] = trace(ad b_i . ad b_j)."""
     ads = [g.ad(g.basis_vector(i)) for i in range(g.dim)]
-    k = zeros(g.dim, g.dim)
+    k = [{} for _ in range(g.dim)]
     for i, mi in enumerate(ads):
         for j in range(i, g.dim):
             mj = ads[j]
@@ -407,8 +406,9 @@ def killing_form(g):
                     x = mj[b].get(a)
                     if x:
                         s += c * x
-            k[i][j] = s
-            k[j][i] = s
+            if s:
+                k[i][j] = s
+                k[j][i] = s
     return k
 
 
@@ -429,9 +429,9 @@ def solvable_radical(g):
         return zero_subspace(g)
     k = killing_form(g)
     derived = derived_span(g, identity(g.dim), identity(g.dim))
-    eqs = [matvec(k, d) for d in derived]
-    rad_rows = nullspace(eqs, ncols=g.dim) if eqs else identity(g.dim)
-    radical = Subspace(g, rad_rows)
+    # K is symmetric, so the equation K(x, d) = 0 has the row K d
+    eqs = [apply(k, d) for d in derived]
+    radical = Subspace(g, [dense(v, g.dim) for v in nullspace(eqs, g.dim)])
     if not is_solvable(g, radical):
         raise AssertionError("radical candidate is not solvable")
     if not radical.is_ideal():
@@ -646,8 +646,7 @@ def exp_ad(g, z):
 
 def sum_spans(g, u1, u2):
     """(spans, intersection_dim) for the vector space sum u1 + u2."""
-    rows = list(u1.basis) + list(u2.basis)
-    r = rank(rows) if rows else 0
+    r = rank(list(u1.basis) + list(u2.basis))
     return r == g.dim, u1.dim + u2.dim - r
 
 

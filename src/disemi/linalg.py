@@ -3,14 +3,15 @@
 Entries are ints or fractions.Fraction; no floating point anywhere.
 Matrices are row dicts: a list of rows, and row a maps a column b to the
 nonzero entry (a, b).  Module actions, ad matrices, the Chevalley
-matrices and every LinearMap use this format.  Dense lists of rows are
-kept only for the systems handed to rank, rref and nullspace; vectors
-are flat lists.  Functions do not mutate their arguments unless the
-name says so.
+matrices and every LinearMap use this format.  Vectors are flat lists
+or sparse {index: entry} dicts; the eliminations take either.
+Functions do not mutate their arguments unless the name says so.
 
-The modular kernel at the end computes ranks and sparse nullspaces over
-the prime field GF(PRIME).  Its answers are lower bounds or candidates;
-each docstring says what has to be checked exactly before one counts.
+There is one elimination per field.  Over Q it is IncrementalSpan,
+which also gives rank, rref and nullspace.  The modular kernel at the
+end reduces mod PRIME for ranks and sparse nullspaces; its answers are
+lower bounds or candidates, and each docstring says what has to be
+checked exactly before one counts.
 """
 
 from bisect import insort
@@ -24,17 +25,8 @@ PRIME = 2 ** 61 - 1
 LIFT_BOUND = isqrt((PRIME - 1) // 2)
 
 
-def zeros(n, m):
-    return [[0] * m for _ in range(n)]
-
-
 def identity(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def matvec(a, v):
-    """a v for a dense matrix a."""
-    return [sum(c * x for c, x in zip(row, v) if c) for row in a]
 
 
 def sparse(v):
@@ -96,92 +88,6 @@ def apply(m, v):
     return [sum(x * v[b] for b, x in row.items()) for row in m]
 
 
-# ---------------------------------------------------------------------------
-# Dense systems
-# ---------------------------------------------------------------------------
-
-def rref(a):
-    """Reduced row echelon form.
-
-    Returns (rows, pivots) where rows are the nonzero reduced rows and
-    pivots the column index of each leading 1.
-    """
-    rows = [list(r) for r in a]
-    nr = len(rows)
-    nc = len(rows[0]) if nr else 0
-    pivots = []
-    r = 0
-    for c in range(nc):
-        pr = None
-        for i in range(r, nr):
-            if rows[i][c] != 0:
-                pr = i
-                break
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        p = rows[r][c]
-        if p != 1:
-            rows[r] = [Fraction(x, 1) / p if not isinstance(x, Fraction) else x / p
-                       for x in rows[r]]
-        for i in range(nr):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nr:
-            break
-    return rows[:r], pivots
-
-
-def rank(a, stop_at=None):
-    """Rank by forward elimination; stops early once stop_at is reached."""
-    if not a:
-        return 0
-    rows = [list(r) for r in a]
-    nr, nc = len(rows), len(rows[0])
-    r = 0
-    for c in range(nc):
-        pr = None
-        for i in range(r, nr):
-            if rows[i][c] != 0:
-                pr = i
-                break
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        p = rows[r][c]
-        for i in range(r + 1, nr):
-            if rows[i][c]:
-                f = Fraction(rows[i][c], 1) / p
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        r += 1
-        if stop_at is not None and r >= stop_at:
-            return r
-        if r == nr:
-            break
-    return r
-
-
-def nullspace(a, ncols=None):
-    """Basis of the right kernel of a, one vector per free column."""
-    if not a:
-        return [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)] \
-            if ncols else []
-    nc = len(a[0])
-    rows, pivots = rref(a)
-    free = [c for c in range(nc) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [0] * nc
-        v[fc] = 1
-        for row, pc in zip(rows, pivots):
-            v[pc] = -row[fc]
-        basis.append(v)
-    return basis
-
-
 def entry(x):
     """x as an int when it is an integral Fraction, else x itself."""
     return x.numerator if isinstance(x, Fraction) and x.denominator == 1 else x
@@ -190,12 +96,12 @@ def entry(x):
 class IncrementalSpan:
     """Grows a row space one vector at a time, with coordinate recovery.
 
-    This is the one reduction against pivot rows in the package.  A
-    vector is a dense list or a sparse {column: entry} dict.  Each pivot
-    row is a sparse dict with 1 at its pivot column, zeros left of it
-    and at every pivot column that existed when it was added; it is kept
-    with its expression, also a sparse dict, over the vectors that were
-    actually added.  solve() then writes any vector of the span as a
+    This is the one elimination over Q in the package: rank, rref and
+    nullspace below run on it too.  A vector is a dense list or a
+    sparse {column: entry} dict.  Each pivot row is a sparse dict with 1
+    at its pivot column, zeros left of it and at every pivot column that
+    existed when it was added; it is kept with its expression, also a
+    sparse dict, over the vectors that were actually added.  solve() then writes any vector of the span as a
     combination of the added generators.
 
     pivots lists the pivot columns in increasing order, and as a set it
@@ -211,8 +117,7 @@ class IncrementalSpan:
     reduced one of rref included.
     """
 
-    def __init__(self, width):
-        self.width = width
+    def __init__(self):
         self.pivots = []
         self.rows = {}      # pivot col -> (reduced row, expr over added vecs)
         self.nadded = 0
@@ -279,6 +184,55 @@ class IncrementalSpan:
         return self._reduce(v, track=False)[0]
 
 
+def rank(a, stop_at=None):
+    """Rank of the rows of a, dense lists or sparse dicts: the number an
+    IncrementalSpan accepts.  Stops once stop_at rows are accepted."""
+    span = IncrementalSpan()
+    r = 0
+    for row in a:
+        if span.add(row):
+            r += 1
+            if r == stop_at:
+                break
+    return r
+
+
+def rref(a):
+    """Reduced row echelon form of the rows of a, dense lists or sparse
+    dicts.
+
+    Returns (rows, pivots): the nonzero reduced rows as sparse dicts and
+    the column of each leading 1, in increasing order.  A pivot row of
+    the span is 1 at its pivot pc and zero left of it; the residue of
+    the rest of it is the one vector of row - e_pc + span that vanishes
+    on every pivot column, so adding e_pc back gives the reduced row.
+    """
+    span = IncrementalSpan()
+    for row in a:
+        span.add(row)
+    rows = []
+    for pc in span.pivots:
+        rest = dict(span.rows[pc][0])
+        del rest[pc]
+        rows.append({pc: 1, **span.residue(rest)})
+    return rows, list(span.pivots)
+
+
+def nullspace(a, ncols):
+    """Basis of the right kernel of the rows of a (dense lists or sparse
+    dicts) with ncols columns, as sparse dicts: one vector per free
+    column of rref(a), 1 there, 0 on the other free columns and minus
+    that column of each reduced row on the row's pivot."""
+    rows, pivots = rref(a)
+    pivot_set = set(pivots)
+    basis = {fc: {fc: 1} for fc in range(ncols) if fc not in pivot_set}
+    for row, pc in zip(rows, pivots):
+        for k, x in row.items():
+            if k != pc:
+                basis[k][pc] = -x
+    return list(basis.values())
+
+
 # ---------------------------------------------------------------------------
 # Modular kernel
 # ---------------------------------------------------------------------------
@@ -294,6 +248,50 @@ def residue(x):
     return x.numerator * pow(den, -1, PRIME) % PRIME
 
 
+def _echelon_mod_p(rows, stop_at=None):
+    """Row echelon form of rows reduced mod PRIME, or None when PRIME
+    divides a denominator.
+
+    rows are dense lists or sparse dicts over Q; each is reduced mod
+    PRIME only when the elimination reaches it, so no second copy of the
+    system is held.  Short rows go first, so that most later rows meet
+    short pivots; the order changes nothing else, since the pivot
+    columns of an echelon form depend only on the row space.  Returns
+    {pivot column: row}, each row a sparse dict mod PRIME with 1 at its
+    pivot and zeros left of it.  Stops once stop_at pivots are found.
+    """
+    p = PRIME
+    pivots = {}
+    for row in sorted(rows, key=len):
+        red = {}
+        for k, v in (row.items() if isinstance(row, dict) else enumerate(row)):
+            if v:
+                v = residue(v)
+                if v is None:
+                    return None
+                if v:
+                    red[k] = v
+        while red:
+            c = min(red)
+            piv = pivots.get(c)
+            if piv is None:
+                inv = pow(red[c], -1, p)
+                pivots[c] = {k: v * inv % p for k, v in red.items()}
+                break
+            f = red.pop(c)
+            for k, v in piv.items():
+                if k == c:
+                    continue
+                nv = (red.get(k, 0) - f * v) % p
+                if nv:
+                    red[k] = nv
+                else:
+                    red.pop(k, None)
+        if len(pivots) == stop_at:
+            break
+    return pivots
+
+
 def rank_mod_p(a, stop_at=None):
     """Rank of a reduced mod PRIME; a lower bound for rank(a).
 
@@ -304,35 +302,8 @@ def rank_mod_p(a, stop_at=None):
     divides every maximal nonzero minor.  When PRIME divides a
     denominator the exact rank is returned instead.  stop_at as in rank.
     """
-    if not a:
-        return 0
-    p = PRIME
-    rows = []
-    for row in a:
-        red = [residue(x) for x in row]
-        if None in red:
-            return rank(a, stop_at)
-        rows.append(red)
-    nr, nc = len(rows), len(rows[0])
-    r = 0
-    for c in range(nc):
-        pr = next((i for i in range(r, nr) if rows[i][c]), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        prow = rows[r]
-        inv = pow(prow[c], -1, p)
-        for i in range(r + 1, nr):
-            f = rows[i][c]
-            if f:
-                f = f * inv % p
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], prow)]
-        r += 1
-        if stop_at is not None and r >= stop_at:
-            return r
-        if r == nr:
-            break
-    return r
+    pivots = _echelon_mod_p(a, stop_at)
+    return rank(a, stop_at) if pivots is None else len(pivots)
 
 
 def rational_reconstruction(u):
@@ -358,13 +329,9 @@ def rational_reconstruction(u):
 def sparse_nullspace_mod_p(rows, ncols):
     """Nullspace of a sparse system mod PRIME, lifted to Q; or None.
 
-    rows are {col: coeff} dicts over Q; each is reduced mod PRIME only
-    when the elimination reaches it, so no second copy of the system is
-    held.  Short rows go first, so that most later rows meet short
-    pivots; the order changes nothing else, since the free columns of
-    an echelon form depend only on the row space.  The basis has one
-    vector per free column of the echelon form mod PRIME, 1 there and 0
-    on the other free columns, and every entry lifted by
+    rows are {col: coeff} dicts over Q, reduced by _echelon_mod_p.  The
+    basis has one vector per free column of the echelon form mod PRIME,
+    1 there and 0 on the other free columns, and every entry lifted by
     rational_reconstruction.  None when PRIME divides a denominator or
     an entry does not lift.
 
@@ -374,31 +341,9 @@ def sparse_nullspace_mod_p(rows, ncols):
     ncols - rank over Q of them.
     """
     p = PRIME
-    pivots = {}
-    for row in sorted(rows, key=len):
-        red = {}
-        for k, v in row.items():
-            v = residue(v)
-            if v is None:
-                return None
-            if v:
-                red[k] = v
-        while red:
-            c = min(red)
-            piv = pivots.get(c)
-            if piv is None:
-                inv = pow(red[c], -1, p)
-                pivots[c] = {k: v * inv % p for k, v in red.items()}
-                break
-            f = red.pop(c)
-            for k, v in piv.items():
-                if k == c:
-                    continue
-                nv = (red.get(k, 0) - f * v) % p
-                if nv:
-                    red[k] = nv
-                else:
-                    red.pop(k, None)
+    pivots = _echelon_mod_p(rows)
+    if pivots is None:
+        return None
     order = sorted(pivots, reverse=True)
     basis = []
     for fc in range(ncols):

@@ -9,11 +9,16 @@ prefix for repeated direct summands, and the function forms
 """
 
 from dataclasses import dataclass
+from math import prod
 
-from .repbuilder import (ModuleDescriptor, SemisimpleSpec, decompose,
-                         direct_sum, dual, natural, realize_label, sym2,
-                         tensor, trivial, wedge2)
+from .repbuilder import (SemisimpleSpec, decompose, direct_sum, dual,
+                         natural, realize_label, sym2, tensor, trivial,
+                         wedge2)
 from .rootdata import SimpleType
+
+# an integer prefix repeats a summand; past this many summands in one
+# repetition the expression is refused rather than expanded
+MAX_SUMMANDS = 1000
 
 
 class ModuleParseError(ValueError):
@@ -22,6 +27,14 @@ class ModuleParseError(ValueError):
     def __init__(self, message, position):
         super().__init__("%s (at offset %d)" % (message, position))
         self.position = position
+
+
+def _integer(text, i, j):
+    """The decimal digits text[i:j] as an int."""
+    try:
+        return int(text[i:j])
+    except ValueError:      # more digits than int() converts
+        raise ModuleParseError("number too long", i) from None
 
 
 # AST nodes ----------------------------------------------------------------
@@ -77,11 +90,11 @@ def _tokenize(text):
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
-            tokens.append(("int", int(text[i:j]), i))
+            tokens.append(("int", _integer(text, i, j), i))
             i = j
             continue
         if ch.isalpha():
@@ -137,11 +150,11 @@ def parse_algebra(text):
         family = text[i]
         i += 1
         j = i
-        while j < n and text[j].isdigit():
+        while j < n and text[j].isdecimal():
             j += 1
         if j == i:
             raise ModuleParseError("expected a rank after %r" % family, i)
-        rank = int(text[i:j])
+        rank = _integer(text, i, j)
         try:
             factors.append(SimpleType(family, rank))
         except ValueError as exc:
@@ -162,7 +175,11 @@ def parse_algebra(text):
 def parse_module(text, spec):
     """Parse a module expression against a SemisimpleSpec."""
     cur = _Cursor(_tokenize(text))
-    ast = _parse_sum(cur, spec)
+    try:
+        ast = _parse_sum(cur, spec)
+    except RecursionError:
+        raise ModuleParseError("expression nested too deeply",
+                               cur.peek()[2]) from None
     tok = cur.peek()
     if tok[0] != "end":
         raise ModuleParseError("trailing input", tok[2])
@@ -205,13 +222,11 @@ def _parse_factor(cur, spec):
         inner = _parse_factor(cur, spec)
         if count == 1:
             return inner
-        terms = []
-        for _ in range(count):
-            if isinstance(inner, DirectSum):
-                terms.extend(inner.terms)
-            else:
-                terms.append(inner)
-        return DirectSum(tuple(terms))
+        terms = inner.terms if isinstance(inner, DirectSum) else (inner,)
+        if count * len(terms) > MAX_SUMMANDS:
+            raise ModuleParseError("more than %d summands" % MAX_SUMMANDS,
+                                   tok[2])
+        return DirectSum(terms * count)
     if tok[0] != "word":
         raise ModuleParseError("expected a module factor", tok[2])
     word = tok[1]
@@ -376,6 +391,31 @@ def to_representation(ast, spec):
         return trivial(spec, 1)
     if isinstance(ast, Natural):
         return natural(spec.factors[0])
+    raise ValueError("unknown AST node %r" % (ast,))
+
+
+def module_dim(ast, spec):
+    """The dimension of the module an AST describes, without building
+    it: the Weyl dimension formula for each label, and the dimension
+    rules of the constructors."""
+    if isinstance(ast, Irr):
+        return spec.label_dim(ast.blocks)
+    if isinstance(ast, DirectSum):
+        return sum(module_dim(t, spec) for t in ast.terms)
+    if isinstance(ast, Tensor):
+        return prod(module_dim(f, spec) for f in ast.factors)
+    if isinstance(ast, Wedge2):
+        n = module_dim(ast.inner, spec)
+        return n * (n - 1) // 2
+    if isinstance(ast, Sym2):
+        n = module_dim(ast.inner, spec)
+        return n * (n + 1) // 2
+    if isinstance(ast, Dual):
+        return module_dim(ast.inner, spec)
+    if isinstance(ast, Trivial):
+        return 1
+    if isinstance(ast, Natural):
+        return spec.factors[0].natural_dim
     raise ValueError("unknown AST node %r" % (ast,))
 
 

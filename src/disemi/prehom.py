@@ -22,7 +22,7 @@ from . import syzygy
 
 DEFAULT_SEED = 1729
 DEFAULT_TRIALS = 8
-DEFAULT_COORD_BOUND = 10
+COORD_BOUND = 10
 
 # refusal / non-prehomogeneity reasons
 DIMENSION_BOUND = "dimension_bound"
@@ -39,7 +39,6 @@ class Randomized:
 
     seed: int = DEFAULT_SEED
     trials: int = DEFAULT_TRIALS
-    coord_bound: int = DEFAULT_COORD_BOUND
 
 
 @dataclass(frozen=True)
@@ -59,7 +58,7 @@ class EvaluationMatrix:
         return (len(self.matrix), len(self.matrix[0]) if self.matrix else 0)
 
     def rank(self):
-        return rank(self.matrix) if self.matrix else 0
+        return rank(self.matrix)
 
 
 def evaluation_matrix(r, v):
@@ -112,12 +111,8 @@ def has_trivial_summand(r):
     For a semisimple action this detects exactly the trivial isotypic
     part and needs no weight basis.
     """
-    if r.dim == 0:
-        return False
     # exact rank: a rank mod PRIME could fall short and fake a summand
-    stacked = [dense(row, r.dim) for m in r.action for row in m if row]
-    if not stacked:
-        return True
+    stacked = [row for m in r.action for row in m if row]
     return rank(stacked, stop_at=r.dim) < r.dim
 
 
@@ -173,6 +168,23 @@ def _symbolic_decide(r):
     raise AssertionError("full generic rank but no witness found")
 
 
+def dimension_verdict(dim_v, dim_s):
+    """The verdict the dimensions alone give, or None: the zero module
+    is prehomogeneous; dim V > dim s leaves no room for an open orbit;
+    dim V = dim s would need an etale module, which semisimple algebras
+    do not admit.  Needs no realised module, so callers can ask first."""
+    if dim_v == 0:
+        return PrehomCertificate(verdict="prehomogeneous", witness=[],
+                                 rank=0, mode="fast_path")
+    if dim_v > dim_s:
+        return PrehomCertificate(verdict="not_prehomogeneous",
+                                 reason=DIMENSION_BOUND, mode="fast_path")
+    if dim_v == dim_s:
+        return PrehomCertificate(verdict="not_prehomogeneous",
+                                 reason=ETALE_EXCLUSION, mode="fast_path")
+    return None
+
+
 def is_prehomogeneous(r, mode=None):
     """Total decision procedure returning a PrehomCertificate.
 
@@ -183,24 +195,16 @@ def is_prehomogeneous(r, mode=None):
     """
     if mode is None:
         mode = Randomized()
-    ds = r.algebra.dim
-    if r.dim == 0:
-        return PrehomCertificate(verdict="prehomogeneous", witness=[],
-                                 rank=0, mode="fast_path")
-    if r.dim > ds:
-        return PrehomCertificate(verdict="not_prehomogeneous",
-                                 reason=DIMENSION_BOUND, mode="fast_path")
-    if r.dim == ds:
-        return PrehomCertificate(verdict="not_prehomogeneous",
-                                 reason=ETALE_EXCLUSION, mode="fast_path")
+    cert = dimension_verdict(r.dim, r.algebra.dim)
+    if cert is not None:
+        return cert
     if has_trivial_summand(r):
         return PrehomCertificate(verdict="not_prehomogeneous",
                                  reason=TRIVIAL_SUMMAND, mode="fast_path")
     if isinstance(mode, Randomized):
         rnd = random.Random(mode.seed)
         for trial in range(mode.trials):
-            v = [rnd.randint(-mode.coord_bound, mode.coord_bound)
-                 for _ in range(r.dim)]
+            v = [rnd.randint(-COORD_BOUND, COORD_BOUND) for _ in range(r.dim)]
             if _witness_rank(r, v) == r.dim:
                 return _validated_yes(r, v, mode="randomized",
                                       seed=mode.seed, trials_used=trial + 1)

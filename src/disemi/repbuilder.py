@@ -12,11 +12,10 @@ from functools import lru_cache
 from itertools import combinations
 
 from .linalg import (IncrementalSpan, apply, columns, combination, commutator,
-                     entry, identity, matmul, nullspace)
+                     entry, matmul, nullspace)
 from .liealg import (_chevalley_with_matrices, chevalley,
                      direct_sum as algebra_direct_sum)
-from .rootdata import (SimpleType, as_coords, dual_weight, weyl_dim,
-                       zero_weight)
+from .rootdata import SimpleType, as_coords, dual_weight, weyl_dim
 
 
 @dataclass(frozen=True)
@@ -57,9 +56,6 @@ class SemisimpleSpec:
     def label_dual(self, label):
         return tuple(dual_weight(t, coords)
                      for t, coords in zip(self.factors, label))
-
-    def zero_label(self):
-        return tuple(zero_weight(t) for t in self.factors)
 
     def coerce_label(self, label):
         label = tuple(as_coords(t, coords)
@@ -504,17 +500,13 @@ def highest_weight_vectors(r, coord_mask=None):
         rows = []
         for e in e_idx:
             for row in r.action[e]:
-                vals = [row.get(c, 0) for c in cols]
-                if any(vals):
+                vals = {i: row[c] for i, c in enumerate(cols) if c in row}
+                if vals:
                     rows.append(vals)
-        if rows:
-            kern = nullspace(rows, ncols=len(cols))
-        else:
-            kern = identity(len(cols))
-        for kv in kern:
+        for kv in nullspace(rows, len(cols)):
             v = [0] * r.dim
-            for c, x in zip(cols, kv):
-                v[c] = x
+            for i, x in kv.items():
+                v[cols[i]] = x
             if any(x < 0 for x in w):
                 raise AssertionError("non-dominant highest weight %r" % (w,))
             out.append((v, r.split_weight(w)))
@@ -567,7 +559,7 @@ def _restrict(r, vectors):
 
     The vectors become the basis of the submodule in the given order.
     """
-    span = IncrementalSpan(r.dim)
+    span = IncrementalSpan()
     for v in vectors:
         if not span.add(v):
             raise ValueError("restriction basis is dependent")
@@ -589,7 +581,7 @@ def cyclic_submodule(r, v0):
     """The submodule generated from a highest weight vector by the
     lowering operators, with a spanning-closure loop."""
     f_idx = r.algebra.generator_indices()[2]
-    span = IncrementalSpan(r.dim)
+    span = IncrementalSpan()
     span.add(v0)
     basis = [list(v0)]
     frontier = [list(v0)]

@@ -69,9 +69,6 @@ class DominantWeight:
     def valid_for(self, t):
         return len(self.coords) == t.rank
 
-    def is_zero(self):
-        return all(c == 0 for c in self.coords)
-
     def __str__(self):
         return "(" + ",".join(str(c) for c in self.coords) + ")"
 

@@ -20,11 +20,10 @@ value can only loosen the sandwich, never make it unsound.
 """
 
 import random
-from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import lcm
 
-from .linalg import rank_mod_p, sparse_nullspace_mod_p
+from .linalg import nullspace, rank_mod_p, sparse_nullspace_mod_p
 from . import symrank
 
 MAX_SYZYGY_DEGREE = 3
@@ -96,17 +95,17 @@ def _sector_monomials(blocks, mdeg):
 def sparse_nullspace(rows, ncols):
     """Nullspace basis of a sparse system; rows are {col: coeff} dicts.
 
-    Returns sparse basis vectors as {col: Fraction} dicts, one per free
+    Returns sparse basis vectors as {col: coeff} dicts, one per free
     column of the row echelon form.  rows must be re-iterable.  The
     basis is solved mod PRIME and lifted by rational reconstruction;
     it is returned only after every vector is checked exactly against
     every row, which makes it a basis over Q (see
-    linalg.sparse_nullspace_mod_p).  Otherwise the exact elimination
-    decides.
+    linalg.sparse_nullspace_mod_p).  Otherwise the exact
+    linalg.nullspace decides.
     """
     basis = sparse_nullspace_mod_p(rows, ncols)
     if basis is None or not _annihilated(rows, basis):
-        return sparse_nullspace_exact(rows, ncols)
+        return nullspace(rows, ncols)
     return basis
 
 
@@ -130,43 +129,6 @@ def _annihilated(rows, basis):
         if any(acc.values()):
             return False
     return True
-
-
-def sparse_nullspace_exact(rows, ncols):
-    """sparse_nullspace by elimination over Fraction; the reference."""
-    pivots = {}
-    for row in rows:
-        row = {k: v for k, v in row.items() if v}
-        while row:
-            c = min(row)
-            p = pivots.get(c)
-            if p is None:
-                lead = row[c]
-                pivots[c] = {k: Fraction(v) / lead for k, v in row.items()}
-                break
-            f = row.pop(c)
-            for k, v in p.items():
-                if k == c:
-                    continue
-                nv = row.get(k, 0) - f * v
-                if nv:
-                    row[k] = nv
-                else:
-                    row.pop(k, None)
-    free = [c for c in range(ncols) if c not in pivots]
-    order = sorted(pivots, reverse=True)
-    basis = []
-    for fc in free:
-        x = {fc: Fraction(1)}
-        for p in order:
-            s = 0
-            for k, v in pivots[p].items():
-                if k != p and k in x:
-                    s += v * x[k]
-            if s:
-                x[p] = -s
-        basis.append(x)
-    return basis
 
 
 def cleared_action(rep):

@@ -1,6 +1,9 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from disemi.cli import main
 from disemi.liealg import chevalley, semidirect, to_json_dict
@@ -53,6 +56,16 @@ class TestPrehomCommand:
         code, out, _ = run(capsys, "prehom", "A1", "L(1)", "--exact", "--json")
         assert code == 0
         assert json.loads(out)["mode"] == "symbolic"
+
+    @pytest.mark.parametrize("algebra,module", [
+        ("A10", "L(0,0,0,1,0,0,0,0,0,0)"),    # 330 > 120, too big to build
+        ("A1", "L(1000)"),
+    ])
+    def test_dimension_bound_before_building(self, capsys, algebra, module):
+        code, out, err = run(capsys, "prehom", algebra, module)
+        assert code == 1
+        assert out.strip() == "not prehomogeneous: dimension_bound"
+        assert err == ""
 
     def test_parse_error_exit_2(self, capsys):
         code, _, err = run(capsys, "prehom", "D2", "nat")
@@ -155,6 +168,11 @@ class TestOtherCommands:
         assert code == 0
         assert out.strip() == "10"
 
+    def test_dim_of_a_module_too_big_to_build(self, capsys):
+        code, out, _ = run(capsys, "dim", "A10", "L(0,0,0,1,0,0,0,0,0,0)")
+        assert code == 0
+        assert out.strip() == "330"
+
     def test_table(self, capsys):
         code, out, _ = run(capsys, "table", "A2", "--json")
         assert code == 0
@@ -204,7 +222,7 @@ class TestOtherCommands:
         code, _, _ = run(capsys, "nonsense")
         assert code == 2
 
-    @pytest.mark.parametrize("argv", [("prehom", "A1", "L(1000)"),
+    @pytest.mark.parametrize("argv", [("decompose", "A1", "L(1000)"),
                                       ("certify", "A1", "L(129)")])
     def test_label_above_size_limit(self, capsys, argv):
         code, out, err = run(capsys, *argv)
@@ -212,6 +230,37 @@ class TestOtherCommands:
         assert out == ""
         assert err.startswith("error: ") and "limit" in err
         assert "Traceback" not in err
+
+
+ALGEBRA_TOKENS = ["A1", "A2", "C2", "B2", "C3", "D4", "A1xA2", "A0", "E6",
+                  "SK", "x", ""]
+MALFORMED_MODULES = ["L(", "L(1,", "+", "#", "L(1)#", "nat nat", "wedge2(",
+                     "2", "L(-1)", "L(1))"]
+MODULE_TOKENS = ["L(1)", "L(0,1)", "L(1)#L(0,1)", "nat", "triv",
+                 "wedge2(nat)", "sym2(L(2))", "dual(nat)", "2L(1)",
+                 "L(1000)", "L(1)*nat"] + MALFORMED_MODULES
+FLAG_TOKENS = ["--json", "--bogus", "--seed", "-h"]
+
+
+def _argv(command, tokens):
+    return st.lists(st.sampled_from(tokens), max_size=4).map(
+        lambda rest: [command] + rest)
+
+
+class TestFuzz:
+    # only cheap commands: tables, dimensions read off the expression,
+    # and prehom on input that never reaches the engine
+    @given(_argv("table", ALGEBRA_TOKENS + MODULE_TOKENS + FLAG_TOKENS)
+           | _argv("dim", ALGEBRA_TOKENS + MODULE_TOKENS + FLAG_TOKENS)
+           | _argv("prehom", ALGEBRA_TOKENS + MALFORMED_MODULES + FLAG_TOKENS))
+    @settings(max_examples=300, deadline=None)
+    def test_token_argv_exits_cleanly(self, argv):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2), argv
+        assert "Traceback" not in err.getvalue(), argv
 
 
 class TestExitCodes:

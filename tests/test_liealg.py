@@ -165,7 +165,7 @@ class TestKillingForm:
         assert is_semisimple(chevalley(A1))
 
     def test_abelian_zero(self):
-        assert killing_form(abelian_algebra(3)) == [[0] * 3 for _ in range(3)]
+        assert killing_form(abelian_algebra(3)) == [{}, {}, {}]
 
     def test_semidirect_degenerate(self):
         g = sl2_natural_semidirect()

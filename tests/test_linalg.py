@@ -3,21 +3,46 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from disemi.linalg import (LIFT_BOUND, PRIME, IncrementalSpan, commutator,
-                           dense, identity, matmul, matvec, nullspace, rank,
+                           dense, identity, matmul, nullspace, rank,
                            rank_mod_p, rational_reconstruction, residue, rref,
                            sparse)
+
+
+def dense_rref(a):
+    """Textbook Gauss-Jordan on dense rows: (reduced nonzero rows,
+    pivot columns).  The oracle the span-based eliminations are checked
+    against, sharing no code with them."""
+    rows = [[Fraction(x) for x in r] for r in a]
+    pivots = []
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        i = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if i is None:
+            continue
+        rows[r], rows[i] = rows[i], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for j in range(len(rows)):
+            if j != r and rows[j][c]:
+                f = rows[j][c]
+                rows[j] = [x - f * y for x, y in zip(rows[j], rows[r])]
+        pivots.append(c)
+    return rows[:len(pivots)], pivots
+
+
+def apply_rows(a, v):
+    """The dense rows of a applied to the sparse vector v."""
+    return [sum(x * v.get(k, 0) for k, x in enumerate(row)) for row in a]
 
 
 def test_rref_rank_nullspace():
     a = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
     rows, pivots = rref(a)
-    assert len(rows) == 2 and pivots == [0, 1]
+    assert rows == [{0: 1, 2: 1}, {1: 1, 2: 1}] and pivots == [0, 1]
     assert rank(a) == 2
-    ns = nullspace(a)
-    assert len(ns) == 1
+    ns = nullspace(a, 3)
+    assert ns == [{2: 1, 0: -1, 1: -1}]
     for v in ns:
-        assert matvec(a[0:1], v) == [0]
-        assert matvec(a, v) == [0, 0, 0]
+        assert apply_rows(a, v) == [0, 0, 0]
 
 
 def test_rank_early_stop():
@@ -35,7 +60,7 @@ def test_matmul_commutator():
 
 
 def test_incremental_span_solve():
-    span = IncrementalSpan(3)
+    span = IncrementalSpan()
     assert span.add([1, 1, 0])
     assert span.add([0, 1, 1])
     assert not span.add([1, 2, 1])
@@ -52,22 +77,23 @@ def test_incremental_span_solve():
                 min_size=1, max_size=5))
 @settings(max_examples=60, deadline=None)
 def test_nullspace_property(rows):
-    ns = nullspace(rows, ncols=4)
-    assert rank(rows) + len(ns) == 4
+    ns = nullspace(rows, 4)
+    assert len(dense_rref(rows)[1]) + len(ns) == 4
+    assert nullspace([sparse(r) for r in rows], 4) == ns
     for v in ns:
-        assert matvec(rows, v) == [0] * len(rows)
+        assert apply_rows(rows, v) == [0] * len(rows)
 
 
 @given(st.lists(st.lists(st.integers(-3, 3), min_size=3, max_size=3),
                 min_size=1, max_size=6))
 @settings(max_examples=60, deadline=None)
 def test_incremental_span_matches_rank(rows):
-    span = IncrementalSpan(3)
+    span = IncrementalSpan()
     added = 0
     for r in rows:
         if span.add(r):
             added += 1
-    assert added == rank(rows)
+    assert added == rank(rows) == len(dense_rref(rows)[1])
     for r in rows:
         assert span.solve(r) is not None
 
@@ -83,11 +109,12 @@ small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=5)
 def test_incremental_span_matches_dense_rref(case):
     rows, v = case
     n = len(v)
-    span = IncrementalSpan(n)
+    span = IncrementalSpan()
     added = [r for r in rows if span.add(r)]
-    reduced, pivots = rref(rows)
-    assert len(added) == rank(rows)
+    reduced, pivots = dense_rref(rows)
+    assert len(added) == len(pivots) == rank([sparse(r) for r in rows])
     assert span.pivots == pivots
+    assert rref(rows) == ([sparse(r) for r in reduced], pivots)
     for r in rows:
         coeffs = span.solve(r)
         assert span.solve(sparse(r)) == coeffs

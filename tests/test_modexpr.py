@@ -1,12 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from disemi.modexpr import (DirectSum, Dual, Irr, ModuleParseError, Natural,
                             Sym2, Tensor, Trivial, Wedge2, descriptor_to_ast,
-                            parse_algebra, parse_module, pretty_descriptor,
-                            pretty_weight, print_module, to_descriptor,
-                            to_representation)
+                            module_dim, parse_algebra, parse_module,
+                            pretty_descriptor, pretty_weight, print_module,
+                            to_descriptor, to_representation)
 from disemi.repbuilder import ModuleDescriptor, spec_of
 from disemi.rootdata import SimpleType
 
@@ -99,6 +100,36 @@ class TestParseModule:
         spec = parse_algebra("A2")
         with pytest.raises(ModuleParseError):
             parse_module("0L(1,0)", spec)
+
+    @pytest.mark.parametrize("text", [
+        "\u00b2",                      # a digit that int() does not read
+        "L(" + "9" * 5000 + ")",       # more digits than int() converts
+        "1000 1000 1000 L(1)",         # a billion summands
+        "dual(" * 400 + "nat" + ")" * 400,
+    ], ids=["superscript", "long-number", "billion-summands", "deep-nesting"])
+    def test_hostile_input_is_a_parse_error(self, text):
+        with pytest.raises(ModuleParseError):
+            parse_module(text, parse_algebra("A1"))
+
+
+GRAMMAR_TEXT = st.text(alphabet="ABCDLx()0123456789,+*# natrivwedgesymdu",
+                       max_size=30)
+
+
+class TestFuzz:
+    @given(st.text(max_size=30) | GRAMMAR_TEXT,
+           st.text(max_size=30) | GRAMMAR_TEXT)
+    @settings(max_examples=400, deadline=None)
+    def test_arbitrary_text_raises_only_parse_errors(self, algebra, module):
+        try:
+            spec = parse_algebra(algebra)
+        except ModuleParseError:
+            spec = parse_algebra("A1xA2")
+        try:
+            ast = parse_module(module, spec)
+        except ModuleParseError:
+            return
+        assert module_dim(ast, spec) >= 0
 
 
 class TestPrint:
@@ -195,10 +226,20 @@ class TestRoundTrip:
 
         asts = st.recursive(leaves(), extend, max_leaves=8)
 
+        def subtrees(ast):
+            yield ast
+            for child in getattr(ast, "terms", ()) + getattr(ast, "factors", ()):
+                yield from subtrees(child)
+            if hasattr(ast, "inner"):
+                yield from subtrees(ast.inner)
+
         @given(asts)
         @settings(max_examples=120, deadline=None)
         def check(ast):
             assert parse_module(print_module(ast), spec) == ast
+            # realise only what is quick to build
+            if max(module_dim(t, spec) for t in subtrees(ast)) <= 40:
+                assert module_dim(ast, spec) == to_representation(ast, spec).dim
 
         check()
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from disemi.linalg import rank, zeros
+from disemi.linalg import rank
 from disemi.liealg import (LieAlgebra, Subspace, chevalley, full_subspace,
                            semidirect)
 from disemi.prehom import (DecompositionCertificate, PrehomCertificate,
@@ -32,7 +32,7 @@ class TestEvaluationMatrix:
     def test_zero_vector(self):
         r = natural(A1)
         ev = evaluation_matrix(r, [0, 0])
-        assert ev.matrix == zeros(2, 3)
+        assert ev.matrix == [[0, 0, 0], [0, 0, 0]]
         assert ev.rank() == 0
 
     def test_worked_witness(self):
@@ -223,7 +223,7 @@ class TestCertify:
     def test_certify_in_scrambled_coordinates(self):
         # conjugate sl2 x| V(2) by an invertible rational matrix and
         # certify from raw structure constants plus an explicit Levi
-        from disemi.linalg import IncrementalSpan, matvec
+        from disemi.linalg import IncrementalSpan
         g = semidirect(chevalley(A1), natural(A1))
         t = [[1, 2, 0, 0, 1],
              [0, 1, 0, 3, 0],
@@ -232,11 +232,11 @@ class TestCertify:
              [0, 1, 0, 0, 1]]
         cols = [[t[a][b] for a in range(5)] for b in range(5)]
         # the solution x of t x = v is v's coordinates over t's columns
-        col_span = IncrementalSpan(5)
+        col_span = IncrementalSpan()
         assert all(col_span.add(c) for c in cols)
 
         def transform(v):
-            return matvec(t, v)
+            return [sum(a * x for a, x in zip(row, v)) for row in t]
 
         def untransform(v):
             out = col_span.solve(v)
