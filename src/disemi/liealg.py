@@ -14,8 +14,9 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .linalg import (IncrementalSpan, apply, columns, combination, commutator,
-                     dense, identity, matmul, nullspace, rank, sparse)
+from .linalg import (IncrementalSpan, apply, clear, clear_denominators,
+                     columns, combination, commutator, dense, divide,
+                     identity, matmul, nullspace, rank, sparse)
 from .rootdata import SimpleType
 
 
@@ -42,7 +43,12 @@ class LieAlgebra:
     def __init__(self, dim, table, labels=None, factors=None,
                  bracket_defs=None, levi_basis=None):
         self.dim = dim
-        self.table = {k: dict(v) for k, v in table.items() if v}
+        keys = [k for k, v in table.items() if v]
+        self._den, rows = clear_denominators([table[k] for k in keys])
+        # the table cleared for sparse_bracket; kept as ints if integral
+        self._int_table = dict(zip(keys, rows))
+        self.table = (self._int_table if self._den == 1
+                      else {k: dict(table[k]) for k in keys})
         self.labels = list(labels) if labels else None
         self.factors = tuple(factors) if factors else None
         self.bracket_defs = dict(bracket_defs) if bracket_defs else None
@@ -61,20 +67,27 @@ class LieAlgebra:
 
     def sparse_bracket(self, x, y):
         """[x, y] for sparse {index: coefficient} vectors, as a dict
-        (entries that cancel are kept as zeros)."""
+        (entries that cancel are kept as zeros).  It is bilinear, so it
+        is summed over the cleared x, y and table and divided once."""
+        d = self._den
+        if type(sum(x.values()) + sum(y.values())) is not int:
+            dx, x = clear(x)
+            dy, y = clear(y)
+            d *= dx * dy
+        table = self._int_table
         out = {}
         for i, xi in x.items():
             for j, yj in y.items():
                 if i < j:
-                    row, coeff = self.table.get((i, j)), xi * yj
+                    row, coeff = table.get((i, j)), xi * yj
                 elif i > j:
-                    row, coeff = self.table.get((j, i)), -xi * yj
+                    row, coeff = table.get((j, i)), -xi * yj
                 else:
                     continue
                 if row:
                     for k, c in row.items():
                         out[k] = out.get(k, 0) + coeff * c
-        return out
+        return out if d == 1 else {k: divide(c, d) for k, c in out.items()}
 
     def bracket(self, x, y):
         """[x, y] for dense coordinate vectors, as a dense vector."""

@@ -8,16 +8,17 @@ or sparse {index: entry} dicts; the eliminations take either.
 Functions do not mutate their arguments unless the name says so.
 
 There is one elimination per field.  Over Q it is IncrementalSpan,
-which also gives rank, rref and nullspace.  The modular kernel at the
-end reduces mod PRIME for ranks and sparse nullspaces; its answers are
-lower bounds or candidates, and each docstring says what has to be
-checked exactly before one counts.
+which also gives rank, rref and nullspace: it keeps primitive int rows,
+and a Fraction appears only in a value it returns that is not integral.
+The modular kernel reduces mod PRIME for ranks and sparse nullspaces;
+its answers are bounds or candidates, each checked as its docstring says.
 """
 
 from bisect import insort
 from heapq import heapify, heappop, heappush
+from itertools import islice
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 PRIME = 2 ** 61 - 1
 # Wang's bound: a fraction n/d with |n|, d <= LIFT_BOUND is the only one
@@ -88,9 +89,36 @@ def apply(m, v):
     return [sum(x * v[b] for b, x in row.items()) for row in m]
 
 
-def entry(x):
-    """x as an int when it is an integral Fraction, else x itself."""
-    return x.numerator if isinstance(x, Fraction) and x.denominator == 1 else x
+def clear(v):
+    """(den, den * v) for a vector of ints and Fractions, dense or
+    sparse: den is the least positive int making it integral, and
+    den * v comes back as a sparse dict of ints."""
+    out = sparse(v)
+    # a sum of ints is an int, and one Fraction makes it a Fraction
+    if type(sum(out.values())) is int:
+        return 1, out
+    den = lcm(*[x.denominator for x in out.values()])
+    return den, {k: x.numerator * (den // x.denominator) for k, x in out.items()}
+
+
+def clear_denominators(m):
+    """(D, D*m) for the least positive integer D making the row-dict
+    matrix m integral."""
+    pairs = [clear(row) for row in m]
+    den = lcm(1, *(d for d, _ in pairs))
+    return den, [{b: x * (den // d) for b, x in row.items()} if d < den
+                 else row for d, row in pairs]
+
+
+def primitive(v):
+    """(g, v / g) for an int vector v with content g (1 if v = 0)."""
+    g = gcd(*v.values())
+    return (g, {k: x // g for k, x in v.items()}) if g > 1 else (1, v)
+
+
+def divide(x, d):
+    """x / d for ints, as an int when d divides x, else a Fraction."""
+    return Fraction(x, d) if x % d else x // d
 
 
 class IncrementalSpan:
@@ -98,11 +126,16 @@ class IncrementalSpan:
 
     This is the one elimination over Q in the package: rank, rref and
     nullspace below run on it too.  A vector is a dense list or a
-    sparse {column: entry} dict.  Each pivot row is a sparse dict with 1
-    at its pivot column, zeros left of it and at every pivot column that
-    existed when it was added; it is kept with its expression, also a
-    sparse dict, over the vectors that were actually added.  solve() then writes any vector of the span as a
-    combination of the added generators.
+    sparse {column: entry} dict of ints and Fractions.
+
+    It computes over Z, fraction-free as in Bareiss.  A vector v is
+    cleared to ints r (clear) and reduced: where r has c at the pivot of
+    a row P with p there, r <- r - (c/p) P if p | c, else r <- (p/g) r -
+    (c/g) P for g = gcd(p, c) signed like p, and r is made primitive
+    (primitive).  Throughout, K r = s v - sum_q mu[q] P_q with ints
+    K, s > 0 and mu.  Pivot rows are primitive int vectors, nonzero at
+    their pivot, zero left of it and at every pivot column that existed
+    when they were added.
 
     pivots lists the pivot columns in increasing order, and as a set it
     depends only on the row space, not on the order or scaling of the
@@ -112,23 +145,30 @@ class IncrementalSpan:
     left of c than vanishing left of c + 1, a property of the space
     alone.  The same argument makes residue() unique: two vectors of
     v + span that vanish on every pivot column differ by a vector of the
-    span that vanishes there, which is 0.  So coordinates read off the
-    pivots and residues agree with those of any other echelon form, the
-    reduced one of rref included.
+    span that vanishes there, which is 0.  So pivots, residues and the
+    coordinates read off them are those of any echelon form over Q,
+    whatever the scaling of rows and steps.
+
+    Fractions appear only where a value leaves the span: residue, solve
+    and rref divide once, at the end, and give ints where they can.
+    solve() uses each pivot row's D P = sum X[q] added_q (ints D > 0, X
+    by pivot column), built from K, s and mu by the first solve() after
+    the row was added and divided by gcd(D, X); rank never builds one.
     """
 
     def __init__(self):
         self.pivots = []
-        self.rows = {}      # pivot col -> (reduced row, expr over added vecs)
-        self.nadded = 0
+        self.rows = {}      # pivot col -> pivot row
+        self._added = {}    # pivot col -> (K, s, mu), in the order added
+        self._exprs = {}    # pivot col -> (D, X), for the first rows added
 
-    def _reduce(self, v, track=True):
-        """(r, expr) with v = r + sum_k expr[k] . added_k and r zero on
-        every pivot column; expr is None unless track.  Pivot rows are
+    def _reduce(self, v):
+        """(K, s, r, mu), r zero on every pivot column.  Pivot rows are
         zero left of their pivot, so clearing the pivot columns of r in
         increasing order (a heap of those r has) clears them all."""
-        r = sparse(v)
-        expr = {} if track else None
+        scale, r = clear(v)
+        cont = 1
+        mu = {}
         rows = self.rows
         todo = [k for k in r if k in rows]
         heapify(todo)
@@ -137,7 +177,18 @@ class IncrementalSpan:
             c = r.get(pc)
             if not c:
                 continue
-            row, rexpr = rows[pc]
+            row = rows[pc]
+            p = row[pc]
+            scaled = c % p
+            if scaled:
+                g = gcd(p, c) if p > 0 else -gcd(p, c)
+                alpha, c = p // g, c // g
+                r = {k: alpha * x for k, x in r.items()}
+                scale *= alpha
+                mu = {q: alpha * m for q, m in mu.items()}
+            else:
+                c //= p
+            mu[pc] = c * cont
             for k, y in row.items():
                 x = r.get(k, 0) - c * y
                 if x:
@@ -146,10 +197,10 @@ class IncrementalSpan:
                     r[k] = x
                 else:
                     del r[k]
-            if track:
-                for k, e in rexpr.items():
-                    expr[k] = expr.get(k, 0) + c * e
-        return r, expr
+            if scaled:
+                g, r = primitive(r)
+                cont *= g
+        return cont, scale, r, mu
 
     def add(self, v):
         """Add v as a generator; True if it enlarged the span.
@@ -157,64 +208,78 @@ class IncrementalSpan:
         Vectors already in the span are rejected and do not get a
         coordinate slot, so solve() coordinates match the accepted ones.
         """
-        r, expr = self._reduce(v)
+        cont, scale, r, mu = self._reduce(v)
         if not r:
             return False
+        g, r = primitive(r)
         pc = min(r)
-        p = r[pc]
-        # v = r + sum expr_k . added_k, so r/p = (v - sum expr_k . added_k)/p
-        rexpr = {k: -e for k, e in expr.items() if e}
-        rexpr[self.nadded] = 1
-        if p != 1:
-            r = {k: entry(Fraction(x, p)) for k, x in r.items()}
-            rexpr = {k: entry(Fraction(e, p)) for k, e in rexpr.items()}
-        self.rows[pc] = (r, rexpr)
+        self.rows[pc], self._added[pc] = r, (cont * g, scale, mu)
         insort(self.pivots, pc)
-        self.nadded += 1
         return True
 
+    def _combine(self, mu):
+        """(num, d) with sum_q mu[q] P_q = sum_q num[q] added_q / d."""
+        exprs = self._exprs
+        d = lcm(*[exprs[q][0] for q in mu])
+        num = {}
+        for q, m in mu.items():
+            dq, x = exprs[q]
+            f = m * (d // dq)
+            for k, e in x.items():
+                num[k] = num.get(k, 0) + f * e
+        return num, d
+
     def solve(self, v):
-        """Coefficients of v over the added generators, or None."""
-        r, expr = self._reduce(v)
-        return None if r else [expr.get(k, 0) for k in range(self.nadded)]
+        """Coefficients of v over the added generators, or None.  For a
+        new row, K P = s e - num / d gives D = d K and X = d s e - num;
+        then for v, r = 0 and s v = sum_q mu[q] P_q = num / d."""
+        for pc in islice(self._added, len(self._exprs), None):
+            cont, s, mu = self._added[pc]
+            num, d = self._combine(mu)
+            num[pc] = -d * s
+            g = gcd(d * cont, *num.values())
+            self._exprs[pc] = (d * cont // g,
+                               {q: -e // g for q, e in num.items() if e})
+        _, scale, r, mu = self._reduce(v)
+        if r:
+            return None
+        num, d = self._combine(mu)
+        d *= scale
+        return [divide(num[q], d) if q in num else 0 for q in self._added]
 
     def residue(self, v):
-        """The vector of v + span that vanishes on every pivot column,
-        as a sparse dict; unique, see the class docstring."""
-        return self._reduce(v, track=False)[0]
+        """The vector K r / s of v + span, which vanishes on every pivot
+        column, as a sparse dict; unique, see the class docstring."""
+        cont, scale, r, _ = self._reduce(v)
+        return r if cont == scale else {
+            k: divide(cont * x, scale) for k, x in r.items()}
 
 
 def rank(a, stop_at=None):
     """Rank of the rows of a, dense lists or sparse dicts: the number an
     IncrementalSpan accepts.  Stops once stop_at rows are accepted."""
     span = IncrementalSpan()
-    r = 0
     for row in a:
-        if span.add(row):
-            r += 1
-            if r == stop_at:
-                break
-    return r
+        if span.add(row) and len(span.pivots) == stop_at:
+            break
+    return len(span.pivots)
 
 
 def rref(a):
     """Reduced row echelon form of the rows of a, dense lists or sparse
-    dicts.
-
-    Returns (rows, pivots): the nonzero reduced rows as sparse dicts and
-    the column of each leading 1, in increasing order.  A pivot row of
-    the span is 1 at its pivot pc and zero left of it; the residue of
-    the rest of it is the one vector of row - e_pc + span that vanishes
-    on every pivot column, so adding e_pc back gives the reduced row.
-    """
+    dicts: (rows, pivots), the nonzero reduced rows as sparse dicts and
+    the column of each leading 1, in increasing order.  A pivot row P
+    with p at pc reduces to e_pc + K r / (s p), where K r / s is the
+    residue of P - p e_pc."""
     span = IncrementalSpan()
     for row in a:
         span.add(row)
     rows = []
     for pc in span.pivots:
-        rest = dict(span.rows[pc][0])
-        del rest[pc]
-        rows.append({pc: 1, **span.residue(rest)})
+        row = span.rows[pc]
+        cont, scale, r, _ = span._reduce({**row, pc: 0})
+        d = scale * row[pc]
+        rows.append({pc: 1, **{k: divide(cont * x, d) for k, x in r.items()}})
     return rows, list(span.pivots)
 
 
@@ -237,40 +302,26 @@ def nullspace(a, ncols):
 # Modular kernel
 # ---------------------------------------------------------------------------
 
-def residue(x):
-    """x mod PRIME for an int or Fraction; None when PRIME divides the
-    denominator, where reduction is undefined."""
-    if isinstance(x, int):
-        return x % PRIME
-    den = x.denominator % PRIME
-    if not den:
-        return None
-    return x.numerator * pow(den, -1, PRIME) % PRIME
-
-
 def _echelon_mod_p(rows, stop_at=None):
     """Row echelon form of rows reduced mod PRIME, or None when PRIME
     divides a denominator.
 
-    rows are dense lists or sparse dicts over Q; each is reduced mod
-    PRIME only when the elimination reaches it, so no second copy of the
-    system is held.  Short rows go first, so that most later rows meet
-    short pivots; the order changes nothing else, since the pivot
-    columns of an echelon form depend only on the row space.  Returns
+    rows are dense lists or sparse dicts over Q; each is cleared, a
+    scaling by a unit mod PRIME, and reduced mod PRIME only when the
+    elimination reaches it, so no second copy of the system is held.
+    Short rows go first, so that most later rows meet short pivots; the
+    order changes nothing else, since the pivot columns of an echelon
+    form depend only on the row space.  Returns
     {pivot column: row}, each row a sparse dict mod PRIME with 1 at its
     pivot and zeros left of it.  Stops once stop_at pivots are found.
     """
     p = PRIME
     pivots = {}
     for row in sorted(rows, key=len):
-        red = {}
-        for k, v in (row.items() if isinstance(row, dict) else enumerate(row)):
-            if v:
-                v = residue(v)
-                if v is None:
-                    return None
-                if v:
-                    red[k] = v
+        den, row = clear(row)
+        if not den % p:
+            return None
+        red = {k: v % p for k, v in row.items() if v % p}
         while red:
             c = min(red)
             piv = pivots.get(c)
@@ -358,11 +409,8 @@ def sparse_nullspace_mod_p(rows, ncols):
             s %= p
             if s:
                 x[pc] = p - s
-        lifted = {}
-        for k, v in x.items():
-            q = rational_reconstruction(v)
-            if q is None:
-                return None
-            lifted[k] = q
+        lifted = {k: rational_reconstruction(v) for k, v in x.items()}
+        if None in lifted.values():
+            return None
         basis.append(lifted)
     return basis

@@ -13,7 +13,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import columns, dense, rank, rank_mod_p, sparse
+from .linalg import (clear_denominators, columns, dense, rank, rank_mod_p,
+                     sparse)
 from .liealg import (LinearMap, Subspace, apply_map_subspace, exp_ad,
                      is_nilpotent, is_semisimple, solvable_radical,
                      subalgebra, sum_spans)
@@ -283,14 +284,10 @@ def adjoint_radical_module(g, levi, radical=None):
     rows = [sparse(r) for r in rad.basis]
     action = []
     for u in map(sparse, levi.basis):
-        m = [{} for _ in range(rad.dim)]
-        for b, rbasis in enumerate(rows):
-            coeffs = rad.span.solve(g.sparse_bracket(u, rbasis))
-            if coeffs is None:
-                raise ValueError("radical is not stable under the Levi action")
-            for a, x in enumerate(coeffs):
-                m[a][b] = x
-        action.append(m)
+        cols = [rad.span.solve(g.sparse_bracket(u, r)) for r in rows]
+        if None in cols:
+            raise ValueError("radical is not stable under the Levi action")
+        action.append([dict(enumerate(row)) for row in zip(*cols)])
     return Representation(None, lev_alg, action, False), rad
 
 
@@ -347,14 +344,16 @@ def certify_disemisimple(g, levi=None, mode=None):
 
 def _is_bracket_preserving(g, phi):
     """Exact check of phi([b_i, b_j]) = [phi b_i, phi b_j] on all basis
-    pairs, on the sparse columns phi b_i of phi."""
-    images = [dict(col) for col in columns(phi.matrix, g.dim)]
+    pairs, times the least L > 0 making Phi = L phi integral: as
+    L Phi([b_i, b_j]) = [Phi b_i, Phi b_j] on the sparse columns of Phi."""
+    scale, cleared = clear_denominators(phi.matrix)
+    images = [dict(col) for col in columns(cleared, g.dim)]
     for j in range(g.dim):
         for i in range(j):
             lhs = {}
             for k, c in g.structure(i, j).items():
                 for a, x in images[k].items():
-                    lhs[a] = lhs.get(a, 0) + c * x
+                    lhs[a] = lhs.get(a, 0) + scale * c * x
             if sparse(lhs) != sparse(g.sparse_bracket(images[i], images[j])):
                 return False
     return True

@@ -12,7 +12,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .linalg import (IncrementalSpan, apply, columns, combination, commutator,
-                     entry, matmul, nullspace)
+                     divide, matmul, nullspace)
 from .liealg import (_chevalley_with_matrices, chevalley,
                      direct_sum as algebra_direct_sum)
 from .rootdata import SimpleType, as_coords, dual_weight, weyl_dim
@@ -167,7 +167,8 @@ class Representation:
         self.dim = len(action[0]) if action else 0
         if any(len(m) != self.dim for m in action):
             raise ValueError("every action matrix needs one row per coordinate")
-        self.action = [[{b: entry(x) for b, x in row.items() if x} for row in m]
+        self.action = [[{b: divide(x.numerator, x.denominator)
+                         for b, x in row.items() if x} for row in m]
                        for m in action]
         self.weight_basis = weight_basis
         self._weights = None

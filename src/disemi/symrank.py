@@ -9,8 +9,7 @@ specialisation never exceeds the generic rank, which is what makes the
 result a certificate for rank deficits.
 """
 
-from fractions import Fraction
-from math import lcm
+from .linalg import clear_denominators
 
 FIELD_BITS = 16
 
@@ -175,14 +174,6 @@ def generic_rank(matrix, nvars):
             row[pj] = {}
         prev = pivot
     return rnk
-
-
-def clear_denominators(m):
-    """(D, D*m) for the least positive integer D making the row-dict
-    matrix m integral."""
-    den = lcm(1, *(x.denominator for row in m for x in row.values()
-                   if isinstance(x, Fraction)))
-    return den, [{b: int(x * den) for b, x in row.items()} for row in m]
 
 
 def linear_forms_matrix(action, dim):

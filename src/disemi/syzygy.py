@@ -10,10 +10,11 @@ Three exact facts bound its rank over the rational function field:
   * a polynomial map x into the algebra with rho(x(v)) v identically
     zero is a right kernel vector, bounding the rank by dim s - k.
 
-When the bounds meet, the generic rank is known exactly without any
-elimination; otherwise fraction-free elimination decides.  Syzygies are
-found in low degree by sparse linear algebra mod a prime, lifted to Q,
-and re-verified by symbolic expansion over the exact action before use.
+When either upper bound meets the lower one, the generic rank is known
+exactly without any elimination; otherwise fraction-free elimination
+decides.  Syzygies are found in low degree by sparse linear algebra mod
+a prime, lifted to Q, scaled to primitive integer vectors, and
+re-verified by symbolic expansion over the exact action before use.
 Ranks at points are taken mod the same prime: they only serve as the
 lower bound and in the upper bound's subtracted term, where a smaller
 value can only loosen the sandwich, never make it unsound.
@@ -21,9 +22,9 @@ value can only loosen the sandwich, never make it unsound.
 
 import random
 from itertools import combinations_with_replacement
-from math import lcm
 
-from .linalg import nullspace, rank_mod_p, sparse_nullspace_mod_p
+from .linalg import (clear, clear_denominators, nullspace, primitive,
+                     rank_mod_p, sparse_nullspace_mod_p)
 from . import symrank
 
 MAX_SYZYGY_DEGREE = 3
@@ -112,15 +113,13 @@ def sparse_nullspace(rows, ncols):
 def _annihilated(rows, basis):
     """Exact check that every row vanishes on every basis vector.
 
-    Each vector is first scaled to integers, which keeps the answer and
+    Each vector is first cleared to integers, which keeps the answer and
     keeps Fraction arithmetic out of the loop over the rows.
     """
     by_col = {}
     for b, x in enumerate(basis):
-        den = lcm(*(v.denominator for v in x.values()))
-        for k, v in x.items():
-            by_col.setdefault(k, []).append(
-                (b, v.numerator * (den // v.denominator)))
+        for k, v in clear(x)[1].items():
+            by_col.setdefault(k, []).append((b, v))
     for row in rows:
         acc = {}
         for k, c in row.items():
@@ -131,12 +130,6 @@ def _annihilated(rows, basis):
     return True
 
 
-def cleared_action(rep):
-    """(scale_j, scale_j * action[j]) per algebra basis vector, each
-    scale the least one that makes the matrix integral."""
-    return [symrank.clear_denominators(m) for m in rep.action]
-
-
 def kernel_syzygies(rep, degree, blocks=None, cleared=None):
     """Polynomial maps w of the exact degree with w(v)^T M_v = 0.
 
@@ -144,14 +137,12 @@ def kernel_syzygies(rep, degree, blocks=None, cleared=None):
     splits along the multidegree grading over the action-stable
     coordinate blocks, so each sector is solved independently; sectors
     over the size budget are skipped (missing a syzygy only costs the
-    shortcut, never correctness).  cleared is cleared_action(rep), for
-    callers that solve at several degrees.
+    shortcut, never correctness).  cleared, (D_j, D_j action[j]) per
+    j, is passed by callers that solve at several degrees.
     """
     d = rep.dim
-    if blocks is None:
-        blocks = coordinate_blocks(rep.action, d)
-    if cleared is None:
-        cleared = cleared_action(rep)
+    blocks = blocks or coordinate_blocks(rep.action, d)
+    cleared = cleared or [clear_denominators(m) for m in rep.action]
     # scaling action[j] scales the equations (j, .) only: same nullspace
     mats = [m for _, m in cleared]
     out = []
@@ -174,10 +165,10 @@ def kernel_syzygies(rep, degree, blocks=None, cleared=None):
                     row[u] = row.get(u, 0) + coeff
         for x in sparse_nullspace(equations.values(), len(unknowns)):
             w = [{} for _ in range(d)]
-            for u, coeff in x.items():
+            # multiples of syzygies are syzygies, and just as independent
+            for u, coeff in primitive(clear(x)[1])[1].items():
                 c, mono = unknowns[u]
-                if coeff:
-                    w[c][mono] = coeff
+                w[c][mono] = coeff
             out.append(tuple(w))
     _verify_syzygies(_action_forms(rep), out, "kernel")
     return out
@@ -193,10 +184,8 @@ def stabilizer_syzygies(rep, degree, blocks=None, cleared=None):
     """
     d = rep.dim
     ds = len(rep.action)
-    if blocks is None:
-        blocks = coordinate_blocks(rep.action, d)
-    if cleared is None:
-        cleared = cleared_action(rep)
+    blocks = blocks or coordinate_blocks(rep.action, d)
+    cleared = cleared or [clear_denominators(m) for m in rep.action]
     out = []
     for mdeg in _sector_multidegrees(len(blocks), degree):
         monos = _sector_monomials(blocks, mdeg)
@@ -214,10 +203,9 @@ def stabilizer_syzygies(rep, degree, blocks=None, cleared=None):
                         row[u] = row.get(u, 0) + coeff
         for x in sparse_nullspace(equations.values(), ds * nm):
             xs = [{} for _ in range(ds)]
-            for u, coeff in x.items():
+            for u, coeff in primitive(clear(x)[1])[1].items():
                 j, mi = divmod(u, nm)
-                if coeff:
-                    xs[j][monos[mi]] = coeff * cleared[j][0]
+                xs[j][monos[mi]] = coeff * cleared[j][0]
             out.append(tuple(xs))
     _verify_syzygies(list(zip(*_action_forms(rep))), out, "stabilizer")
     return out
@@ -274,8 +262,8 @@ def generic_rank_certified(rep, sampled=None):
     rank a lower bound for the rank at its point; by default the points
     of sample_points are ranked mod PRIME here.  The largest is a lower
     bound for the generic rank.  Tries the syzygy sandwich at increasing
-    degree and falls back to fraction-free elimination when the bounds
-    do not meet.
+    degree, kernel side first, and falls back to fraction-free
+    elimination when no upper bound meets it.
     """
     d = rep.dim
     if d == 0:
@@ -295,15 +283,15 @@ def generic_rank_certified(rep, sampled=None):
         if best_rank == min(d, ds):
             return best_rank
     blocks = coordinate_blocks(rep.action, d)
-    cleared = cleared_action(rep)
+    cleared = [clear_denominators(m) for m in rep.action]
     kernel_all = []
     stab_all = []
     for degree in range(1, MAX_SYZYGY_DEGREE + 1):
         kernel_all.extend(kernel_syzygies(rep, degree, blocks, cleared))
+        if d - _stack_rank(kernel_all, best_points, d) == best_rank:
+            return best_rank
         stab_all.extend(stabilizer_syzygies(rep, degree, blocks, cleared))
-        upper = min(d - _stack_rank(kernel_all, best_points, d),
-                    ds - _stack_rank(stab_all, best_points, ds))
-        if upper == best_rank:
+        if ds - _stack_rank(stab_all, best_points, ds) == best_rank:
             return best_rank
     # the rank is the same for the integral matrices
     rows = symrank.linear_forms_matrix([m for _, m in cleared], d)

@@ -2,6 +2,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from disemi.linalg import combination, commutator, matmul
 from disemi.liealg import (LieAlgebra, Subspace, abelian_algebra, chevalley,
@@ -84,6 +85,43 @@ class TestSubspace:
         g = chevalley(A1)
         with pytest.raises(ValueError):
             Subspace(g, [[1, 2, 0], [2, 4, 0]])
+
+
+def fraction_bracket(g, x, y):
+    """[x, y] summed in Fraction arithmetic from the structure constants,
+    zeros dropped: the reference for LieAlgebra.sparse_bracket."""
+    out = {}
+    for i, xi in x.items():
+        for j, yj in y.items():
+            for k, c in g.structure(i, j).items():
+                out[k] = out.get(k, Fraction(0)) + Fraction(xi) * yj * c
+    return {k: x for k, x in out.items() if x}
+
+
+# sl2 in a rescaled basis, so that its table has Fraction constants
+RESCALED_SL2 = LieAlgebra(3, {(0, 1): {1: Fraction(2, 3)},
+                              (0, 2): {2: Fraction(-2, 3)},
+                              (1, 2): {0: Fraction(9, 4)}})
+rationals = (st.integers(-5, 5) | st.fractions(-5, 5, max_denominator=9)
+             | st.sampled_from([Fraction(1, 2 ** 61 - 1), Fraction(5, 2 ** 70)]))
+
+
+class TestIntegerBracket:
+    @given(st.sampled_from([("C", 2), "rescaled"]).flatmap(
+        lambda which: st.tuples(st.just(which), *[st.dictionaries(
+            st.integers(0, 9 if which != "rescaled" else 2), rationals,
+            max_size=4)] * 2)))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_fraction_bracket(self, case):
+        # cleared to ints, bracketed over Z and divided once: the same
+        # values as Fraction arithmetic, an int wherever one is integral
+        which, x, y = case
+        g = RESCALED_SL2 if which == "rescaled" else chevalley(SimpleType(*which))
+        got = {k: v for k, v in g.sparse_bracket(x, y).items() if v}
+        expect = fraction_bracket(g, x, y)
+        assert got == expect
+        for k, v in got.items():
+            assert type(v) is (int if expect[k].denominator == 1 else Fraction)
 
 
 class TestDirectSum:

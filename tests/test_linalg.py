@@ -1,11 +1,19 @@
 from fractions import Fraction
+from math import gcd
 
 from hypothesis import given, settings, strategies as st
 
 from disemi.linalg import (LIFT_BOUND, PRIME, IncrementalSpan, commutator,
                            dense, identity, matmul, nullspace, rank,
-                           rank_mod_p, rational_reconstruction, residue, rref,
-                           sparse)
+                           rank_mod_p, rational_reconstruction, rref, sparse)
+
+
+def residue(x):
+    """x mod PRIME for an int or Fraction; None when PRIME divides the
+    denominator, where reduction is undefined."""
+    x = Fraction(x)
+    den = x.denominator % PRIME
+    return None if not den else x.numerator * pow(den, -1, PRIME) % PRIME
 
 
 def dense_rref(a):
@@ -165,3 +173,78 @@ def test_rational_reconstruction_out_of_bound():
     # a value past the bound may also lift to a wrong small fraction,
     # which is why lifted vectors are only candidates
     assert rational_reconstruction(2 ** 40) == Fraction(1, 2 ** 21)
+
+
+def typed(v):
+    """A sparse vector as {index: (type, value)}, so that comparisons see
+    int against Fraction."""
+    return {k: (type(x), x) for k, x in v.items()}
+
+
+def canonical(v):
+    """The nonzero entries of a dense Fraction vector as a sparse dict,
+    an int wherever the value is integral: the types the span returns."""
+    return {k: x.numerator if x.denominator == 1 else x
+            for k, x in enumerate(v) if x}
+
+
+# large denominators and numerators next to small ones: PRIME itself,
+# a power of two past 64 bits, and a large odd denominator
+wide_rationals = (st.integers(-3, 3) | small_fractions
+                  | st.sampled_from([Fraction(1, PRIME), Fraction(5, 2 ** 70),
+                                     Fraction(-7, 3 ** 40), 2 ** 70 + 1,
+                                     Fraction(2 ** 65, 3)]))
+
+
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(wide_rationals, min_size=n, max_size=n),
+             min_size=1, max_size=6),
+    st.lists(wide_rationals, min_size=n, max_size=n))))
+@settings(max_examples=150, deadline=None)
+def test_integer_span_matches_fraction_oracle(case):
+    # the fraction-free span against textbook Gauss-Jordan over Fraction:
+    # same rank, pivots, rref, nullspace and residues, value for value
+    # and type for type; solve round-trips
+    rows, v = case
+    n = len(v)
+    reduced, pivots = dense_rref(rows)
+    span = IncrementalSpan()
+    added = [r for r in rows if span.add(r)]
+    assert rank(rows) == len(added) == len(pivots)
+    assert span.pivots == pivots
+    got_rows, got_pivots = rref(rows)
+    assert got_pivots == pivots
+    assert [typed(r) for r in got_rows] == [typed(canonical(r)) for r in reduced]
+    free = [c for c in range(n) if c not in pivots]
+    expect_null = []
+    for fc in free:
+        x = [Fraction(0)] * n
+        x[fc] = Fraction(1)
+        for row, pc in zip(reduced, pivots):
+            x[pc] = -row[fc]
+        expect_null.append(typed(canonical(x)))
+    assert [typed(x) for x in nullspace(rows, n)] == expect_null
+    expect = [Fraction(x) for x in v]
+    for row, pc in zip(reduced, pivots):
+        expect = [x - v[pc] * y for x, y in zip(expect, row)]
+    assert typed(span.residue(v)) == typed(canonical(expect))
+    for r in rows + [[x - y for x, y in zip(v, expect)]]:
+        coeffs = span.solve(r)
+        assert all(type(c) is int or c.denominator > 1 for c in coeffs)
+        assert [sum(c * a[k] for c, a in zip(coeffs, added))
+                for k in range(n)] == r
+    assert span.solve(v) is None if any(expect) else span.solve(v) is not None
+
+
+@given(st.integers(1, 6).flatmap(lambda n: st.lists(
+    st.lists(wide_rationals, min_size=n, max_size=n), min_size=1,
+    max_size=8)))
+@settings(max_examples=100, deadline=None)
+def test_pivot_rows_are_primitive_integer_rows(rows):
+    span = IncrementalSpan()
+    for r in rows:
+        span.add(r)
+        for pc, row in span.rows.items():
+            assert all(type(x) is int for x in row.values())
+            assert gcd(*row.values()) == 1
+            assert row[pc] and min(row) == pc

@@ -258,6 +258,24 @@ class TestCertify:
         assert isinstance(res, DecompositionCertificate)
         assert res.intersection_dim == 1
 
+    def test_bracket_check_rejects_one_corrupted_entry(self):
+        # phi = exp(ad z) for a rational z has Fraction entries, and the
+        # check runs on phi cleared to ints; it must still reject phi
+        # with any one entry moved by 1/7
+        from disemi.liealg import LinearMap, exp_ad
+        from disemi.prehom import _is_bracket_preserving
+        g = semidirect(chevalley(A1), natural(A1))
+        phi = exp_ad(g, [0, 0, 0, Fraction(1, 3), Fraction(-2, 5)])
+        assert any(type(x) is Fraction for row in phi.matrix
+                   for x in row.values())
+        assert _is_bracket_preserving(g, phi)
+        for a in range(g.dim):
+            for b in range(g.dim):
+                m = [dict(row) for row in phi.matrix]
+                m[a][b] = m[a].get(b, 0) + Fraction(1, 7)
+                assert not _is_bracket_preserving(
+                    g, LinearMap(g.dim, g.dim, m))
+
     def test_missing_levi_raises(self):
         n3 = LieAlgebra(3, {(0, 1): {2: 1}})
         with pytest.raises(ValueError):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from disemi import linalg, symrank, syzygy
+from disemi.classify import DESK_BOUNDS, enumerate_modules
 from disemi.linalg import rank
 from disemi.prehom import evaluation_matrix
 from disemi.repbuilder import (ModuleDescriptor, direct_sum, natural, realize,
@@ -14,6 +15,8 @@ from disemi.rootdata import SimpleType
 A1 = SimpleType("A", 1)
 A2 = SimpleType("A", 2)
 C2 = SimpleType("C", 2)
+A3 = SimpleType("A", 3)
+C3 = SimpleType("C", 3)
 
 
 def lab(*blocks):
@@ -205,3 +208,72 @@ class TestGenericRankCertified:
         rows = symrank.linear_forms_matrix(rep.action, rep.dim)
         slow = symrank.generic_rank(rows, rep.dim)
         assert fast == slow == 13
+
+
+def two_sided_rank(rep):
+    """generic_rank_certified as it was before a side could close alone:
+    both syzygy sides at each degree, closing on the smaller bound.
+    Returns (rank, every syzygy either builder gave)."""
+    d, ds = rep.dim, len(rep.action)
+    if d == 0:
+        return 0, []
+    sampled = [(v, linalg.rank_mod_p(syzygy.evaluation_rows(rep, v), stop_at=d))
+               for v in syzygy.sample_points(d)]
+    best = max(rk for _, rk in sampled)
+    if best == min(d, ds):
+        return best, []
+    points = [v for v, rk in sampled if rk == best][:3]
+    kernel, stab = [], []
+    for degree in range(1, syzygy.MAX_SYZYGY_DEGREE + 1):
+        kernel += syzygy.kernel_syzygies(rep, degree)
+        stab += syzygy.stabilizer_syzygies(rep, degree)
+        if best == min(d - syzygy._stack_rank(kernel, points, d),
+                       ds - syzygy._stack_rank(stab, points, ds)):
+            return best, kernel + stab
+    rows = symrank.linear_forms_matrix(rep.action, d)
+    return symrank.generic_rank(rows, d), kernel + stab
+
+
+@pytest.fixture(scope="module")
+def cross_check_modules():
+    """(descriptor, module, two_sided_rank) over the A3 and C3
+    cross-check lists."""
+    out = []
+    for t in (A3, C3):
+        spec = spec_of(t)
+        for desc in enumerate_modules(spec, DESK_BOUNDS[t]):
+            rep = realize(spec, desc)
+            out.append((desc, rep, two_sided_rank(rep)))
+    return out
+
+
+class TestSandwichPerSide:
+    def test_matches_two_sided_reference(self, cross_check_modules):
+        # each side alone bounds the rank from above, so closing on one
+        # side gives the rank the two-sided loop gives
+        for desc, rep, (expect, _) in cross_check_modules:
+            assert syzygy.generic_rank_certified(rep) == expect, str(desc)
+
+    def test_stabilizer_side_skipped_once_kernel_closes(self, monkeypatch):
+        # C3 L(0,1,0)+L(1,0,0): the degree-2 kernel syzygies close the
+        # sandwich, so no degree-2 stabilizer system is solved
+        degrees = {"kernel": [], "stabilizer": []}
+        for kind in degrees:
+            real = getattr(syzygy, kind + "_syzygies")
+
+            def spy(rep, degree, *args, _real=real, _kind=kind):
+                degrees[_kind].append(degree)
+                return _real(rep, degree, *args)
+            monkeypatch.setattr(syzygy, kind + "_syzygies", spy)
+        rep = realize(spec_of(C3), ModuleDescriptor([lab((0, 1, 0)),
+                                                     lab((1, 0, 0))]))
+        assert syzygy.generic_rank_certified(rep) == 18
+        assert degrees == {"kernel": [1, 2], "stabilizer": [1]}
+
+
+class TestIntegerSyzygies:
+    def test_cross_check_syzygies_have_int_coefficients(self, cross_check_modules):
+        found = [s for _, _, (_, syzygies) in cross_check_modules
+                 for s in syzygies]
+        assert found
+        assert all(type(c) is int for s in found for p in s for c in p.values())
