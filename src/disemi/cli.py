@@ -21,7 +21,8 @@ from .modexpr import (ModuleParseError, module_dim, parse_algebra,
                       parse_module, pretty_descriptor, to_representation)
 from .prehom import (DecompositionCertificate, Randomized, Refusal, Symbolic,
                      certify_disemisimple, dimension_verdict,
-                     is_prehomogeneous, DEFAULT_SEED, DEFAULT_TRIALS)
+                     is_prehomogeneous, DEFAULT_SEED, DEFAULT_TRIALS,
+                     RADICAL_NOT_PREHOMOGENEOUS)
 from .repbuilder import decompose, SemisimpleSpec
 
 
@@ -107,7 +108,14 @@ def cmd_certify(args):
         print("certify needs ALGEBRA and MODULE, or --sc FILE", file=sys.stderr)
         return 2
     spec = parse_algebra(args.algebra)
-    rep = to_representation(parse_module(args.module, spec), spec)
+    ast = parse_module(args.module, spec)
+    # V is the radical of s |x V, so the dimensions can refuse it before
+    # it is built; a label too large to realise is still an input error
+    cert = dimension_verdict(module_dim(ast, spec, realisable=True), spec.dim)
+    if cert is not None and not cert:
+        return _print_certificate(
+            Refusal(reason=RADICAL_NOT_PREHOMOGENEOUS, inner=cert), args.json)
+    rep = to_representation(ast, spec)
     from .liealg import semidirect
     g = semidirect(spec.algebra(), rep)
     result = certify_disemisimple(g, mode=_mode_from_args(args))

@@ -11,14 +11,18 @@ prefix for repeated direct summands, and the function forms
 from dataclasses import dataclass
 from math import prod
 
-from .repbuilder import (SemisimpleSpec, decompose, direct_sum, dual,
-                         natural, realize_label, sym2, tensor, trivial,
+from .repbuilder import (SemisimpleSpec, check_label, decompose, direct_sum,
+                         dual, natural, realize_label, sym2, tensor, trivial,
                          wedge2)
 from .rootdata import SimpleType
 
 # an integer prefix repeats a summand; past this many summands in one
 # repetition the expression is refused rather than expanded
 MAX_SUMMANDS = 1000
+# to_representation refuses a module of more dimensions, as building
+# one takes memory in proportion: 8192 takes about 50 MB, and
+# sym2(sym2(sym2(L(10)))) over A1 (2,445,366) more than a machine has
+MAX_MODULE_DIM = 8192
 
 
 class ModuleParseError(ValueError):
@@ -370,13 +374,22 @@ def pretty_descriptor(desc):
 # Semantics ------------------------------------------------------------------
 
 def to_representation(ast, spec):
-    """Build the module described by an AST over the given spec."""
+    """Build the module described by an AST over the given spec.  Each
+    part above MAX_MODULE_DIM dimensions raises ValueError before it is
+    built."""
+    dim = module_dim(ast, spec)
+    if dim > MAX_MODULE_DIM:
+        raise ValueError("module of dimension %d, above the limit of %d for "
+                         "a built module" % (dim, MAX_MODULE_DIM))
     if isinstance(ast, Irr):
         return realize_label(spec, ast.blocks)
     if isinstance(ast, DirectSum):
         return direct_sum([to_representation(t, spec) for t in ast.terms])
     if isinstance(ast, Tensor):
-        reps = [to_representation(f, spec) for f in ast.factors]
+        # a factor of dimension 0 goes first, so that no partial product
+        # is larger than the product; with none the order is kept
+        reps = sorted((to_representation(f, spec) for f in ast.factors),
+                      key=lambda r: r.dim > 0)
         out = reps[0]
         for r in reps[1:]:
             out = tensor(out, r)
@@ -394,24 +407,28 @@ def to_representation(ast, spec):
     raise ValueError("unknown AST node %r" % (ast,))
 
 
-def module_dim(ast, spec):
+def module_dim(ast, spec, realisable=False):
     """The dimension of the module an AST describes, without building
     it: the Weyl dimension formula for each label, and the dimension
-    rules of the constructors."""
+    rules of the constructors.  With realisable, a label that
+    realize_simple refuses for its size raises UnconstructibleLabel."""
     if isinstance(ast, Irr):
+        if realisable:
+            for t, coords in zip(spec.factors, ast.blocks):
+                check_label(t, coords)
         return spec.label_dim(ast.blocks)
     if isinstance(ast, DirectSum):
-        return sum(module_dim(t, spec) for t in ast.terms)
+        return sum(module_dim(t, spec, realisable) for t in ast.terms)
     if isinstance(ast, Tensor):
-        return prod(module_dim(f, spec) for f in ast.factors)
+        return prod(module_dim(f, spec, realisable) for f in ast.factors)
     if isinstance(ast, Wedge2):
-        n = module_dim(ast.inner, spec)
+        n = module_dim(ast.inner, spec, realisable)
         return n * (n - 1) // 2
     if isinstance(ast, Sym2):
-        n = module_dim(ast.inner, spec)
+        n = module_dim(ast.inner, spec, realisable)
         return n * (n + 1) // 2
     if isinstance(ast, Dual):
-        return module_dim(ast.inner, spec)
+        return module_dim(ast.inner, spec, realisable)
     if isinstance(ast, Trivial):
         return 1
     if isinstance(ast, Natural):

@@ -135,11 +135,6 @@ def _witness_rank(r, v):
     return rank_mod_p(evaluation_matrix(r, v).matrix, stop_at=r.dim)
 
 
-def symbolic_generic_rank(r):
-    """Exact rank of the evaluation matrix over Q(v_1..v_dim)."""
-    return syzygy.generic_rank_certified(r)
-
-
 def _symbolic_decide(r):
     """Certified verdict by specialisation plus symbolic elimination.
 

@@ -614,6 +614,17 @@ def _top_component(r, target):
     return _restrict(r, cyclic_submodule(r, flat))
 
 
+def check_label(t, coords):
+    """Raise UnconstructibleLabel when L(coords) of t is above
+    MAX_LABEL_DIM dimensions; realize_simple refuses such a label."""
+    dim = weyl_dim(t, coords)
+    if dim > MAX_LABEL_DIM:
+        raise UnconstructibleLabel(
+            "L(%s) of %s has dimension %d, above the limit of %d for a "
+            "realised label" % (",".join(map(str, coords)), t, dim,
+                                MAX_LABEL_DIM))
+
+
 @lru_cache(maxsize=None)
 def realize_simple(t, coords):
     """An irreducible module of simple type t with highest weight coords.
@@ -625,12 +636,7 @@ def realize_simple(t, coords):
     outside this set raise UnconstructibleLabel.
     """
     coords = as_coords(t, coords)
-    dim = weyl_dim(t, coords)
-    if dim > MAX_LABEL_DIM:
-        raise UnconstructibleLabel(
-            "L(%s) of %s has dimension %d, above the limit of %d for a "
-            "realised label" % (",".join(map(str, coords)), t, dim,
-                                MAX_LABEL_DIM))
+    check_label(t, coords)
     l = t.rank
     spec = SemisimpleSpec((t,))
     if all(c == 0 for c in coords):

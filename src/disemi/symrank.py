@@ -6,10 +6,9 @@ monomial multiplication is integer addition.  The rank over the rational
 function field is computed by fraction-free (Bareiss) elimination with
 full pivoting, every division being exact in Z[v].  The rank at any
 specialisation never exceeds the generic rank, which is what makes the
-result a certificate for rank deficits.
+result a certificate for rank deficits.  syzygy's fallback ranks its one
+matrix of linear forms here, cleared to integers column by column.
 """
-
-from .linalg import clear_denominators
 
 FIELD_BITS = 16
 
@@ -26,14 +25,6 @@ def _carry_guard(nvars):
     return hi
 
 
-def poly_const(c):
-    return {0: c} if c else {}
-
-
-def poly_is_zero(p):
-    return not p
-
-
 def poly_add(p, q):
     out = dict(p)
     for m, c in q.items():
@@ -45,21 +36,23 @@ def poly_add(p, q):
     return out
 
 
-def poly_mul(p, q):
-    if not p or not q:
-        return {}
-    if len(q) < len(p):
-        p, q = q, p
-    out = {}
+def _add_product(acc, p, q):
+    """acc + p q, accumulated in acc, zero terms dropped."""
     for m1, c1 in p.items():
         for m2, c2 in q.items():
             m = m1 + m2
-            s = out.get(m, 0) + c1 * c2
+            s = acc.get(m, 0) + c1 * c2
             if s:
-                out[m] = s
+                acc[m] = s
             else:
-                out.pop(m, None)
-    return out
+                acc.pop(m, None)
+    return acc
+
+
+def poly_mul(p, q):
+    if len(q) < len(p):
+        p, q = q, p
+    return _add_product({}, p, q)
 
 
 def poly_div_exact(p, q, guard):
@@ -91,20 +84,15 @@ def poly_div_exact(p, q, guard):
     return quo
 
 
-def unpack_monomial(m, nvars):
-    mask = (1 << FIELD_BITS) - 1
-    return tuple((m >> (FIELD_BITS * i)) & mask for i in range(nvars))
-
-
 def poly_eval(p, point):
+    mask = (1 << FIELD_BITS) - 1
     total = 0
-    nvars = len(point)
     for mono, c in p.items():
-        term = c
-        for e, x in zip(unpack_monomial(mono, nvars), point):
+        for i, x in enumerate(point):
+            e = (mono >> (FIELD_BITS * i)) & mask
             if e:
-                term *= x ** e
-        total += term
+                c *= x ** e
+        total += c
     return total
 
 
@@ -123,22 +111,12 @@ def generic_rank(matrix, nvars):
     prev = None
     rnk = 0
     while row_live and col_live:
-        best = None
-        for i in row_live:
-            row = m[i]
-            for j in col_live:
-                p = row[j]
-                if p:
-                    size = len(p)
-                    if best is None or size < best[0]:
-                        best = (size, i, j)
-                        if size == 1:
-                            break
-            if best is not None and best[0] == 1:
-                break
-        if best is None:
+        # the first entry with the fewest terms, in row-major order
+        live = [(len(m[i][j]), i, j)
+                for i in row_live for j in col_live if m[i][j]]
+        if not live:
             break
-        _, pi, pj = best
+        _, pi, pj = min(live)
         pivot = m[pi][pj]
         rnk += 1
         row_live.remove(pi)
@@ -146,48 +124,14 @@ def generic_rank(matrix, nvars):
         prow = m[pi]
         for i in row_live:
             row = m[i]
-            top = row[pj]
+            neg_top = {k: -c for k, c in row[pj].items()}
             for j in col_live:
-                acc = {}
-                entry = row[j]
-                if entry:
-                    for m1, c1 in pivot.items():
-                        for m2, c2 in entry.items():
-                            k = m1 + m2
-                            s = acc.get(k, 0) + c1 * c2
-                            if s:
-                                acc[k] = s
-                            else:
-                                acc.pop(k, None)
-                if top and prow[j]:
-                    for m1, c1 in top.items():
-                        for m2, c2 in prow[j].items():
-                            k = m1 + m2
-                            s = acc.get(k, 0) - c1 * c2
-                            if s:
-                                acc[k] = s
-                            else:
-                                acc.pop(k, None)
+                # pivot * row[j] - row[pj] * prow[j]
+                acc = _add_product(_add_product({}, pivot, row[j]),
+                                   neg_top, prow[j])
                 if prev is not None and acc:
                     acc = poly_div_exact(acc, prev, guard)
                 row[j] = acc
             row[pj] = {}
         prev = pivot
     return rnk
-
-
-def linear_forms_matrix(action, dim):
-    """The evaluation matrix of a module action at a generic vector.
-
-    Column j is action[j] applied to v, so entry (a, j) is the linear
-    form sum_b action[j][a][b] v_b, for row-dict matrices as in
-    Representation.action.  Denominators are cleared per column, which
-    rescales columns and leaves all ranks unchanged.
-    """
-    ncols = len(action)
-    rows = [[{} for _ in range(ncols)] for _ in range(dim)]
-    for j, m in enumerate(action):
-        _, m = clear_denominators(m)
-        for a, row in enumerate(m):
-            rows[a][j] = {var_monomial(b): x for b, x in row.items()}
-    return rows

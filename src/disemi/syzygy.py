@@ -12,35 +12,31 @@ Three exact facts bound its rank over the rational function field:
 
 When either upper bound meets the lower one, the generic rank is known
 exactly without any elimination; otherwise fraction-free elimination
-decides.  Syzygies are found in low degree by sparse linear algebra mod
-a prime, lifted to Q, scaled to primitive integer vectors, and
-re-verified by symbolic expansion over the exact action before use.
+decides.  All three work on one matrix of linear forms, M_v at a
+generic v (linear_forms): kernel syzygies solve against its rows,
+stabilizer syzygies against its columns, with one solver, and the
+elimination ranks it.  The forms of one equation index are cleared to
+integers together, which scales whole equations (or, for the
+elimination, a column) and so changes no solution and no rank.
+Syzygies are found in low degree by sparse linear algebra mod a prime,
+lifted to Q, scaled to primitive integer vectors, and re-verified by
+symbolic expansion over the exact forms before use.
 Ranks at points are taken mod the same prime: they only serve as the
 lower bound and in the upper bound's subtracted term, where a smaller
 value can only loosen the sandwich, never make it unsound.
 """
 
 import random
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
+from math import lcm
 
-from .linalg import (clear, clear_denominators, nullspace, primitive,
-                     rank_mod_p, sparse_nullspace_mod_p)
+from .linalg import (clear, columns, nullspace, primitive, rank_mod_p,
+                     sparse_nullspace_mod_p)
 from . import symrank
 
 MAX_SYZYGY_DEGREE = 3
 MAX_UNKNOWNS = 20000
 SAMPLE_SEED = 20240601
-
-
-def _monomials(coords, degree):
-    """Packed monomials of the exact degree in the given coordinates."""
-    out = []
-    for combo in combinations_with_replacement(coords, degree):
-        m = 0
-        for i in combo:
-            m += symrank.var_monomial(i)
-        out.append(m)
-    return out
 
 
 def coordinate_blocks(action, dim):
@@ -49,47 +45,36 @@ def coordinate_blocks(action, dim):
     Coordinates linked by a nonzero matrix entry share a block; for a
     direct sum of irreducibles these are exactly the summands.
     """
-    parent = list(range(dim))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    block = [{c} for c in range(dim)]
     for m in action:
         for a, row in enumerate(m):
             for b in row:
-                ra, rb = find(a), find(b)
-                if ra != rb:
-                    parent[ra] = rb
-    groups = {}
-    for c in range(dim):
-        groups.setdefault(find(c), []).append(c)
-    return sorted(groups.values())
+                x, y = block[a], block[b]
+                if x is not y:
+                    if len(x) < len(y):
+                        x, y = y, x
+                    x |= y
+                    for c in y:
+                        block[c] = x
+    return sorted({id(x): sorted(x) for x in block}.values())
 
 
 def _sector_multidegrees(nblocks, degree):
-    """All compositions of the degree over the blocks."""
-    out = []
-
-    def rec(pos, left, acc):
-        if pos == nblocks - 1:
-            out.append(tuple(acc + [left]))
-            return
-        for d in range(left + 1):
-            rec(pos + 1, left - d, acc + [d])
-
-    rec(0, degree, [])
-    return out
+    """All compositions of the degree over the blocks, in lexicographic
+    order: the parts between nblocks - 1 bars among degree + nblocks - 1
+    places."""
+    n = degree + nblocks - 1
+    return [tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (n,)))
+            for bars in combinations(range(n), nblocks - 1)]
 
 
 def _sector_monomials(blocks, mdeg):
     """Packed monomials with the given degree in each block."""
-    parts = [_monomials(blk, d) for blk, d in zip(blocks, mdeg)]
     out = [0]
-    for p in parts:
-        out = [m + q for m in out for q in p]
+    for blk, d in zip(blocks, mdeg):
+        part = [sum(map(symrank.var_monomial, combo))
+                for combo in combinations_with_replacement(blk, d)]
+        out = [m + q for m in out for q in part]
     return out
 
 
@@ -130,109 +115,122 @@ def _annihilated(rows, basis):
     return True
 
 
-def kernel_syzygies(rep, degree, blocks=None, cleared=None):
-    """Polynomial maps w of the exact degree with w(v)^T M_v = 0.
+def linear_forms(action):
+    """The evaluation matrix at a generic vector v, in linalg's matrix
+    format: row a maps column j to the packed linear form
+    (rho(b_j) v)_a = sum_b action[j][a][b] v_b, over the exact action
+    entries.  Zero forms are left out."""
+    rows = [{} for _ in (action[0] if action else ())]
+    for j, m in enumerate(action):
+        for row, mrow in zip(rows, m):
+            if mrow:
+                row[j] = {symrank.var_monomial(b): x for b, x in mrow.items()}
+    return rows
 
-    Each result is a tuple of dim V sparse polynomials.  The system
-    splits along the multidegree grading over the action-stable
-    coordinate blocks, so each sector is solved independently; sectors
-    over the size budget are skipped (missing a syzygy only costs the
-    shortcut, never correctness).  cleared, (D_j, D_j action[j]) per
-    j, is passed by callers that solve at several degrees.
+
+def _cleared(forms):
+    """forms with all the forms of one equation index r (a key of the
+    rows) scaled by the lcm of their denominators, as ints.  Scaling the
+    equations (r, .) keeps the nullspace of sum_u p_u forms[u][r] = 0,
+    and scaling a row or a column keeps the rank of a matrix."""
+    dens = {}
+    for row in forms:
+        for r, form in row.items():
+            dens[r] = lcm(dens.get(r, 1), *(c.denominator for c in form.values()))
+    return [{r: {m: c.numerator * (dens[r] // c.denominator)
+                 for m, c in form.items()} for r, form in row.items()}
+            for row in forms]
+
+
+def kernel_syzygies(rep, degree):
+    """Polynomial maps w of the exact degree with w(v)^T M_v = 0: the
+    syzygies of the rows of linear_forms, each a tuple of dim V sparse
+    polynomials."""
+    blocks = coordinate_blocks(rep.action, rep.dim)
+    return _syzygies(linear_forms(rep.action), degree, blocks, "kernel")
+
+
+def stabilizer_syzygies(rep, degree):
+    """Polynomial maps x into the algebra with rho(x(v)) v = 0: the
+    syzygies of the columns of linear_forms, each a tuple of dim s
+    sparse polynomials (coefficients of the algebra basis)."""
+    blocks = coordinate_blocks(rep.action, rep.dim)
+    forms = [dict(col) for col in
+             columns(linear_forms(rep.action), len(rep.action))]
+    return _syzygies(forms, degree, blocks, "stabilizer")
+
+
+def _syzygies(forms, degree, blocks, kind):
+    """Polynomial vectors p of the exact degree with
+    sum_u p_u forms[u][r] = 0 in Q[v] for every r, each a tuple of
+    sparse polynomials with primitive int coefficients.
+
+    The unknowns are the coefficients (u, mono) of the p_u, graded by
+    the multidegree of mono over the coordinate blocks, and on the
+    kernel side, where u is a coordinate, one degree up in the block of
+    u.  An equation (r, M) meets unknowns of one grade only, as the
+    action keeps each block: on the kernel side forms[u][r] lies in the
+    block of u and the grade is that of M; on the stabilizer side it
+    lies in the block of r and the grade is that of M less that block.
+    So each sector is solved alone; sectors over MAX_UNKNOWNS are
+    skipped (missing a syzygy only costs the shortcut, never
+    correctness).  Every syzygy is verified over the exact forms.
     """
-    d = rep.dim
-    blocks = blocks or coordinate_blocks(rep.action, d)
-    cleared = cleared or [clear_denominators(m) for m in rep.action]
-    # scaling action[j] scales the equations (j, .) only: same nullspace
-    mats = [m for _, m in cleared]
+    lifted = kind == "kernel"
+    block_of = {c: s for s, blk in enumerate(blocks) for c in blk}
+    # scaling the equations (r, .) keeps the nullspace, so no solution
+    # is rescaled and no Fraction enters the equation loop
+    cleared = _cleared(forms)
     out = []
-    for grade in _sector_multidegrees(len(blocks), degree + 1):
-        unknowns = []      # (c, mono)
-        for s, blk in enumerate(blocks):
-            if grade[s] == 0:
-                continue
-            mdeg = tuple(g - 1 if i == s else g for i, g in enumerate(grade))
-            monos = _sector_monomials(blocks, mdeg)
-            unknowns.extend((c, mono) for c in blk for mono in monos)
+    for grade in _sector_multidegrees(len(blocks), degree + lifted):
+        monos = {}
+        parts = []        # (u, monomials of p_u)
+        for u in range(len(forms)):
+            mdeg = grade
+            if lifted:
+                s = block_of[u]
+                if not grade[s]:
+                    continue
+                mdeg = grade[:s] + (grade[s] - 1,) + grade[s + 1:]
+            if mdeg not in monos:
+                monos[mdeg] = _sector_monomials(blocks, mdeg)
+            parts.append((u, monos[mdeg]))
+        unknowns = [(u, mono) for u, ms in parts for mono in ms]
         if not unknowns or len(unknowns) > MAX_UNKNOWNS:
             continue
         equations = {}
-        for u, (c, mono) in enumerate(unknowns):
-            for j, m in enumerate(mats):
-                for e, coeff in m[c].items():
-                    key = (j, mono + symrank.var_monomial(e))
-                    row = equations.setdefault(key, {})
-                    row[u] = row.get(u, 0) + coeff
+        k = 0
+        for u, ms in parts:
+            # one int per unknown, shared by all the rows it enters
+            idx = list(enumerate(ms, k))
+            for r, form in cleared[u].items():
+                for e, coeff in form.items():
+                    for i, mono in idx:
+                        equations.setdefault((r, mono + e), {})[i] = coeff
+            k += len(ms)
         for x in sparse_nullspace(equations.values(), len(unknowns)):
-            w = [{} for _ in range(d)]
+            p = [{} for _ in forms]
             # multiples of syzygies are syzygies, and just as independent
-            for u, coeff in primitive(clear(x)[1])[1].items():
-                c, mono = unknowns[u]
-                w[c][mono] = coeff
-            out.append(tuple(w))
-    _verify_syzygies(_action_forms(rep), out, "kernel")
+            for i, coeff in primitive(clear(x)[1])[1].items():
+                u, mono = unknowns[i]
+                p[u][mono] = coeff
+            out.append(tuple(p))
+    _verify_syzygies(forms, out, kind)
     return out
-
-
-def stabilizer_syzygies(rep, degree, blocks=None, cleared=None):
-    """Polynomial maps x into the algebra with rho(x(v)) v = 0.
-
-    Each result is a tuple of dim s sparse polynomials (coefficients of
-    the algebra basis).  Solved per multidegree sector over the
-    coordinate blocks; oversized sectors are skipped.  cleared as in
-    kernel_syzygies.
-    """
-    d = rep.dim
-    ds = len(rep.action)
-    blocks = blocks or coordinate_blocks(rep.action, d)
-    cleared = cleared or [clear_denominators(m) for m in rep.action]
-    out = []
-    for mdeg in _sector_multidegrees(len(blocks), degree):
-        monos = _sector_monomials(blocks, mdeg)
-        nm = len(monos)
-        if not nm or ds * nm > MAX_UNKNOWNS:
-            continue
-        equations = {}
-        # x_j solves the system of scale_j * action[j] as x_j / scale_j
-        for j, (_, m) in enumerate(cleared):
-            for a, mrow in enumerate(m):
-                for e, coeff in mrow.items():
-                    ve = symrank.var_monomial(e)
-                    for u, mono in enumerate(monos, j * nm):
-                        row = equations.setdefault((a, mono + ve), {})
-                        row[u] = row.get(u, 0) + coeff
-        for x in sparse_nullspace(equations.values(), ds * nm):
-            xs = [{} for _ in range(ds)]
-            for u, coeff in primitive(clear(x)[1])[1].items():
-                j, mi = divmod(u, nm)
-                xs[j][monos[mi]] = coeff * cleared[j][0]
-            out.append(tuple(xs))
-    _verify_syzygies(list(zip(*_action_forms(rep))), out, "stabilizer")
-    return out
-
-
-def _action_forms(rep):
-    """Entry (j, a) is the linear form (rho(b_j) v)_a, over the exact
-    action with its denominators: a stabilizer solution was rescaled by
-    each column's clearing factor, so only the uncleared action checks
-    the identity the caller relies on."""
-    return [[{symrank.var_monomial(b): x for b, x in row.items()} for row in m]
-            for m in rep.action]
 
 
 def _verify_syzygies(forms, syzygies, kind):
-    """Exact expansion of sum_i forms[r][i] * s[i] = 0 in Q[v] for every
-    row r of the matrix of linear forms and every syzygy s.  Kernel
-    syzygies pair with _action_forms(rep) itself, stabilizer syzygies
-    with its transpose."""
+    """Exact expansion of sum_u s[u] forms[u][r] = 0 in Q[v] for every
+    r and every syzygy s, over the exact, uncleared forms."""
     for s in syzygies:
-        for row in forms:
-            total = {}
-            for form, p in zip(row, s):
-                if form and p:
-                    total = symrank.poly_add(total, symrank.poly_mul(p, form))
-            if total:
-                raise AssertionError("%s syzygy fails exact verification" % kind)
+        total = {}
+        for p, row in zip(s, forms):
+            if p:
+                for r, form in row.items():
+                    total[r] = symrank.poly_add(total.get(r, {}),
+                                                symrank.poly_mul(p, form))
+        if any(total.values()):
+            raise AssertionError("%s syzygy fails exact verification" % kind)
 
 
 def sample_points(dim, count=40):
@@ -282,20 +280,18 @@ def generic_rank_certified(rep, sampled=None):
             best_points.append(v)
         if best_rank == min(d, ds):
             return best_rank
-    blocks = coordinate_blocks(rep.action, d)
-    cleared = [clear_denominators(m) for m in rep.action]
     kernel_all = []
     stab_all = []
     for degree in range(1, MAX_SYZYGY_DEGREE + 1):
-        kernel_all.extend(kernel_syzygies(rep, degree, blocks, cleared))
+        kernel_all.extend(kernel_syzygies(rep, degree))
         if d - _stack_rank(kernel_all, best_points, d) == best_rank:
             return best_rank
-        stab_all.extend(stabilizer_syzygies(rep, degree, blocks, cleared))
+        stab_all.extend(stabilizer_syzygies(rep, degree))
         if ds - _stack_rank(stab_all, best_points, ds) == best_rank:
             return best_rank
-    # the rank is the same for the integral matrices
-    rows = symrank.linear_forms_matrix([m for _, m in cleared], d)
-    grank = symrank.generic_rank(rows, d)
+    forms = _cleared(linear_forms(rep.action))
+    grank = symrank.generic_rank([[row.get(j, {}) for j in range(ds)]
+                                  for row in forms], d)
     if grank < best_rank:
         raise AssertionError("elimination rank below a specialisation rank")
     return grank

@@ -20,13 +20,13 @@ from disemi.linalg import rank
 from disemi.modexpr import parse_algebra, parse_module, print_module
 from disemi.prehom import (DecompositionCertificate, Refusal, Symbolic,
                            certify_disemisimple, evaluation_matrix,
-                           is_prehomogeneous, symbolic_generic_rank,
-                           ETALE_EXCLUSION)
+                           is_prehomogeneous, ETALE_EXCLUSION)
 from disemi.repbuilder import (ModuleDescriptor, Representation, decompose,
                                direct_sum, dual, natural, outer_tensor,
                                realize, realize_label, spec_of, spin16_d5,
                                tensor, trivial, wedge2)
 from disemi.rootdata import SimpleType, weyl_dim
+from disemi.syzygy import generic_rank_certified
 
 A1 = SimpleType("A", 1)
 A2 = SimpleType("A", 2)
@@ -107,14 +107,14 @@ def test_criterion_04_no_etale_modules():
             rep = realize(spec, desc)
             cert = is_prehomogeneous(rep)
             assert cert.reason == ETALE_EXCLUSION, str(desc)
-            grank = symbolic_generic_rank(rep)
+            grank = generic_rank_certified(rep)
             assert grank < rep.dim, str(desc)
             confirmed += 1
     # only four such modules exist over A1, A2, C2; the A3 adjoint
     # (dim 15 = dim sl4) is the fifth sampled confirmation
     adj = realize_label(spec_of(A3), lab((1, 0, 1)))
     assert is_prehomogeneous(adj).reason == ETALE_EXCLUSION
-    assert symbolic_generic_rank(adj) < adj.dim
+    assert generic_rank_certified(adj) < adj.dim
     confirmed += 1
     assert confirmed >= 5
     report(4, "%d modules with dim V = dim s, all refused with symbolic "

@@ -232,6 +232,44 @@ class TestOtherCommands:
         assert "Traceback" not in err
 
 
+HUGE = "sym2(sym2(sym2(L(10))))"       # dimension 2,445,366 over A1
+
+
+def refuse_to_build(monkeypatch):
+    """Make building a module from an expression fail in cli."""
+    import disemi.cli
+
+    def build(*args):
+        raise AssertionError("a module was built")
+    monkeypatch.setattr(disemi.cli, "to_representation", build)
+
+
+class TestBuildNothing:
+    @pytest.mark.parametrize("module", ["L(3)", HUGE])
+    def test_certify_refuses_by_dimension(self, capsys, monkeypatch, module):
+        # V is the radical of sl2 |x V; dim V > 3 refuses it unbuilt, with
+        # the parent's bytes for L(3)
+        refuse_to_build(monkeypatch)
+        code, out, err = run(capsys, "certify", "A1", module)
+        assert (code, out, err) == (
+            1, "refused: radical_not_prehomogeneous (dimension_bound)\n", "")
+        code, out, err = run(capsys, "certify", "A1", module, "--json")
+        assert (code, err) == (1, "")
+        assert out == (
+            '{"refused":true,"reason":"radical_not_prehomogeneous",'
+            '"radical_certificate":{"verdict":"not_prehomogeneous",'
+            '"reason":"dimension_bound","mode":"fast_path"}}\n')
+
+    def test_decompose_refuses_a_huge_module(self, capsys, monkeypatch):
+        import disemi.modexpr
+        for name in ("realize_label", "sym2"):
+            monkeypatch.setattr(disemi.modexpr, name, None)
+        code, out, err = run(capsys, "decompose", "A1", HUGE)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: module of dimension 2445366") \
+            and "limit" in err
+
+
 ALGEBRA_TOKENS = ["A1", "A2", "C2", "B2", "C3", "D4", "A1xA2", "A0", "E6",
                   "SK", "x", ""]
 MALFORMED_MODULES = ["L(", "L(1,", "+", "#", "L(1)#", "nat nat", "wedge2(",

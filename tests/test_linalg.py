@@ -3,9 +3,10 @@ from math import gcd
 
 from hypothesis import given, settings, strategies as st
 
-from disemi.linalg import (LIFT_BOUND, PRIME, IncrementalSpan, commutator,
-                           dense, identity, matmul, nullspace, rank,
-                           rank_mod_p, rational_reconstruction, rref, sparse)
+from disemi.linalg import (LIFT_BOUND, PRIME, IncrementalSpan,
+                           clear_denominators, commutator, dense, identity,
+                           matmul, nullspace, rank, rank_mod_p,
+                           rational_reconstruction, rref, sparse)
 
 
 def residue(x):
@@ -248,3 +249,9 @@ def test_pivot_rows_are_primitive_integer_rows(rows):
             assert all(type(x) is int for x in row.values())
             assert gcd(*row.values()) == 1
             assert row[pc] and min(row) == pc
+
+
+def test_clear_denominators():
+    m = [{0: Fraction(1, 2)}, {0: Fraction(-2, 3), 1: 5}]
+    assert clear_denominators(m) == (6, [{0: 3}, {0: -4, 1: 30}])
+    assert clear_denominators([{0: Fraction(4), 1: 2}]) == (1, [{0: 4, 1: 2}])

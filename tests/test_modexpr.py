@@ -1,6 +1,8 @@
 import random
 
 import pytest
+
+import disemi.modexpr
 from hypothesis import given, settings, strategies as st
 
 from disemi.modexpr import (DirectSum, Dual, Irr, ModuleParseError, Natural,
@@ -284,3 +286,43 @@ class TestPretty:
     def test_descriptor(self):
         d = ModuleDescriptor([(((1, 0),), 2), (((0, 1),), 1)])
         assert pretty_descriptor(d) == "L(w2) + 2L(w1)"
+
+
+class TestModuleSizeLimit:
+    def test_refused_before_building(self, monkeypatch):
+        spec = parse_algebra("A1")
+        ast = parse_module("sym2(sym2(sym2(L(10))))", spec)
+        for name in ("realize_label", "sym2"):
+            monkeypatch.setattr(disemi.modexpr, name, None)
+        with pytest.raises(ValueError, match="above the limit"):
+            to_representation(ast, spec)
+
+    def test_limit_is_inclusive(self, monkeypatch):
+        spec = parse_algebra("A1")
+        monkeypatch.setattr(disemi.modexpr, "MAX_MODULE_DIM", 11)
+        assert to_representation(parse_module("L(10)", spec), spec).dim == 11
+        with pytest.raises(ValueError, match="dimension 12"):
+            to_representation(parse_module("L(10) + triv", spec), spec)
+
+    def test_no_partial_tensor_product_above_the_product(self, monkeypatch):
+        # L(10) * L(10) * wedge2(triv) has dimension 0; built left to
+        # right it would first build the 121-dimensional L(10) * L(10)
+        spec = parse_algebra("A1")
+        built = []
+        real = disemi.modexpr.tensor
+        monkeypatch.setattr(disemi.modexpr, "tensor",
+                            lambda a, b: built.append(a.dim * b.dim)
+                            or real(a, b))
+        ast = parse_module("L(10) * L(10) * wedge2(triv)", spec)
+        assert to_representation(ast, spec).dim == 0
+        assert built == [0, 0]
+        ast = parse_module("L(1) * L(2) * nat", spec)
+        assert to_representation(ast, spec).dim == 12
+        assert built[2:] == [6, 12]
+
+    def test_realisable_labels(self):
+        spec = parse_algebra("A1")
+        ast = parse_module("L(129) + L(1)", spec)
+        assert module_dim(ast, spec) == 132
+        with pytest.raises(ValueError, match="limit of 128"):
+            module_dim(ast, spec, realisable=True)

@@ -9,7 +9,7 @@ from disemi.liealg import (LieAlgebra, Subspace, chevalley, full_subspace,
 from disemi.prehom import (DecompositionCertificate, PrehomCertificate,
                            Randomized, Refusal, Symbolic, certify_disemisimple,
                            evaluation_matrix, has_trivial_summand,
-                           is_etale, is_prehomogeneous, symbolic_generic_rank,
+                           is_etale, is_prehomogeneous,
                            DIMENSION_BOUND, ETALE_EXCLUSION, TRIVIAL_SUMMAND,
                            SYMBOLIC_RANK_DEFICIT)
 from disemi.repbuilder import (ModuleDescriptor, Representation, decompose,

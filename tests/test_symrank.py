@@ -8,7 +8,7 @@ from disemi.linalg import rank as rational_rank
 
 
 def const(c):
-    return symrank.poly_const(c)
+    return {0: c} if c else {}
 
 
 def v(i, c=1):
@@ -18,7 +18,7 @@ def v(i, c=1):
 class TestPolyArithmetic:
     def test_add_cancel(self):
         p = symrank.poly_add(v(0), {symrank.var_monomial(0): -1})
-        assert symrank.poly_is_zero(p)
+        assert p == {}
 
     def test_mul(self):
         # (v0 + 1)(v0 - 1) = v0^2 - 1
@@ -84,24 +84,3 @@ class TestGenericRank:
                 best = max(best, rational_rank(num))
             assert best == g
 
-
-class TestLinearFormsMatrix:
-    def test_natural_sl2(self):
-        from disemi.repbuilder import natural
-        from disemi.rootdata import SimpleType
-        rows = symrank.linear_forms_matrix(natural(SimpleType("A", 1)).action, 2)
-        assert len(rows) == 2 and len(rows[0]) == 3
-        assert symrank.generic_rank(rows, 2) == 2
-
-    def test_denominator_clearing(self):
-        action = [[{0: Fraction(1, 2)}, {1: Fraction(1, 3)}]]
-        rows = symrank.linear_forms_matrix(action, 2)
-        for row in rows:
-            for p in row:
-                assert all(isinstance(c, int) for c in p.values())
-
-
-def test_clear_denominators():
-    m = [{0: Fraction(1, 2)}, {0: Fraction(-2, 3), 1: 5}]
-    assert symrank.clear_denominators(m) == (6, [{0: 3}, {0: -4, 1: 30}])
-    assert symrank.clear_denominators([{0: Fraction(4), 1: 2}]) == (1, [{0: 4, 1: 2}])

@@ -1,5 +1,8 @@
+import json
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +24,18 @@ C3 = SimpleType("C", 3)
 
 def lab(*blocks):
     return tuple(tuple(b) for b in blocks)
+
+
+def bareiss_rank(rep):
+    """The generic rank by the fallback alone: fraction-free elimination
+    of the one builder's forms, with no sampled lower bound and no
+    syzygy degree tried."""
+    with mock.patch.object(syzygy, "MAX_SYZYGY_DEGREE", 0):
+        return syzygy.generic_rank_certified(rep, sampled=[])
+
+
+def transpose(forms, ncols):
+    return [dict(col) for col in linalg.columns(forms, ncols)]
 
 
 class TestSparseNullspace:
@@ -119,16 +134,51 @@ class TestStabilizerSyzygies:
                 assert out == [0, 0, 0]
 
 
+class TestLinearForms:
+    def test_natural_sl2(self):
+        rep = natural(A1)
+        forms = syzygy.linear_forms(rep.action)
+        assert len(forms) == 2 and all(set(row) <= {0, 1, 2} for row in forms)
+        assert bareiss_rank(rep) == 2
+
+    def test_evaluates_to_the_evaluation_matrix(self):
+        # at any point the forms give the evaluation matrix, which
+        # evaluation_rows builds on its own
+        for rep in [natural(A1), direct_sum([natural(A2), natural(A2)]),
+                    realize(spec_of(C2), ModuleDescriptor([lab((0, 1))]))]:
+            forms = syzygy.linear_forms(rep.action)
+            ds = len(rep.action)
+            for v in syzygy.sample_points(rep.dim, 8):
+                got = [[symrank.poly_eval(row.get(j, {}), v)
+                        for j in range(ds)] for row in forms]
+                assert got == syzygy.evaluation_rows(rep, v)
+
+    def test_rows_of_exact_forms(self):
+        # row a maps column j to (rho(b_j) v)_a; zero forms are left out
+        action = [[{0: Fraction(1, 2), 1: 3}, {}], [{}, {0: Fraction(-2, 3)}]]
+        v = symrank.var_monomial
+        assert syzygy.linear_forms(action) == [
+            {0: {v(0): Fraction(1, 2), v(1): 3}}, {1: {v(0): Fraction(-2, 3)}}]
+
+    def test_cleared_per_equation_index(self):
+        # the forms of one key r share one scale, the lcm of their
+        # denominators, whatever row they sit in
+        forms = [{0: {1: Fraction(1, 2)}, 1: {1: 5}},
+                 {0: {1: Fraction(1, 3)}, 1: {1: Fraction(3, 4)}}]
+        assert syzygy._cleared(forms) == [{0: {1: 3}, 1: {1: 20}},
+                                          {0: {1: 2}, 1: {1: 3}}]
+
+
 class TestVerifySyzygies:
     def test_one_verifier_for_both_kinds(self):
-        # kernel syzygies pair with the action's linear forms, stabilizer
-        # syzygies with their transpose; a perturbed one must fail
+        # kernel syzygies pair with the rows of the linear forms,
+        # stabilizer syzygies with their columns; a perturbed one fails
         adj = realize_label(spec_of(A1), lab((2,)))
-        forms = syzygy._action_forms(adj)
+        forms = syzygy.linear_forms(adj.action)
         for kind, found, mat in [
                 ("kernel", syzygy.kernel_syzygies(adj, 1), forms),
                 ("stabilizer", syzygy.stabilizer_syzygies(adj, 1),
-                 list(zip(*forms)))]:
+                 transpose(forms, 3))]:
             assert found
             syzygy._verify_syzygies(mat, found, kind)
             bad = [dict(p) for p in found[0]]
@@ -139,16 +189,23 @@ class TestVerifySyzygies:
                 syzygy._verify_syzygies(mat, [tuple(bad)], kind)
 
 
+def rescaled_adjoint_sl2():
+    """(scales, the adjoint module of sl2, its action with action[j]
+    multiplied by scales[j])."""
+    adj = realize_label(spec_of(A1), lab((2,)))
+    scales = [Fraction(1, 3), Fraction(-2, 5), 7]
+    scaled = SimpleNamespace(dim=adj.dim, action=[
+        [{b: c * x for b, x in row.items()} for row in m]
+        for c, m in zip(scales, adj.action)])
+    return scales, adj, scaled
+
+
 class TestIntegerAction:
     def test_syzygies_of_a_rescaled_action(self):
         # scaling action[j] by c_j leaves the kernel syzygies alone and
         # divides x_j by c_j, up to one factor per syzygy; both kinds are
         # re-verified against the scaled action inside the calls
-        adj = realize_label(spec_of(A1), lab((2,)))
-        scales = [Fraction(1, 3), Fraction(-2, 5), 7]
-        scaled = SimpleNamespace(dim=adj.dim, action=[
-            [{b: c * x for b, x in row.items()} for row in m]
-            for c, m in zip(scales, adj.action)])
+        scales, adj, scaled = rescaled_adjoint_sl2()
         assert (syzygy.kernel_syzygies(scaled, 1)
                 == syzygy.kernel_syzygies(adj, 1))
         plain = syzygy.stabilizer_syzygies(adj, 1)
@@ -161,6 +218,22 @@ class TestIntegerAction:
             assert back.keys() == flat.keys()
             ratio = {Fraction(back[k]) / flat[k] for k in flat}
             assert len(ratio) == 1
+
+    def test_fallback_on_a_rescaled_action(self, monkeypatch):
+        # with no syzygy degree to try, the elimination decides; it sees
+        # the forms cleared to ints and gives the rank of the unscaled
+        # action
+        _, adj, scaled = rescaled_adjoint_sl2()
+        calls = []
+        real = symrank.generic_rank
+        monkeypatch.setattr(symrank, "generic_rank",
+                            lambda m, n: calls.append(m) or real(m, n))
+        monkeypatch.setattr(syzygy, "MAX_SYZYGY_DEGREE", 0)
+        assert syzygy.generic_rank_certified(scaled) == 2
+        assert syzygy.generic_rank_certified(adj) == 2
+        assert len(calls) == 2
+        assert all(type(c) is int for m in calls for row in m for p in row
+                   for c in p.values())
 
 
 class TestGenericRankCertified:
@@ -185,10 +258,7 @@ class TestGenericRankCertified:
             (C2, [lab((0, 1))]),
         ]:
             rep = realize(spec_of(t), ModuleDescriptor(labels))
-            fast = syzygy.generic_rank_certified(rep)
-            rows = symrank.linear_forms_matrix(rep.action, rep.dim)
-            slow = symrank.generic_rank(rows, rep.dim)
-            assert fast == slow
+            assert syzygy.generic_rank_certified(rep) == bareiss_rank(rep)
 
     def test_upper_bounds_every_specialization(self):
         rep = realize(spec_of(A2), ModuleDescriptor([lab((1, 0)), lab((0, 1))]))
@@ -204,10 +274,7 @@ class TestGenericRankCertified:
         # doubled spin module of B3: sixteen variables, deficit 3
         B3 = SimpleType("B", 3)
         rep = realize(spec_of(B3), ModuleDescriptor([(lab((0, 0, 1)), 2)]))
-        fast = syzygy.generic_rank_certified(rep)
-        rows = symrank.linear_forms_matrix(rep.action, rep.dim)
-        slow = symrank.generic_rank(rows, rep.dim)
-        assert fast == slow == 13
+        assert syzygy.generic_rank_certified(rep) == bareiss_rank(rep) == 13
 
 
 def two_sided_rank(rep):
@@ -230,8 +297,7 @@ def two_sided_rank(rep):
         if best == min(d - syzygy._stack_rank(kernel, points, d),
                        ds - syzygy._stack_rank(stab, points, ds)):
             return best, kernel + stab
-    rows = symrank.linear_forms_matrix(rep.action, d)
-    return symrank.generic_rank(rows, d), kernel + stab
+    return bareiss_rank(rep), kernel + stab
 
 
 @pytest.fixture(scope="module")
@@ -277,3 +343,26 @@ class TestIntegerSyzygies:
                  for s in syzygies]
         assert found
         assert all(type(c) is int for s in found for p in s for c in p.values())
+
+
+class TestGoldenCounts:
+    def test_counts_match_the_recorded_ones(self):
+        # per module of the A3 and C3 cross-check lists: the number of
+        # kernel and stabilizer syzygies at degrees 1 and 2 and the
+        # generic rank, as recorded before the two builders became one
+        path = Path(__file__).parent / "golden" / "syzygy_counts.json"
+        golden = json.loads(path.read_text())
+        for t in (A3, C3):
+            spec = spec_of(t)
+            modules = list(enumerate_modules(spec, DESK_BOUNDS[t]))
+            assert sorted(map(str, modules)) == sorted(golden[str(t)])
+            for desc in modules:
+                rep = realize(spec, desc)
+                got = {
+                    "kernel": [len(syzygy.kernel_syzygies(rep, d))
+                               for d in (1, 2)],
+                    "stabilizer": [len(syzygy.stabilizer_syzygies(rep, d))
+                                   for d in (1, 2)],
+                    "generic_rank": syzygy.generic_rank_certified(rep),
+                }
+                assert got == golden[str(t)][str(desc)], str(desc)
