@@ -15,10 +15,20 @@ from .prehom import (DecompositionCertificate, EvaluationMatrix,
                      PrehomCertificate, Randomized, Refusal, Symbolic,
                      certify_disemisimple, evaluation_matrix, is_etale,
                      is_prehomogeneous)
-from .classify import (SKTriple, VinbergEntry, castling_transform,
-                       construct_type1, construct_type2, cross_check_vinberg,
-                       enumerate_modules, search_type12, sk_reduced_table,
-                       a_free_structure, vinberg_table)
 from .modexpr import parse_algebra, parse_module, print_module
 
 __version__ = "0.1.0"
+
+# only table, crosscheck, search12 and construct run classify: it loads
+# on first use
+_CLASSIFY_NAMES = ("SKTriple", "VinbergEntry", "castling_transform",
+                   "construct_type1", "construct_type2", "cross_check_vinberg",
+                   "enumerate_modules", "search_type12", "sk_reduced_table",
+                   "a_free_structure", "vinberg_table")
+
+
+def __getattr__(name):
+    if name in _CLASSIFY_NAMES:
+        from . import classify
+        return getattr(classify, name)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))

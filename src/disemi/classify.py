@@ -10,7 +10,6 @@ without type-A factors.
 
 import json
 import os
-from dataclasses import dataclass
 
 from .liealg import (Subspace, free_two_step, lower_central_series,
                      quotient_by_ideal, semidirect)
@@ -19,7 +18,8 @@ from .repbuilder import (ModuleDescriptor, Representation, SemisimpleSpec,
                          cyclic_submodule, decompose, direct_sum,
                          highest_weight_vectors, realize, realize_label,
                          tensor, wedge2)
-from .rootdata import SimpleType, dual_weight, fundamental, weyl_dim, zero_weight
+from .rootdata import (SimpleType, dual_weight, fundamental, record, weyl_dim,
+                       zero_weight)
 from .linalg import IncrementalSpan
 
 
@@ -44,7 +44,7 @@ def _lab(*blocks):
 # Vinberg tables
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class VinbergEntry:
     """One table row: a family/rank pattern with its module pattern."""
 
@@ -135,7 +135,7 @@ def _single_spec(t):
 # Sato-Kimura castling-reduced triples
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SKTriple:
     spec: SemisimpleSpec
     module: ModuleDescriptor
@@ -147,7 +147,7 @@ class SKTriple:
         return "(%s, %s, %d)" % (self.spec, self.module, self.dim)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SKRow:
     """One parametric row of the reduced table of irreducible
     prehomogeneous triples over semisimple algebras."""
@@ -351,7 +351,7 @@ def enumerate_modules(spec, dim_bound):
 # Cross-check of the tables by exhaustive enumeration
 # ---------------------------------------------------------------------------
 
-@dataclass
+@record
 class Report:
     simple_type: SimpleType
     bound: int
@@ -429,7 +429,7 @@ def cross_check_vinberg(t, bound=None, jobs=1):
 # Type 1 / type 2 modules
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TypedModuleCandidate:
     """A module shaped A + B with B inside wedge^2 A (type 1), or
     A + B + C with C inside A x B (type 2); all parts irreducible and

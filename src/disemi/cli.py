@@ -13,11 +13,8 @@ import json
 import sys
 from fractions import Fraction
 
-from .classify import (cross_check_vinberg, search_type12, sk_reduced_table,
-                       construct_type1, construct_type2, radical_module,
-                       vinberg_table)
 from .liealg import Subspace, check_jacobi, from_json_dict, rational
-from .modexpr import (ModuleParseError, module_dim, parse_algebra,
+from .modexpr import (Irr, ModuleParseError, module_dim, parse_algebra,
                       parse_module, pretty_descriptor, to_representation)
 from .prehom import (DecompositionCertificate, Randomized, Refusal, Symbolic,
                      certify_disemisimple, dimension_verdict,
@@ -147,6 +144,7 @@ def cmd_dim(args):
 
 
 def cmd_table(args):
+    from .classify import sk_reduced_table, vinberg_table
     if args.type.upper() == "SK":
         rows = sk_reduced_table()
         if args.json:
@@ -179,6 +177,7 @@ def cmd_table(args):
 
 
 def cmd_crosscheck(args):
+    from .classify import cross_check_vinberg
     t = _parse_type(args.type)
     report = cross_check_vinberg(t, bound=args.bound, jobs=args.jobs)
     if args.json:
@@ -200,6 +199,7 @@ def cmd_crosscheck(args):
 
 
 def cmd_search12(args):
+    from .classify import search_type12
     t = _parse_type(args.type)
     hits = search_type12(t, dim_bound=args.bound, jobs=args.jobs)
     if args.json:
@@ -216,7 +216,6 @@ def cmd_search12(args):
 
 
 def _label_from_expr(text, spec):
-    from .modexpr import Irr
     ast = parse_module(text, spec)
     if not isinstance(ast, Irr):
         raise ModuleParseError("expected a single irreducible label", 0)
@@ -224,6 +223,7 @@ def _label_from_expr(text, spec):
 
 
 def cmd_construct(args):
+    from .classify import construct_type1, construct_type2, radical_module
     spec = parse_algebra(args.algebra)
     labels = [_label_from_expr(x, spec) for x in args.labels]
     if args.kind == "type1":

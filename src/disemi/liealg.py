@@ -9,7 +9,6 @@ representations defined on generators extend mechanically.
 
 import json
 from collections import Counter, deque
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
@@ -17,10 +16,10 @@ from math import factorial
 from .linalg import (IncrementalSpan, apply, clear, clear_denominators,
                      columns, combination, commutator, dense, divide,
                      identity, matmul, nullspace, rank, sparse)
-from .rootdata import SimpleType
+from .rootdata import SimpleType, record
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ChevalleyFactor:
     """Generator bookkeeping for one simple factor inside an algebra."""
 
@@ -621,7 +620,7 @@ def quotient_by_ideal(g, u):
     return q, proj
 
 
-@dataclass
+@record
 class LinearMap:
     """A linear map by its row-dict matrix, applied to dense vectors."""
 

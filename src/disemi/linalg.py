@@ -250,6 +250,9 @@ class IncrementalSpan:
     def residue(self, v):
         """The vector K r / s of v + span, which vanishes on every pivot
         column, as a sparse dict; unique, see the class docstring."""
+        # many are zero, some with the zeros a bracket keeps
+        if not any(v.values() if isinstance(v, dict) else v):
+            return {}
         cont, scale, r, _ = self._reduce(v)
         return r if cont == scale else {
             k: divide(cont * x, scale) for k, x in r.items()}

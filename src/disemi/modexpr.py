@@ -8,13 +8,12 @@ prefix for repeated direct summands, and the function forms
 "nat".  A recursive-descent parser reports byte offsets on errors.
 """
 
-from dataclasses import dataclass
 from math import prod
 
 from .repbuilder import (SemisimpleSpec, check_label, decompose, direct_sum,
                          dual, natural, realize_label, sym2, tensor, trivial,
                          wedge2)
-from .rootdata import SimpleType
+from .rootdata import SimpleType, record
 
 # an integer prefix repeats a summand; past this many summands in one
 # repetition the expression is refused rather than expanded
@@ -43,42 +42,42 @@ def _integer(text, i, j):
 
 # AST nodes ----------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Irr:
     blocks: tuple          # one coordinate tuple per simple factor
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Tensor:
     factors: tuple
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class DirectSum:
     terms: tuple
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Wedge2:
     inner: object
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Sym2:
     inner: object
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Dual:
     inner: object
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Trivial:
     pass
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Natural:
     pass
 

@@ -10,7 +10,6 @@ every specialisation.
 
 import json
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .linalg import (clear_denominators, columns, dense, rank, rank_mod_p,
@@ -19,6 +18,7 @@ from .liealg import (LinearMap, Subspace, apply_map_subspace, exp_ad,
                      is_nilpotent, is_semisimple, solvable_radical,
                      subalgebra, sum_spans)
 from .repbuilder import Representation
+from .rootdata import record
 from . import syzygy
 
 DEFAULT_SEED = 1729
@@ -34,7 +34,7 @@ RADICAL_NOT_NILPOTENT = "radical_not_nilpotent"
 RADICAL_NOT_PREHOMOGENEOUS = "radical_not_prehomogeneous"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Randomized:
     """Witness search over small integer boxes, escalating to Symbolic."""
 
@@ -42,12 +42,12 @@ class Randomized:
     trials: int = DEFAULT_TRIALS
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Symbolic:
     """Exact generic-rank computation; the source of truth for No."""
 
 
-@dataclass
+@record
 class EvaluationMatrix:
     """dim(V) x dim(s) matrix whose column j is rho(b_j) applied to v."""
 
@@ -70,7 +70,7 @@ def evaluation_matrix(r, v):
                             vector=list(v))
 
 
-@dataclass
+@record
 class PrehomCertificate:
     verdict: str                  # "prehomogeneous" | "not_prehomogeneous"
     reason: str = None            # set for No verdicts
@@ -222,7 +222,7 @@ def is_etale(r, mode=None):
 # Disemisimple certification
 # ---------------------------------------------------------------------------
 
-@dataclass
+@record
 class Refusal:
     reason: str
     inner: PrehomCertificate = None
@@ -237,7 +237,7 @@ class Refusal:
         return out
 
 
-@dataclass
+@record
 class DecompositionCertificate:
     """Witness data for a sum of two semisimple subalgebras.
 

@@ -7,7 +7,6 @@ extraction is plain kernel computation in fixed coordinate blocks and
 never needs diagonalisation.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
@@ -15,10 +14,10 @@ from .linalg import (IncrementalSpan, apply, columns, combination, commutator,
                      divide, matmul, nullspace)
 from .liealg import (_chevalley_with_matrices, chevalley,
                      direct_sum as algebra_direct_sum)
-from .rootdata import SimpleType, as_coords, dual_weight, weyl_dim
+from .rootdata import SimpleType, as_coords, dual_weight, record, weyl_dim
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SemisimpleSpec:
     """A semisimple algebra given as an ordered tuple of simple factors."""
 

@@ -8,16 +8,72 @@ is A[i][j] = <alpha_i, alpha_j^vee>, so a Chevalley basis satisfies
 [h_i, e_j] = A[j][i] e_j.  Long roots are normalised to squared length 2.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import attrgetter
 
 FAMILIES = ("A", "B", "C", "D")
 
 _MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3}
 
 
-@dataclass(frozen=True)
+def record(cls=None, *, frozen=False):
+    """Class decorator: value semantics from the annotated fields, as a
+    dataclass gives them but without compiling source per class (about
+    1 ms of each command's start-up): __init__ by position or keyword,
+    class attributes as defaults, then __post_init__; equality of class
+    and field tuple; repr Class(field=value, ...).  A frozen record
+    refuses assignment and hashes as its field tuple; a mutable one is
+    unhashable.  Methods the class defines itself are kept."""
+    if cls is None:
+        return lambda cls: record(cls, frozen=frozen)
+    names = tuple(cls.__dict__.get("__annotations__", ()))
+    defaults = {n: cls.__dict__[n] for n in names if n in cls.__dict__}
+    post_init = getattr(cls, "__post_init__", None)
+    put = object.__setattr__
+    # attrgetter is fast, but gives a tuple only for two or more names
+    values = (attrgetter(*names) if len(names) > 1
+              else lambda x: tuple(getattr(x, n) for n in names))
+
+    def __init__(self, *args, **kwargs):
+        try:
+            args += tuple([kwargs.pop(n) if n in kwargs else defaults[n]
+                           for n in names[len(args):]])
+        except KeyError as exc:
+            raise TypeError("%s() needs field %s"
+                            % (cls.__name__, exc)) from None
+        if kwargs or len(args) > len(names):   # unknown, repeated, too many
+            raise TypeError("%s() takes the fields (%s)"
+                            % (cls.__name__, ", ".join(names)))
+        for n, x in zip(names, args):
+            put(self, n, x)
+        if post_init is not None:
+            post_init(self)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return values(self) == values(other)
+        return NotImplemented
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(
+            "%s=%r" % (n, getattr(self, n)) for n in names))
+
+    def refuse(self, name, *value):
+        raise AttributeError("cannot assign to or delete field %r" % name)
+
+    methods = {"__init__": __init__, "__eq__": __eq__, "__repr__": __repr__,
+               "__hash__": None}
+    if frozen:
+        methods.update(__hash__=lambda self: hash(values(self)),
+                       __setattr__=refuse, __delattr__=refuse)
+    for name, method in methods.items():
+        if name not in cls.__dict__:
+            setattr(cls, name, method)
+    return cls
+
+
+@record(frozen=True)
 class SimpleType:
     """One simple classical type, e.g. SimpleType('A', 2) for sl3."""
 
@@ -55,7 +111,7 @@ class SimpleType:
         return 2 * l
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class DominantWeight:
     """A dominant integral weight in fundamental coordinates."""
 
@@ -95,7 +151,7 @@ def zero_weight(t):
     return (0,) * t.rank
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RootSystem:
     simple_roots: tuple      # unit vectors in the simple-root basis
     positive_roots: tuple    # all positive roots, simple-root coordinates

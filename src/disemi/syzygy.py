@@ -62,7 +62,9 @@ def coordinate_blocks(action, dim):
 def _sector_multidegrees(nblocks, degree):
     """All compositions of the degree over the blocks, in lexicographic
     order: the parts between nblocks - 1 bars among degree + nblocks - 1
-    places."""
+    places; with no blocks (no variable), only degree 0 has one."""
+    if not nblocks:
+        return [] if degree else [()]
     n = degree + nblocks - 1
     return [tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (n,)))
             for bars in combinations(range(n), nblocks - 1)]

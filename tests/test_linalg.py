@@ -255,3 +255,14 @@ def test_clear_denominators():
     m = [{0: Fraction(1, 2)}, {0: Fraction(-2, 3), 1: 5}]
     assert clear_denominators(m) == (6, [{0: 3}, {0: -4, 1: 30}])
     assert clear_denominators([{0: Fraction(4), 1: 2}]) == (1, [{0: 4, 1: 2}])
+
+
+def test_residue_of_a_zero_vector_reduces_nothing(monkeypatch):
+    span = IncrementalSpan()
+    span.add([1, 2, 0])
+    monkeypatch.setattr(span, "_reduce", None)   # a call would raise
+    # brackets keep cancelled entries as zeros
+    for v in ({}, {0: 0, 2: Fraction(0)}, [0, 0, 0]):
+        assert span.residue(v) == {}
+    monkeypatch.undo()
+    assert span.residue({1: 1}) == {1: 1}

@@ -12,7 +12,7 @@ from disemi.classify import DESK_BOUNDS, enumerate_modules
 from disemi.linalg import rank
 from disemi.prehom import evaluation_matrix
 from disemi.repbuilder import (ModuleDescriptor, direct_sum, natural, realize,
-                               realize_label, spec_of)
+                               realize_label, spec_of, trivial)
 from disemi.rootdata import SimpleType
 
 A1 = SimpleType("A", 1)
@@ -132,6 +132,20 @@ class TestStabilizerSyzygies:
                 out = [sum(ev.matrix[a][j] * coeffs[j] for j in range(3))
                        for a in range(3)]
                 assert out == [0, 0, 0]
+
+
+class TestZeroModule:
+    # no coordinate means no monomial of positive degree, so no syzygy
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_no_syzygies(self, degree):
+        zero = trivial(spec_of(A1), 0)
+        assert syzygy.kernel_syzygies(zero, degree) == []
+        assert syzygy.stabilizer_syzygies(zero, degree) == []
+        assert syzygy.generic_rank_certified(zero) == 0
+
+    def test_sectors_without_blocks(self):
+        assert syzygy._sector_multidegrees(0, 0) == [()]
+        assert syzygy._sector_multidegrees(0, 3) == []
 
 
 class TestLinearForms:
