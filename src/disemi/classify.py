@@ -337,14 +337,11 @@ def enumerate_modules(spec, dim_bound):
             current.pop()
 
     rec(0, dim_bound, [])
-    descs = [ModuleDescriptor(labels) for labels in results]
-    uniq = {}
-    for d in descs:
-        uniq.setdefault(d.entries, d)
-    out = list(uniq.values())
-    out.sort(key=lambda d: (d.total_dim(spec), [str(lab) for lab in d.labels()]))
-    for d in out:
-        yield d
+    # rec picks non-decreasing indices into distinct labels, so every
+    # multiset comes once
+    yield from sorted(map(ModuleDescriptor, results),
+                      key=lambda d: (d.total_dim(spec),
+                                     [str(lab) for lab in d.labels()]))
 
 
 # ---------------------------------------------------------------------------

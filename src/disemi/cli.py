@@ -20,7 +20,7 @@ from .prehom import (DecompositionCertificate, Randomized, Refusal, Symbolic,
                      certify_disemisimple, dimension_verdict,
                      is_prehomogeneous, DEFAULT_SEED, DEFAULT_TRIALS,
                      RADICAL_NOT_PREHOMOGENEOUS)
-from .repbuilder import decompose, SemisimpleSpec
+from .repbuilder import decompose, ModuleDescriptor, SemisimpleSpec
 
 
 def _mode_from_args(args):
@@ -107,8 +107,8 @@ def cmd_certify(args):
     spec = parse_algebra(args.algebra)
     ast = parse_module(args.module, spec)
     # V is the radical of s |x V, so the dimensions can refuse it before
-    # it is built; a label too large to realise is still an input error
-    cert = dimension_verdict(module_dim(ast, spec, realisable=True), spec.dim)
+    # it is built, as in cmd_prehom
+    cert = dimension_verdict(module_dim(ast, spec), spec.dim)
     if cert is not None and not cert:
         return _print_certificate(
             Refusal(reason=RADICAL_NOT_PREHOMOGENEOUS, inner=cert), args.json)
@@ -223,7 +223,7 @@ def _label_from_expr(text, spec):
 
 
 def cmd_construct(args):
-    from .classify import construct_type1, construct_type2, radical_module
+    from .classify import construct_type1, construct_type2
     spec = parse_algebra(args.algebra)
     labels = [_label_from_expr(x, spec) for x in args.labels]
     if args.kind == "type1":
@@ -236,7 +236,8 @@ def cmd_construct(args):
             print("type2 needs exactly three labels", file=sys.stderr)
             return 2
         g = construct_type2(spec, *labels)
-    rad = decompose(radical_module(g, spec))
+    # the constructors check that the radical decomposes as exactly this
+    rad = ModuleDescriptor(labels)
     result = certify_disemisimple(g, mode=_mode_from_args(args))
     certified = isinstance(result, DecompositionCertificate)
     if args.json:

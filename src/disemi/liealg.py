@@ -2,8 +2,8 @@
 
 The simple algebras of type A-D are realised as matrix algebras whose
 Cartan subalgebra is diagonal in the natural representation; the full
-basis is grown from the Chevalley generators by bracket closure, and
-every derived basis element remembers which bracket produced it so that
+basis is grown from the Chevalley generators by bracket closure, which
+records the bracket that produced each derived basis element, so that
 representations defined on generators extend mechanically.
 """
 
@@ -19,28 +19,16 @@ from .linalg import (IncrementalSpan, apply, clear, clear_denominators,
 from .rootdata import SimpleType, record
 
 
-@record(frozen=True)
-class ChevalleyFactor:
-    """Generator bookkeeping for one simple factor inside an algebra."""
-
-    simple_type: SimpleType
-    h: tuple
-    e: tuple
-    f: tuple
-
-
 class LieAlgebra:
     """Finite-dimensional Lie algebra by sparse structure constants.
 
     table maps (i, j) with i < j to {k: c} describing [b_i, b_j]; the
     antisymmetric half is implied.  Instances are immutable by
-    convention.  factors / bracket_defs are present on algebras built
-    from Chevalley generators; levi_basis is metadata recorded by
-    constructors that know a Levi subalgebra by construction.
+    convention.  levi_basis is metadata recorded by constructors that
+    know a Levi subalgebra by construction.
     """
 
-    def __init__(self, dim, table, labels=None, factors=None,
-                 bracket_defs=None, levi_basis=None):
+    def __init__(self, dim, table, labels=None):
         self.dim = dim
         keys = [k for k, v in table.items() if v]
         self._den, rows = clear_denominators([table[k] for k in keys])
@@ -49,9 +37,7 @@ class LieAlgebra:
         self.table = (self._int_table if self._den == 1
                       else {k: dict(table[k]) for k in keys})
         self.labels = list(labels) if labels else None
-        self.factors = tuple(factors) if factors else None
-        self.bracket_defs = dict(bracket_defs) if bracket_defs else None
-        self.levi_basis = levi_basis
+        self.levi_basis = None
 
     def __repr__(self):
         return "LieAlgebra(dim=%d)" % self.dim
@@ -109,17 +95,6 @@ class LieAlgebra:
         v = [0] * self.dim
         v[i] = 1
         return v
-
-    def generator_indices(self):
-        """(h, e, f) index tuples across all factors; None if unknown."""
-        if not self.factors:
-            return None
-        h, e, f = [], [], []
-        for fac in self.factors:
-            h.extend(fac.h)
-            e.extend(fac.e)
-            f.extend(fac.f)
-        return tuple(h), tuple(e), tuple(f)
 
 
 class Subspace:
@@ -238,12 +213,14 @@ def _natural_generators(t):
 
 @lru_cache(maxsize=None)
 def _chevalley_with_matrices(t):
-    """(LieAlgebra, natural-module row-dict matrices per basis element)
-    for type t.
+    """(LieAlgebra, natural-module row-dict matrices per basis element,
+    bracket definitions) for type t.
 
-    Bracket closure from the generators: every pair of basis elements is
-    bracketed once, and its commutator either joins the basis or is
-    solved over it, which gives that pair's structure constants.
+    The basis starts h_1..h_l, e_1..e_l, f_1..f_l.  Bracket closure from
+    the generators: every pair of basis elements is bracketed once, and
+    its commutator either joins the basis or is solved over it, which
+    gives that pair's structure constants.  defs maps each basis element
+    m >= 3l to the pair (i, j) with b_m = [b_i, b_j].
     """
     h, e, f = _natural_generators(t)
     l = t.rank
@@ -283,13 +260,7 @@ def _chevalley_with_matrices(t):
               + ["e%d" % (i + 1) for i in range(l)]
               + ["f%d" % (i + 1) for i in range(l)]
               + ["x%d" % m for m in range(3 * l, dim)])
-    factor = ChevalleyFactor(simple_type=t,
-                             h=tuple(range(l)),
-                             e=tuple(range(l, 2 * l)),
-                             f=tuple(range(2 * l, 3 * l)))
-    alg = LieAlgebra(dim, table, labels=labels, factors=(factor,),
-                     bracket_defs=defs)
-    return alg, basis
+    return LieAlgebra(dim, table, labels=labels), basis, defs
 
 
 def chevalley(t):
@@ -304,10 +275,6 @@ def direct_sum(gs):
     dim = sum(g.dim for g in gs)
     table = {}
     labels = []
-    factors = []
-    defs = {}
-    have_factors = all(g.factors for g in gs)
-    have_defs = all(g.bracket_defs is not None for g in gs)
     off = 0
     for gi, g in enumerate(gs):
         for (i, j), row in g.table.items():
@@ -317,20 +284,8 @@ def direct_sum(gs):
                           for lab in g.labels)
         else:
             labels.extend("g%d:b%d" % (gi + 1, k) for k in range(g.dim))
-        if have_factors:
-            for fac in g.factors:
-                factors.append(ChevalleyFactor(
-                    simple_type=fac.simple_type,
-                    h=tuple(i + off for i in fac.h),
-                    e=tuple(i + off for i in fac.e),
-                    f=tuple(i + off for i in fac.f)))
-        if have_defs:
-            for m, (i, j) in g.bracket_defs.items():
-                defs[m + off] = (i + off, j + off)
         off += g.dim
-    return LieAlgebra(dim, table, labels=labels,
-                      factors=factors if have_factors else None,
-                      bracket_defs=defs if have_defs else None)
+    return LieAlgebra(dim, table, labels=labels)
 
 
 def zero_algebra():
@@ -521,8 +476,7 @@ def semidirect(s, rho, n=None):
     if s.labels:
         nlabels = n.labels if n.labels else ["v%d" % (a + 1) for a in range(n.dim)]
         labels = list(s.labels) + list(nlabels)
-    g = LieAlgebra(ds + n.dim, table, labels=labels, factors=s.factors,
-                   bracket_defs=s.bracket_defs)
+    g = LieAlgebra(ds + n.dim, table, labels=labels)
     g.levi_basis = Subspace(g, [g.basis_vector(i) for i in range(ds)])
     return g
 
@@ -602,16 +556,7 @@ def quotient_by_ideal(g, u):
             if row:
                 table[(i, j)] = row
     labels = [g.labels[c] for c in comp] if g.labels else None
-    factors = None
-    defs = None
-    if g.factors:
-        gen_max = max(max(fac.h + fac.e + fac.f) for fac in g.factors)
-        if all(comp[i] == i for i in range(gen_max + 1)):
-            factors = g.factors
-            if g.bracket_defs:
-                defs = {m: (i, j) for m, (i, j) in g.bracket_defs.items()
-                        if m < qdim and comp[m] == m and comp[i] == i and comp[j] == j}
-    q = LieAlgebra(qdim, table, labels=labels, factors=factors, bracket_defs=defs)
+    q = LieAlgebra(qdim, table, labels=labels)
     if g.levi_basis is not None:
         rows = [dense(project(r), qdim) for r in g.levi_basis.basis]
         if rank(rows) == len(rows):

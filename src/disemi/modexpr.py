@@ -10,9 +10,8 @@ prefix for repeated direct summands, and the function forms
 
 from math import prod
 
-from .repbuilder import (SemisimpleSpec, check_label, decompose, direct_sum,
-                         dual, natural, realize_label, sym2, tensor, trivial,
-                         wedge2)
+from .repbuilder import (SemisimpleSpec, decompose, direct_sum, dual,
+                         natural, realize_label, sym2, tensor, trivial, wedge2)
 from .rootdata import SimpleType, record
 
 # an integer prefix repeats a summand; past this many summands in one
@@ -406,28 +405,24 @@ def to_representation(ast, spec):
     raise ValueError("unknown AST node %r" % (ast,))
 
 
-def module_dim(ast, spec, realisable=False):
+def module_dim(ast, spec):
     """The dimension of the module an AST describes, without building
     it: the Weyl dimension formula for each label, and the dimension
-    rules of the constructors.  With realisable, a label that
-    realize_simple refuses for its size raises UnconstructibleLabel."""
+    rules of the constructors."""
     if isinstance(ast, Irr):
-        if realisable:
-            for t, coords in zip(spec.factors, ast.blocks):
-                check_label(t, coords)
         return spec.label_dim(ast.blocks)
     if isinstance(ast, DirectSum):
-        return sum(module_dim(t, spec, realisable) for t in ast.terms)
+        return sum(module_dim(t, spec) for t in ast.terms)
     if isinstance(ast, Tensor):
-        return prod(module_dim(f, spec, realisable) for f in ast.factors)
+        return prod(module_dim(f, spec) for f in ast.factors)
     if isinstance(ast, Wedge2):
-        n = module_dim(ast.inner, spec, realisable)
+        n = module_dim(ast.inner, spec)
         return n * (n - 1) // 2
     if isinstance(ast, Sym2):
-        n = module_dim(ast.inner, spec, realisable)
+        n = module_dim(ast.inner, spec)
         return n * (n + 1) // 2
     if isinstance(ast, Dual):
-        return module_dim(ast.inner, spec, realisable)
+        return module_dim(ast.inner, spec)
     if isinstance(ast, Trivial):
         return 1
     if isinstance(ast, Natural):

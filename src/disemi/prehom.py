@@ -15,7 +15,7 @@ from fractions import Fraction
 from .linalg import (clear_denominators, columns, dense, rank, rank_mod_p,
                      sparse)
 from .liealg import (LinearMap, Subspace, apply_map_subspace, exp_ad,
-                     is_nilpotent, is_semisimple, solvable_radical,
+                     is_semisimple, lower_central_series, solvable_radical,
                      subalgebra, sum_spans)
 from .repbuilder import Representation
 from .rootdata import record
@@ -132,7 +132,7 @@ def _witness_rank(r, v):
     """Rank mod PRIME of the evaluation matrix at v, a lower bound for
     its rank: a point reaching dim V is a witness, which _validated_yes
     still re-checks exactly."""
-    return rank_mod_p(evaluation_matrix(r, v).matrix, stop_at=r.dim)
+    return rank_mod_p(syzygy.evaluation_rows(r, v), stop_at=r.dim)
 
 
 def _symbolic_decide(r):
@@ -311,8 +311,10 @@ def certify_disemisimple(g, levi=None, mode=None):
     spans, inter = sum_spans(g, levi, rad)
     if not spans or inter != 0:
         raise ValueError("Levi subalgebra does not complement the radical")
-    if rad.dim and not is_nilpotent(g, rad):
-        # radical strictly larger than the nilradical
+    # a radical strictly larger than the nilradical; solvable_radical
+    # has verified rad as an ideal, so is_nilpotent's closure check
+    # would only repeat that
+    if lower_central_series(g, rad)[-1].dim:
         return Refusal(reason=RADICAL_NOT_NILPOTENT)
     rep, rad = adjoint_radical_module(g, levi, rad)
     cert = is_prehomogeneous(rep, mode=mode)

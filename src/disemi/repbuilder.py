@@ -46,6 +46,21 @@ class SemisimpleSpec:
     def algebra(self):
         return _spec_algebra(self)
 
+    def generator_indices(self):
+        """(h, e, f) index tuples of the Chevalley generators in the basis
+        of self.algebra(): the block of a factor of rank l starts
+        h_1..h_l, e_1..e_l, f_1..f_l (liealg._chevalley_with_matrices),
+        and the blocks follow the factors (liealg.direct_sum)."""
+        h, e, f = [], [], []
+        off = 0
+        for t in self.factors:
+            l = t.rank
+            h.extend(range(off, off + l))
+            e.extend(range(off + l, off + 2 * l))
+            f.extend(range(off + 2 * l, off + 3 * l))
+            off += t.algebra_dim
+        return tuple(h), tuple(e), tuple(f)
+
     def label_dim(self, label):
         d = 1
         for t, coords in zip(self.factors, label):
@@ -172,10 +187,9 @@ class Representation:
         self.weight_basis = weight_basis
         self._weights = None
         if weight_basis:
-            gens = algebra.generator_indices()
-            if gens is None:
+            if spec is None or algebra is not spec.algebra():
                 raise ValueError("weight_basis needs Chevalley generator data")
-            for h in gens[0]:
+            for h in spec.generator_indices()[0]:
                 if any(b != a for a, row in enumerate(self.action[h]) for b in row):
                     raise ValueError("Cartan action is not diagonal")
 
@@ -188,7 +202,7 @@ class Representation:
         if not self.weight_basis:
             raise ValueError("weights need a weight basis")
         if self._weights is None:
-            h_idx = self.algebra.generator_indices()[0]
+            h_idx = self.spec.generator_indices()[0]
             out = []
             for c in range(self.dim):
                 w = tuple(self.action[h][c].get(c, 0) for h in h_idx)
@@ -240,10 +254,11 @@ def _kron_sum(m1, m2, d1, d2):
 def _spot_check(rep):
     """One-pair homomorphism check on the first sl2 triple; cheap, and
     catches sign mistakes in new constructors."""
-    if rep.dim == 0 or rep.algebra.factors is None:
+    spec = rep.spec
+    if rep.dim == 0 or spec is None or rep.algebra is not spec.algebra():
         return rep
-    fac = rep.algebra.factors[0]
-    if not rep._bracket_holds(fac.e[0], fac.f[0]):
+    _, e, f = spec.generator_indices()
+    if not rep._bracket_holds(e[0], f[0]):
         raise AssertionError("constructed action fails the spot check")
     return rep
 
@@ -253,7 +268,7 @@ def natural(t):
     """The defining module of t, in a basis with diagonal Cartan action."""
     if not isinstance(t, SimpleType):
         raise ValueError("natural() expects a SimpleType")
-    alg, mats = _chevalley_with_matrices(t)
+    alg, mats, _ = _chevalley_with_matrices(t)
     return Representation(SemisimpleSpec((t,)), alg, mats, True)
 
 
@@ -394,13 +409,14 @@ def _mode_matrices(l):
     return create, destroy
 
 
-def _rep_from_generators(alg, images):
-    """Extend generator images along the algebra's bracket definitions."""
-    action = [None] * alg.dim
+def _rep_from_generators(dim, defs, images):
+    """Extend generator images along the bracket definitions defs of a
+    dim-dimensional algebra (see liealg._chevalley_with_matrices)."""
+    action = [None] * dim
     for idx, m in images.items():
         action[idx] = m
-    for m in sorted(alg.bracket_defs):
-        i, j = alg.bracket_defs[m]
+    for m in sorted(defs):
+        i, j = defs[m]
         action[m] = commutator(action[i], action[j])
     if any(a is None for a in action):
         raise AssertionError("generator images do not cover the algebra")
@@ -416,8 +432,9 @@ def _spin_rep(t, parity=None):
     are integral; construction is verified by a full homomorphism check.
     """
     l = t.rank
-    alg = chevalley(t)
-    fac = alg.factors[0]
+    alg, _, defs = _chevalley_with_matrices(t)
+    spec = SemisimpleSpec((t,))
+    h, e, f = spec.generator_indices()
     full = range(1 << l)
     create, destroy = _mode_matrices(l)
     dfull = len(full)
@@ -425,26 +442,26 @@ def _spin_rep(t, parity=None):
     number = [matmul(create[i], destroy[i]) for i in range(l)]
     images = {}
     for i in range(l - 1):
-        images[fac.e[i]] = matmul(create[i], destroy[i + 1])
-        images[fac.f[i]] = matmul(create[i + 1], destroy[i])
-        images[fac.h[i]] = combination(((1, number[i]), (-1, number[i + 1])),
-                                       dfull)
+        images[e[i]] = matmul(create[i], destroy[i + 1])
+        images[f[i]] = matmul(create[i + 1], destroy[i])
+        images[h[i]] = combination(((1, number[i]), (-1, number[i + 1])),
+                                   dfull)
     if t.family == "D":
         if parity not in (0, 1):
             raise ValueError("D-type spin module needs a subset parity")
-        images[fac.e[l - 1]] = matmul(create[l - 2], create[l - 1])
-        images[fac.f[l - 1]] = matmul(destroy[l - 1], destroy[l - 2])
-        images[fac.h[l - 1]] = combination(
+        images[e[l - 1]] = matmul(create[l - 2], create[l - 1])
+        images[f[l - 1]] = matmul(destroy[l - 1], destroy[l - 2])
+        images[h[l - 1]] = combination(
             ((1, number[l - 2]), (1, number[l - 1]), (-1, one)), dfull)
     elif t.family == "B":
         # short-root vectors live in the even Clifford algebra through
         # the parity involution c with c^2 = 1
         c = [{m: -1 if bin(m).count("1") % 2 else 1} for m in full]
-        images[fac.e[l - 1]] = matmul(create[l - 1], c)
-        images[fac.f[l - 1]] = combination(
+        images[e[l - 1]] = matmul(create[l - 1], c)
+        images[f[l - 1]] = combination(
             ((-1, matmul(destroy[l - 1], c)),), dfull)
-        images[fac.h[l - 1]] = combination(((2, number[l - 1]), (-1, one)),
-                                           dfull)
+        images[h[l - 1]] = combination(((2, number[l - 1]), (-1, one)),
+                                       dfull)
     else:
         raise ValueError("spin modules exist for families B and D only")
     if t.family == "D":
@@ -458,8 +475,8 @@ def _spin_rep(t, parity=None):
             restricted[idx] = [{pos[b]: x for b, x in m[a].items()}
                                for a in keep]
         images = restricted
-    action = _rep_from_generators(alg, images)
-    rep = Representation(SemisimpleSpec((t,)), alg, action, True)
+    action = _rep_from_generators(alg.dim, defs, images)
+    rep = Representation(spec, alg, action, True)
     if not rep.check_homomorphism():
         raise AssertionError("spin construction failed the homomorphism check")
     return rep
@@ -486,7 +503,7 @@ def highest_weight_vectors(r, coord_mask=None):
     """
     if not r.weight_basis:
         raise ValueError("highest weight extraction needs a weight basis")
-    e_idx = r.algebra.generator_indices()[1]
+    e_idx = r.spec.generator_indices()[1]
     weights = r.weights()
     blocks = {}
     coords_ok = set(coord_mask) if coord_mask is not None else None
@@ -580,7 +597,7 @@ def _restrict(r, vectors):
 def cyclic_submodule(r, v0):
     """The submodule generated from a highest weight vector by the
     lowering operators, with a spanning-closure loop."""
-    f_idx = r.algebra.generator_indices()[2]
+    f_idx = r.spec.generator_indices()[2]
     span = IncrementalSpan()
     span.add(v0)
     basis = [list(v0)]
@@ -613,17 +630,6 @@ def _top_component(r, target):
     return _restrict(r, cyclic_submodule(r, flat))
 
 
-def check_label(t, coords):
-    """Raise UnconstructibleLabel when L(coords) of t is above
-    MAX_LABEL_DIM dimensions; realize_simple refuses such a label."""
-    dim = weyl_dim(t, coords)
-    if dim > MAX_LABEL_DIM:
-        raise UnconstructibleLabel(
-            "L(%s) of %s has dimension %d, above the limit of %d for a "
-            "realised label" % (",".join(map(str, coords)), t, dim,
-                                MAX_LABEL_DIM))
-
-
 @lru_cache(maxsize=None)
 def realize_simple(t, coords):
     """An irreducible module of simple type t with highest weight coords.
@@ -635,7 +641,12 @@ def realize_simple(t, coords):
     outside this set raise UnconstructibleLabel.
     """
     coords = as_coords(t, coords)
-    check_label(t, coords)
+    dim = weyl_dim(t, coords)
+    if dim > MAX_LABEL_DIM:
+        raise UnconstructibleLabel(
+            "L(%s) of %s has dimension %d, above the limit of %d for a "
+            "realised label" % (",".join(map(str, coords)), t, dim,
+                                MAX_LABEL_DIM))
     l = t.rank
     spec = SemisimpleSpec((t,))
     if all(c == 0 for c in coords):

@@ -226,10 +226,17 @@ class TestOtherCommands:
                                       ("certify", "A1", "L(129)")])
     def test_label_above_size_limit(self, capsys, argv):
         code, out, err = run(capsys, *argv)
+        assert "Traceback" not in err
+        if argv[0] == "certify":
+            # dim V = 130 > 3 refuses V before its label is realised, as
+            # prehom decides it
+            assert (code, out, err) == (
+                1, "refused: radical_not_prehomogeneous (dimension_bound)\n",
+                "")
+            return
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and "limit" in err
-        assert "Traceback" not in err
 
 
 HUGE = "sym2(sym2(sym2(L(10))))"       # dimension 2,445,366 over A1

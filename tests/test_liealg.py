@@ -15,8 +15,8 @@ from disemi.liealg import (LieAlgebra, Subspace, abelian_algebra, chevalley,
                            sum_spans, zero_algebra, zero_subspace,
                            _chevalley_with_matrices)
 from disemi.rootdata import SimpleType, cartan_matrix
-from disemi.repbuilder import (Representation, decompose, natural,
-                               realize_label, spec_of)
+from disemi.repbuilder import (Representation, SemisimpleSpec, decompose,
+                               natural, realize_label, spec_of)
 
 A1 = SimpleType("A", 1)
 A2 = SimpleType("A", 2)
@@ -52,12 +52,12 @@ class TestChevalley:
     @pytest.mark.parametrize("spec", [("A", 3), ("B", 3), ("C", 2), ("D", 4)])
     def test_chevalley_relations(self, spec):
         t = SimpleType(*spec)
-        alg, mats = _chevalley_with_matrices(t)
+        _, mats, _ = _chevalley_with_matrices(t)
         a = cartan_matrix(t)
-        fac = alg.factors[0]
+        hs, es, _ = SemisimpleSpec((t,)).generator_indices()
         for i in range(t.rank):
             for j in range(t.rank):
-                h, e = mats[fac.h[i]], mats[fac.e[j]]
+                h, e = mats[hs[i]], mats[es[j]]
                 assert commutator(h, e) == combination(((a[j][i], e),), len(e))
 
     def test_exceptional_rejected(self):

@@ -325,4 +325,4 @@ class TestModuleSizeLimit:
         ast = parse_module("L(129) + L(1)", spec)
         assert module_dim(ast, spec) == 132
         with pytest.raises(ValueError, match="limit of 128"):
-            module_dim(ast, spec, realisable=True)
+            to_representation(ast, spec)

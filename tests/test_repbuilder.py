@@ -1,8 +1,10 @@
 import pytest
 
-from disemi.rootdata import SimpleType, dual_weight, weyl_dim
-from disemi.repbuilder import (ModuleDescriptor, SemisimpleSpec,
-                               UnconstructibleLabel, decompose, direct_sum,
+from disemi.liealg import LieAlgebra
+from disemi.rootdata import SimpleType, cartan_matrix, dual_weight, weyl_dim
+from disemi.repbuilder import (ModuleDescriptor, Representation,
+                               SemisimpleSpec, UnconstructibleLabel,
+                               decompose, direct_sum,
                                dual, embeds, highest_weight_vectors,
                                multiplicity, natural, outer_tensor, realize,
                                realize_label, realize_simple, spec_of,
@@ -96,6 +98,49 @@ class TestConstructors:
             tensor(natural(A1), natural(A2))
         with pytest.raises(ValueError):
             direct_sum([natural(A1), natural(A2)])
+
+
+# sl2 in the basis (e, f, h): the same algebra as chevalley(A1), built by
+# hand, so the generator positions of spec_of(A1) do not describe it
+SL2_EFH = LieAlgebra(3, {(0, 1): {2: 1}, (0, 2): {0: -2}, (1, 2): {1: 2}})
+
+
+def sl2_efh_natural(weight_basis=False):
+    h, e, f = natural(A1).action
+    return Representation(spec_of(A1), SL2_EFH, [e, f, h], weight_basis)
+
+
+class TestGeneratorIndices:
+    @pytest.mark.parametrize("spec", [spec_of(C2, A1, ("D", 4)),
+                                      spec_of(A2, B3)])
+    def test_chevalley_relations_in_every_factor(self, spec):
+        g = spec.algebra()
+        hs, es, fs = spec.generator_indices()
+        pos = 0
+        for t in spec.factors:
+            a = cartan_matrix(t)
+            h, e, f = (x[pos:pos + t.rank] for x in (hs, es, fs))
+            for i in range(t.rank):
+                assert g.structure(e[i], f[i]) == {h[i]: 1}
+                for j in range(t.rank):
+                    c = a[j][i]
+                    assert g.structure(h[i], e[j]) == ({e[j]: c} if c else {})
+                    assert g.structure(h[i], f[j]) == ({f[j]: -c} if c else {})
+            pos += t.rank
+
+    def test_hand_built_algebra_skips_the_spot_check(self, monkeypatch):
+        r = sl2_efh_natural()
+        with monkeypatch.context() as m:
+            m.setattr(Representation, "_bracket_holds",
+                      lambda *args: pytest.fail("spot check ran"))
+            t = tensor(r, r)
+        assert t.algebra is SL2_EFH and t.dim == 4
+        assert t.check_homomorphism()
+
+    def test_weight_basis_over_a_hand_built_algebra_refused(self):
+        assert sl2_efh_natural().check_homomorphism()
+        with pytest.raises(ValueError, match="Chevalley generator data"):
+            sl2_efh_natural(weight_basis=True)
 
 
 class TestSpin:
@@ -314,7 +359,7 @@ class TestSparseAction:
         from disemi.liealg import semidirect
         from disemi.repbuilder import Representation
         r = realize_label(spec_of(A3), lab((0, 1, 0)))
-        h = r.algebra.generator_indices()[0][0]
+        h = r.spec.generator_indices()[0][0]
         action = [[dict(row) for row in m] for m in r.action]
         action[h][0][0] = action[h][0].get(0, 0) + 1
         bad = Representation(r.spec, r.algebra, action, False)

@@ -44,7 +44,6 @@ def instances():
         "rootdata.SimpleType": A2,
         "rootdata.DominantWeight": DominantWeight((1, 0)),
         "rootdata.RootSystem": rootdata.root_system(A2),
-        "liealg.ChevalleyFactor": g.factors[0],
         "liealg.LinearMap": phi,
         "repbuilder.SemisimpleSpec": SemisimpleSpec((A1, A2)),
         "modexpr.Irr": irr,
