@@ -586,19 +586,23 @@ def exp_ad(g, z):
     """The automorphism exp(ad z) as a LinearMap; z must be ad-nilpotent.
 
     Nilpotency is decided by exact matrix powering bounded by dim g.
+    The series runs over ints: with D ad z = A integral and A^(n+1) = 0,
+    exp(ad z) = sum_k n!/k! D^(n-k) A^k / (n! D^n), divided once.
     """
-    a = g.ad(z)
-    total = [{i: 1} for i in range(g.dim)]
+    den, a = clear_denominators(g.ad(z))
+    powers = [[{i: 1} for i in range(g.dim)]]
     term = a
-    k = 1
     while any(term):
-        total = combination(((1, total), (Fraction(1, factorial(k)), term)),
-                            g.dim)
-        term = matmul(term, a)
-        k += 1
-        if k > g.dim:
+        if len(powers) >= g.dim:
             raise ValueError("ad(z) is not nilpotent")
-    return LinearMap(g.dim, g.dim, total)
+        powers.append(term)
+        term = matmul(term, a)
+    n = len(powers) - 1
+    total = combination(((factorial(n) // factorial(k) * den ** (n - k), m)
+                         for k, m in enumerate(powers)), g.dim)
+    d = factorial(n) * den ** n
+    return LinearMap(g.dim, g.dim, [{b: divide(x, d) for b, x in row.items()}
+                                    for row in total])
 
 
 def sum_spans(g, u1, u2):

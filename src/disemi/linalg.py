@@ -309,9 +309,10 @@ def _echelon_mod_p(rows, stop_at=None):
     """Row echelon form of rows reduced mod PRIME, or None when PRIME
     divides a denominator.
 
-    rows are dense lists or sparse dicts over Q; each is cleared, a
-    scaling by a unit mod PRIME, and reduced mod PRIME only when the
-    elimination reaches it, so no second copy of the system is held.
+    rows are dense lists or sparse dicts over Q; each is reduced mod
+    PRIME only when the elimination reaches it, so no second copy of the
+    system is held, and one that holds a Fraction is cleared first, a
+    scaling by a unit mod PRIME.
     Short rows go first, so that most later rows meet short pivots; the
     order changes nothing else, since the pivot columns of an echelon
     form depend only on the row space.  Returns
@@ -321,10 +322,14 @@ def _echelon_mod_p(rows, stop_at=None):
     p = PRIME
     pivots = {}
     for row in sorted(rows, key=len):
-        den, row = clear(row)
-        if not den % p:
-            return None
-        red = {k: v % p for k, v in row.items() if v % p}
+        vals = row.values() if isinstance(row, dict) else row
+        # a sum of ints is an int, and one Fraction makes it a Fraction
+        if type(sum(vals)) is not int:
+            den, row = clear(row)
+            if not den % p:
+                return None
+        items = row.items() if isinstance(row, dict) else enumerate(row)
+        red = {k: r for k, v in items if (r := v % p)}
         while red:
             c = min(red)
             piv = pivots.get(c)

@@ -20,7 +20,9 @@ integers together, which scales whole equations (or, for the
 elimination, a column) and so changes no solution and no rank.
 Syzygies are found in low degree by sparse linear algebra mod a prime,
 lifted to Q, scaled to primitive integer vectors, and re-verified by
-symbolic expansion over the exact forms before use.
+symbolic expansion over the exact forms before use; most unknowns of a
+system are forced to 0 by one-entry rows, and sparse_nullspace peels
+them off exactly before the modular solve.
 Ranks at points are taken mod the same prime: they only serve as the
 lower bound and in the upper bound's subtracted term, where a smaller
 value can only loosen the sandwich, never make it unsound.
@@ -84,17 +86,43 @@ def sparse_nullspace(rows, ncols):
     """Nullspace basis of a sparse system; rows are {col: coeff} dicts.
 
     Returns sparse basis vectors as {col: coeff} dicts, one per free
-    column of the row echelon form.  rows must be re-iterable.  The
-    basis is solved mod PRIME and lifted by rational reconstruction;
-    it is returned only after every vector is checked exactly against
-    every row, which makes it a basis over Q (see
-    linalg.sparse_nullspace_mod_p).  Otherwise the exact
-    linalg.nullspace decides.
+    column of the row echelon form.
+
+    A row whose one stored entry off the forced columns is nonzero
+    forces that unknown to 0 over Q; the peel repeats this until no new
+    one appears, then drops the forced columns and the rows with at most
+    one entry off them.  The zeros are exact, so the nullspace is the
+    zero-padded one of the reduced system.  Column c is free in the
+    echelon form iff some x in the nullspace has support in {0..c} and
+    x_c = 1: never for a forced c, and for the others alike in both
+    systems.  So the free columns, and the basis (1 on its free column,
+    0 on the others), are the same vector for vector and in order.
+
+    The reduced system is solved mod PRIME and lifted by rational
+    reconstruction; the basis is returned only after every vector is
+    checked exactly against every reduced row (a dropped row vanishes
+    where the forced columns do, as every padded vector does), which
+    makes it a basis over Q (see linalg.sparse_nullspace_mod_p).
+    Otherwise the exact linalg.nullspace decides.
     """
-    basis = sparse_nullspace_mod_p(rows, ncols)
-    if basis is None or not _annihilated(rows, basis):
-        return nullspace(rows, ncols)
-    return basis
+    forced, kept, new = set(), rows, True
+    while new:
+        live, kept, new = kept, [], set()
+        for row in live:
+            ks = row.keys() - forced if forced else row.keys()
+            if len(ks) > 1:
+                kept.append(row)
+            elif ks and row[min(ks)]:
+                new.update(ks)
+        forced |= new
+    keep = [c for c in range(ncols) if c not in forced]
+    index = {c: i for i, c in enumerate(keep)}
+    reduced = [{index[k]: c for k, c in row.items() if k in index}
+               for row in kept]
+    basis = sparse_nullspace_mod_p(reduced, len(keep))
+    if basis is None or not _annihilated(reduced, basis):
+        basis = nullspace(reduced, len(keep))
+    return [{keep[i]: x for i, x in v.items()} for v in basis]
 
 
 def _annihilated(rows, basis):
@@ -174,9 +202,10 @@ def _syzygies(forms, degree, blocks, kind):
     action keeps each block: on the kernel side forms[u][r] lies in the
     block of u and the grade is that of M; on the stabilizer side it
     lies in the block of r and the grade is that of M less that block.
-    So each sector is solved alone; sectors over MAX_UNKNOWNS are
-    skipped (missing a syzygy only costs the shortcut, never
-    correctness).  Every syzygy is verified over the exact forms.
+    So each sector is solved alone; sectors over MAX_UNKNOWNS unknowns,
+    counted before sparse_nullspace's peel, are skipped (missing a
+    syzygy only costs the shortcut, never correctness).  Every syzygy is
+    verified over the exact forms.
     """
     lifted = kind == "kernel"
     block_of = {c: s for s, blk in enumerate(blocks) for c in blk}
@@ -251,8 +280,12 @@ def sample_points(dim, count=40):
 
 def evaluation_rows(rep, v):
     """The evaluation matrix at v: entry (a, j) is (rho(b_j) v)_a."""
-    return [[sum(x * v[b] for b, x in m[a].items()) for m in rep.action]
-            for a in range(rep.dim)]
+    rows = [[0] * len(rep.action) for _ in range(rep.dim)]
+    for j, m in enumerate(rep.action):
+        for row, mrow in zip(rows, m):
+            if mrow:
+                row[j] = sum(x * v[b] for b, x in mrow.items())
+    return rows
 
 
 def generic_rank_certified(rep, sampled=None):

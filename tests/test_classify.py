@@ -3,20 +3,20 @@ import itertools
 import pytest
 
 from disemi.classify import (DESK_BOUNDS, NotAFreeError, SKTriple,
-                             a_free_structure, candidate_labels,
-                             castling_transform, construct_type1,
-                             construct_type2, cross_check_vinberg,
+                             a_free_structure, castling_transform,
+                             construct_type1, construct_type2,
+                             cross_check_vinberg,
                              enumerate_modules, radical_module,
                              search_type12, simple_labels_upto,
                              sk_reduced_table, type12_candidates,
                              vinberg_table)
-from disemi.liealg import (check_jacobi, chevalley, is_perfect,
-                           lower_central_series, semidirect, Subspace)
+from disemi.liealg import (check_jacobi, is_perfect, lower_central_series,
+                           semidirect, Subspace)
 from disemi.prehom import (DecompositionCertificate, Refusal, Symbolic,
                            certify_disemisimple, is_prehomogeneous)
 from disemi.repbuilder import (ModuleDescriptor, decompose, direct_sum,
-                               natural, outer_tensor, realize, realize_label,
-                               spec_of, spin16_d5, trivial)
+                               natural, outer_tensor, realize, spec_of,
+                               spin16_d5, trivial)
 from disemi.rootdata import SimpleType, weyl_dim
 
 A1 = SimpleType("A", 1)

@@ -16,7 +16,7 @@ from disemi.liealg import (LieAlgebra, Subspace, abelian_algebra, chevalley,
                            _chevalley_with_matrices)
 from disemi.rootdata import SimpleType, cartan_matrix
 from disemi.repbuilder import (Representation, SemisimpleSpec, decompose,
-                               natural, realize_label, spec_of)
+                               natural, spec_of)
 
 A1 = SimpleType("A", 1)
 A2 = SimpleType("A", 2)

@@ -6,16 +6,14 @@ import pytest
 from disemi.linalg import rank
 from disemi.liealg import (LieAlgebra, Subspace, chevalley, full_subspace,
                            semidirect)
-from disemi.prehom import (DecompositionCertificate, PrehomCertificate,
-                           Randomized, Refusal, Symbolic, certify_disemisimple,
-                           evaluation_matrix, has_trivial_summand,
-                           is_etale, is_prehomogeneous,
+from disemi.prehom import (DecompositionCertificate, Randomized, Refusal,
+                           Symbolic, certify_disemisimple, evaluation_matrix,
+                           has_trivial_summand, is_etale, is_prehomogeneous,
                            DIMENSION_BOUND, ETALE_EXCLUSION, TRIVIAL_SUMMAND,
                            SYMBOLIC_RANK_DEFICIT)
-from disemi.repbuilder import (ModuleDescriptor, Representation, decompose,
-                               direct_sum, dual, natural, outer_tensor,
-                               realize, realize_label, spec_of, spin16_d5,
-                               trivial)
+from disemi.repbuilder import (ModuleDescriptor, Representation, direct_sum,
+                               dual, natural, realize, realize_label, spec_of,
+                               spin16_d5, trivial)
 from disemi.rootdata import SimpleType
 
 A1 = SimpleType("A", 1)

@@ -1,11 +1,9 @@
 import pytest
 
 from disemi.liealg import LieAlgebra
-from disemi.rootdata import SimpleType, cartan_matrix, dual_weight, weyl_dim
-from disemi.repbuilder import (ModuleDescriptor, Representation,
-                               SemisimpleSpec, UnconstructibleLabel,
-                               decompose, direct_sum,
-                               dual, embeds, highest_weight_vectors,
+from disemi.rootdata import SimpleType, cartan_matrix, weyl_dim
+from disemi.repbuilder import (ModuleDescriptor, Representation, decompose,
+                               direct_sum, dual, embeds, highest_weight_vectors,
                                multiplicity, natural, outer_tensor, realize,
                                realize_label, realize_simple, spec_of,
                                spin16_d5, sym2, tensor, trivial, wedge2,
@@ -50,9 +48,11 @@ class TestConstructors:
         # the A1 part acts as phi(x) ox id3, the A2 part as id2 ox psi(y)
         h_a1 = r.action[0]
         assert [h_a1[i].get(i, 0) for i in range(6)] == [1, 1, 1, -1, -1, -1]
-        h_a2 = r.action[3]
-        assert [h_a2[i].get(i, 0) for i in range(6)] == [1, 0, -1 + 1, -1 + 1, 1, 0] \
-            or True  # layout detail checked via weights below
+        # A2's h_1 and h_2 act as diag(1, -1, 0) and diag(0, 1, -1) on
+        # each of the two copies of its natural module
+        h1_a2, h2_a2 = r.action[3], r.action[4]
+        assert [h1_a2[i].get(i, 0) for i in range(6)] == [1, -1, 0, 1, -1, 0]
+        assert [h2_a2[i].get(i, 0) for i in range(6)] == [0, 1, -1, 0, 1, -1]
         ws = r.weights()
         assert ws[0] == (1, 1, 0)
 

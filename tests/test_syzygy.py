@@ -87,6 +87,68 @@ class TestSparseNullspace:
         assert syzygy.sparse_nullspace(rows, 2) == [{1: 1, 0: -linalg.PRIME}]
 
 
+NONZERO = (st.integers(-3, 3) | st.fractions(-3, 3, max_denominator=4)).filter(bool)
+
+
+@st.composite
+def peelable_systems(draw):
+    """(n, rows): a chain of forced zeros (a singleton row, then rows
+    each adding one unknown to the ones before), a few other rows that
+    may store zeros, all in a random order."""
+    n = draw(st.integers(1, 10))
+    cols = draw(st.permutations(range(n)))
+    depth = draw(st.integers(0, n))
+    rows = [{cols[0]: draw(NONZERO)}] if depth else []
+    rows += [{a: draw(NONZERO), b: draw(NONZERO)}
+             for a, b in zip(cols[:depth - 1], cols[1:depth])]
+    rows += draw(st.lists(st.dictionaries(st.integers(0, n - 1),
+                                          NONZERO | st.just(0), max_size=3),
+                          max_size=6))
+    return n, draw(st.permutations(rows))
+
+
+class TestPeel:
+    @given(peelable_systems())
+    @settings(max_examples=150, deadline=None)
+    def test_same_basis_as_exact(self, system):
+        # the same list in the same order, not just the same span
+        n, rows = system
+        assert syzygy.sparse_nullspace(rows, n) == linalg.nullspace(rows, n)
+
+    def test_chain_of_forced_zeros(self, monkeypatch):
+        # x1, then x2, then x3 are forced; the solver sees x0 + 2 x4 = 0
+        rows = [{2: 1, 3: 1}, {1: 1, 2: -1}, {1: 4}, {0: 1, 3: 1, 4: 2}]
+        seen = []
+
+        def modular(r, n):
+            seen.append((r, n))
+            return linalg.sparse_nullspace_mod_p(r, n)
+        monkeypatch.setattr(syzygy, "sparse_nullspace_mod_p", modular)
+        assert syzygy.sparse_nullspace(rows, 5) == [{4: 1, 0: -2}]
+        assert seen == [([{0: 1, 1: 2}], 2)]
+
+    def test_stored_zero_forces_nothing(self):
+        # {0: 0} is no equation; x0 = -x1 stays free of it
+        rows = [{0: 0}, {0: 1, 1: 1}]
+        assert syzygy.sparse_nullspace(rows, 2) == [{1: 1, 0: -1}]
+        assert syzygy.sparse_nullspace([{0: 0, 1: 1}], 2) == [{0: 1}]
+
+    def test_fractions_after_the_peel(self):
+        rows = [{0: Fraction(1, 2)}, {0: 1, 1: Fraction(2, 3), 2: -1}]
+        assert syzygy.sparse_nullspace(rows, 3) == [{2: 1, 1: Fraction(3, 2)}]
+
+    def test_exact_fallback_on_the_reduced_system(self, monkeypatch):
+        rows = [{0: 5}, {0: 1, 1: Fraction(1, linalg.PRIME), 2: 1}]
+        sizes = []
+
+        def exact(r, n):
+            sizes.append((len(r), n))
+            return linalg.nullspace(r, n)
+        monkeypatch.setattr(syzygy, "nullspace", exact)
+        assert syzygy.sparse_nullspace(rows, 3) == [{2: 1, 1: -linalg.PRIME}]
+        assert sizes == [(1, 2)]
+
+
 class TestCoordinateBlocks:
     def test_direct_sum_blocks(self):
         r = direct_sum([natural(A2), natural(A2)])
