@@ -399,14 +399,20 @@ def _decide_all(t, modules, mode, jobs):
         return list(pool.map(_decide, args))
 
 
+def _bound(t, bound):
+    """bound, or the desk-scale bound of t when it is None."""
+    if bound is not None:
+        return bound
+    if t not in DESK_BOUNDS:
+        raise ValueError("%s is not in the desk-scale bound table; pass "
+                         "an explicit bound" % (t,))
+    return DESK_BOUNDS[t]
+
+
 def cross_check_vinberg(t, bound=None, jobs=1):
     """Enumerate all modules below the dimension bound, decide each one
     symbolically, and diff the positives against the table."""
-    if bound is None:
-        if t not in DESK_BOUNDS:
-            raise ValueError("%s is not in the desk-scale bound table; pass "
-                             "an explicit bound" % (t,))
-        bound = DESK_BOUNDS[t]
+    bound = _bound(t, bound)
     spec = SemisimpleSpec((t,))
     modules = list(enumerate_modules(spec, bound))
     verdicts = _decide_all(t, [d.entries for d in modules], Symbolic(), jobs)
@@ -447,10 +453,7 @@ class TypedModuleCandidate:
 def type12_candidates(t, dim_bound=None):
     """All embedding-valid type-1 pairs and type-2 triples under the
     dimension bound, in deterministic order."""
-    if dim_bound is None:
-        bound = DESK_BOUNDS[t]
-    else:
-        bound = dim_bound
+    bound = _bound(t, dim_bound)
     spec = SemisimpleSpec((t,))
     labels = candidate_labels(spec, bound)
     if not labels:

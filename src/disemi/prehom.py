@@ -11,6 +11,7 @@ every specialisation.
 import json
 import random
 from fractions import Fraction
+from itertools import chain
 
 from .linalg import (clear_denominators, columns, dense, rank, rank_mod_p,
                      sparse)
@@ -136,29 +137,22 @@ def _witness_rank(r, v):
 
 
 def _symbolic_decide(r):
-    """Certified verdict by specialisation plus symbolic elimination.
+    """Certified verdict by the generic rank, then specialisation.
 
-    Any specialisation with full row rank is already a witness; if every
-    sampled point is deficient, the generic rank decides, since the rank
-    at each point is bounded by the generic rank.  Each sampled point is
-    ranked once: its rank also serves as the generic rank's lower bound.
+    A generic rank below dim V is a No, since it bounds the rank at
+    every specialisation.  Otherwise some point has full rank, and the
+    first one found among the sample points, then a seeded stream of
+    small integer points, is the witness.
     """
     d = r.dim
-    sampled = []
-    for v in syzygy.sample_points(d):
-        rk = _witness_rank(r, v)
-        if rk == d:
-            return _validated_yes(r, v, mode="symbolic")
-        sampled.append((v, rk))
-    grank = syzygy.generic_rank_certified(r, sampled)
+    grank = syzygy.generic_rank_certified(r)
     if grank < d:
         return PrehomCertificate(verdict="not_prehomogeneous",
                                  reason=SYMBOLIC_RANK_DEFICIT,
                                  generic_rank=grank, mode="symbolic")
-    # generically full rank: keep specialising until a witness appears
     rnd = random.Random(syzygy.SAMPLE_SEED)
-    for _ in range(1000):
-        v = [rnd.randint(-99, 99) for _ in range(d)]
+    stream = ([rnd.randint(-99, 99) for _ in range(d)] for _ in range(1000))
+    for v in chain(syzygy.sample_points(d), stream):
         if _witness_rank(r, v) == d:
             return _validated_yes(r, v, mode="symbolic")
     raise AssertionError("full generic rank but no witness found")
@@ -214,8 +208,7 @@ def is_prehomogeneous(r, mode=None):
 def is_etale(r, mode=None):
     """Prehomogeneous with dim V = dim s; always False over semisimple
     algebras, but computed honestly."""
-    cert = is_prehomogeneous(r, mode=mode)
-    return bool(cert) and r.dim == r.algebra.dim
+    return r.dim == r.algebra.dim and bool(is_prehomogeneous(r, mode=mode))
 
 
 # ---------------------------------------------------------------------------

@@ -25,15 +25,21 @@ system are forced to 0 by one-entry rows, and sparse_nullspace peels
 them off exactly before the modular solve.
 Ranks at points are taken mod the same prime: they only serve as the
 lower bound and in the upper bound's subtracted term, where a smaller
-value can only loosen the sandwich, never make it unsound.
+value can only loosen the sandwich, never make it unsound.  Both are
+taken at one point, generic_point, whose coordinates are drawn from
+[0, PRIME).  That one point is enough for efficiency: a polynomial of
+degree r that is nonzero mod PRIME, such as an r x r minor of M_v or of
+a syzygy stack, vanishes at a uniform point with probability at most
+r / PRIME (Schwartz 1980, Zippel 1979), and a shortfall only costs the
+shortcut.
 """
 
 import random
 from itertools import combinations, combinations_with_replacement
 from math import lcm
 
-from .linalg import (clear, columns, nullspace, primitive, rank_mod_p,
-                     sparse_nullspace_mod_p)
+from .linalg import (PRIME, clear, columns, nullspace, primitive,
+                     rank_mod_p, sparse_nullspace_mod_p)
 from . import symrank
 
 MAX_SYZYGY_DEGREE = 3
@@ -288,54 +294,48 @@ def evaluation_rows(rep, v):
     return rows
 
 
-def generic_rank_certified(rep, sampled=None):
+def generic_point(dim):
+    """The point whose rank bounds the generic rank from below: integer
+    coordinates drawn from [0, PRIME) by a fixed seed."""
+    rnd = random.Random(SAMPLE_SEED)
+    return [rnd.randrange(PRIME) for _ in range(dim)]
+
+
+def generic_rank_certified(rep):
     """The exact rank of the evaluation matrix over Q(v).
 
-    sampled holds (point, rank) pairs the caller already ranked, each
-    rank a lower bound for the rank at its point; by default the points
-    of sample_points are ranked mod PRIME here.  The largest is a lower
-    bound for the generic rank.  Tries the syzygy sandwich at increasing
-    degree, kernel side first, and falls back to fraction-free
+    The rank mod PRIME at generic_point is the lower bound.  Tries the
+    syzygy sandwich at increasing degree, kernel side first, with the
+    stacks ranked at that same point, and falls back to fraction-free
     elimination when no upper bound meets it.
     """
     d = rep.dim
     if d == 0:
         return 0
     ds = len(rep.action)
-    if sampled is None:
-        sampled = ((v, rank_mod_p(evaluation_rows(rep, v), stop_at=d))
-                   for v in sample_points(d))
-    best_rank = 0
-    best_points = []
-    for v, rk in sampled:
-        if rk > best_rank:
-            best_rank = rk
-            best_points = [v]
-        elif rk == best_rank and len(best_points) < 3:
-            best_points.append(v)
-        if best_rank == min(d, ds):
-            return best_rank
+    point = generic_point(d)
+    lower = rank_mod_p(evaluation_rows(rep, point), stop_at=d)
+    if lower == min(d, ds):
+        return lower
     kernel_all = []
     stab_all = []
     for degree in range(1, MAX_SYZYGY_DEGREE + 1):
         kernel_all.extend(kernel_syzygies(rep, degree))
-        if d - _stack_rank(kernel_all, best_points, d) == best_rank:
-            return best_rank
+        if d - _stack_rank(kernel_all, point, d) == lower:
+            return lower
         stab_all.extend(stabilizer_syzygies(rep, degree))
-        if ds - _stack_rank(stab_all, best_points, ds) == best_rank:
-            return best_rank
+        if ds - _stack_rank(stab_all, point, ds) == lower:
+            return lower
     forms = _cleared(linear_forms(rep.action))
     grank = symrank.generic_rank([[row.get(j, {}) for j in range(ds)]
                                   for row in forms], d)
-    if grank < best_rank:
+    if grank < lower:
         raise AssertionError("elimination rank below a specialisation rank")
     return grank
 
 
-def _stack_rank(syzygies, points, width):
-    """Largest rank mod PRIME of the syzygies evaluated at the points: a
-    lower bound for the number of syzygies independent over Q(v)."""
-    if not syzygies:
-        return 0
-    return max((rank_mod_p([[symrank.poly_eval(s[i], v) for i in range(width)]
-                            for s in syzygies]) for v in points), default=0)
+def _stack_rank(syzygies, point, width):
+    """Rank mod PRIME of the syzygies evaluated at the point: a lower
+    bound for the number of syzygies independent over Q(v)."""
+    return rank_mod_p([[symrank.poly_eval(s[i], point) for i in range(width)]
+                       for s in syzygies])

@@ -356,6 +356,12 @@ class TestType12:
         assert {str(c) for c in cands} == \
             {"type1(L(0,1), L(1,0))", "type1(L(1,0), L(0,1))"}
 
+    def test_type_outside_the_bound_table_needs_bound(self):
+        B4 = SimpleType("B", 4)
+        with pytest.raises(ValueError, match="explicit bound"):
+            type12_candidates(B4)
+        assert type12_candidates(B4, 9) == []
+
     def test_searches_empty(self):
         assert search_type12(A2) == []
         assert search_type12(C2) == []

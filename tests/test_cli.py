@@ -208,6 +208,13 @@ class TestOtherCommands:
         assert code == 0
         assert "no type 1 or type 2" in out
 
+    @pytest.mark.parametrize("command", ["search12", "crosscheck"])
+    def test_type_outside_the_bound_table_needs_bound(self, capsys, command):
+        code, out, err = run(capsys, command, "B4")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "explicit bound" in err
+
     def test_construct(self, capsys):
         code, out, _ = run(capsys, "construct", "type1", "A2", "L(1,0)",
                            "L(0,1)")

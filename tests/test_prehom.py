@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from disemi.linalg import rank
+from disemi import prehom, symrank, syzygy
+from disemi.classify import DESK_BOUNDS, enumerate_modules
+from disemi.linalg import rank, rank_mod_p
 from disemi.liealg import (LieAlgebra, Subspace, chevalley, full_subspace,
                            semidirect)
 from disemi.prehom import (DecompositionCertificate, Randomized, Refusal,
@@ -19,6 +21,8 @@ from disemi.rootdata import SimpleType
 A1 = SimpleType("A", 1)
 A2 = SimpleType("A", 2)
 C2 = SimpleType("C", 2)
+A3 = SimpleType("A", 3)
+C3 = SimpleType("C", 3)
 D5 = SimpleType("D", 5)
 
 
@@ -87,15 +91,62 @@ class TestVerdicts:
         assert cert.reason == SYMBOLIC_RANK_DEFICIT
         assert cert.generic_rank == 3
 
-    def test_no_ranks_each_sample_point_once(self, monkeypatch):
-        from disemi import syzygy
+    def test_no_ranks_one_generic_point(self, monkeypatch):
         r = realize_label(spec_of(A1, A1), lab((1,), (1,)))
         ranked = []
         build = syzygy.evaluation_rows
         monkeypatch.setattr(syzygy, "evaluation_rows",
                             lambda rep, v: ranked.append(v) or build(rep, v))
         assert not is_prehomogeneous(r, mode=Symbolic())
-        assert ranked == syzygy.sample_points(r.dim)
+        assert ranked == [syzygy.generic_point(r.dim)]
+
+    def test_symbolic_yes_is_the_first_full_rank_sample_point(self):
+        # over the Yes items of the A3 and C3 cross-check lists
+        yes = 0
+        for t in (A3, C3):
+            for desc in enumerate_modules(spec_of(t), DESK_BOUNDS[t]):
+                r = realize(spec_of(t), desc)
+                cert = is_prehomogeneous(r, mode=Symbolic())
+                if cert and cert.mode == "symbolic":
+                    yes += 1
+                    first = next(v for v in syzygy.sample_points(r.dim)
+                                 if rank_mod_p(syzygy.evaluation_rows(r, v))
+                                 == r.dim)
+                    assert cert.witness == first, str(desc)
+        assert yes
+
+    @pytest.mark.parametrize("types,labels,verdict,generic_rank", [
+        ((A1, A2), lab((1,), (0, 1)), True, None),
+        ((A1, A1), lab((1,), (1,)), False, 3)])
+    def test_zero_generic_point_costs_only_the_shortcut(
+            self, monkeypatch, types, labels, verdict, generic_rank):
+        # the rank at the zero vector is 0, far below the generic rank:
+        # the elimination then gives the exact rank, and the verdict and
+        # certificate stay as they are
+        r = realize_label(spec_of(*types), labels)
+        expect = is_prehomogeneous(r, mode=Symbolic())
+        eliminations = []
+        real = symrank.generic_rank
+        monkeypatch.setattr(syzygy, "generic_point", lambda dim: [0] * dim)
+        monkeypatch.setattr(symrank, "generic_rank",
+                            lambda m, n: eliminations.append(n) or real(m, n))
+        cert = is_prehomogeneous(r, mode=Symbolic())
+        assert cert.to_json_dict() == expect.to_json_dict()
+        assert bool(cert) is verdict and cert.generic_rank == generic_rank
+        assert eliminations == [r.dim]
+
+    def test_witness_from_the_stream_when_no_sample_point_has_full_rank(
+            self, monkeypatch):
+        r = realize_label(spec_of(A1, A2), lab((1,), (0, 1)))
+        monkeypatch.setattr(syzygy, "sample_points",
+                            lambda dim, count=40: [[0] * dim] * count)
+        rnd = random.Random(syzygy.SAMPLE_SEED)
+        while True:
+            v = [rnd.randint(-99, 99) for _ in range(r.dim)]
+            if rank_mod_p(syzygy.evaluation_rows(r, v)) == r.dim:
+                break
+        cert = is_prehomogeneous(r, mode=Symbolic())
+        assert cert and cert.mode == "symbolic" and cert.witness == v
 
     def test_mixed_pair_yes(self):
         spec = spec_of(A1, A1)
@@ -136,7 +187,6 @@ class TestSoundness:
             assert rank(evaluation_matrix(r, v).matrix) <= cert.generic_rank
 
     def test_modes_agree_on_suites(self):
-        from disemi.classify import enumerate_modules
         suites = [
             (spec_of(A2), 7),
             (spec_of(C2), 9),
@@ -151,7 +201,6 @@ class TestSoundness:
                 assert bool(r1) == bool(r2), "%s over %s" % (desc, spec)
 
     def test_duality_invariance(self):
-        from disemi.classify import enumerate_modules
         for t, bound in [(A2, 7), (C2, 9)]:
             spec = spec_of(t)
             for desc in enumerate_modules(spec, bound):
@@ -162,6 +211,12 @@ class TestSoundness:
 
 
 class TestEtale:
+    def test_dimensions_decide_first(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("dim V != dim s needs no verdict")
+        monkeypatch.setattr(prehom, "is_prehomogeneous", refuse)
+        assert is_etale(natural(A1)) is False
+
     def test_never_etale_semisimple(self):
         assert not is_etale(realize_label(spec_of(A1), lab((2,))))
         assert not is_etale(realize_label(spec_of(A2), lab((1, 1))))
@@ -316,7 +371,6 @@ class TestSerialization:
 class TestEtaleDimensionModules:
     def test_the_four_exist(self):
         # exactly these modules with dim V = dim s exist over A1, A2, C2
-        from disemi.classify import enumerate_modules
         found = {}
         for t in (A1, A2, C2):
             spec = spec_of(t)

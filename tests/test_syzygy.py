@@ -28,10 +28,11 @@ def lab(*blocks):
 
 def bareiss_rank(rep):
     """The generic rank by the fallback alone: fraction-free elimination
-    of the one builder's forms, with no sampled lower bound and no
-    syzygy degree tried."""
-    with mock.patch.object(syzygy, "MAX_SYZYGY_DEGREE", 0):
-        return syzygy.generic_rank_certified(rep, sampled=[])
+    of the one builder's forms, with the lower bound taken at the zero
+    vector, where it is 0, and no syzygy degree tried."""
+    with mock.patch.object(syzygy, "MAX_SYZYGY_DEGREE", 0), \
+            mock.patch.object(syzygy, "generic_point", lambda dim: [0] * dim):
+        return syzygy.generic_rank_certified(rep)
 
 
 def transpose(forms, ncols):
@@ -354,9 +355,12 @@ class TestGenericRankCertified:
 
 
 def two_sided_rank(rep):
-    """generic_rank_certified as it was before a side could close alone:
-    both syzygy sides at each degree, closing on the smaller bound.
-    Returns (rank, every syzygy either builder gave)."""
+    """generic_rank_certified as it was before a side could close alone
+    and before one generic point replaced the sample points: the largest
+    rank over the 40 sample points as the lower bound, stacks ranked at
+    up to three points that reach it, and both syzygy sides at each
+    degree, closing on the smaller bound.  Returns (rank, every syzygy
+    either builder gave)."""
     d, ds = rep.dim, len(rep.action)
     if d == 0:
         return 0, []
@@ -370,8 +374,10 @@ def two_sided_rank(rep):
     for degree in range(1, syzygy.MAX_SYZYGY_DEGREE + 1):
         kernel += syzygy.kernel_syzygies(rep, degree)
         stab += syzygy.stabilizer_syzygies(rep, degree)
-        if best == min(d - syzygy._stack_rank(kernel, points, d),
-                       ds - syzygy._stack_rank(stab, points, ds)):
+        if best == min(d - max(syzygy._stack_rank(kernel, v, d)
+                               for v in points),
+                       ds - max(syzygy._stack_rank(stab, v, ds)
+                                for v in points)):
             return best, kernel + stab
     return bareiss_rank(rep), kernel + stab
 

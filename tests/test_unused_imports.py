@@ -1,6 +1,7 @@
-"""The test modules import only what they use: every name bound by a
-`from ... import name` statement in tests/*.py is read somewhere in its
-module."""
+"""The test and program modules import only what they use: every name
+bound by a `from ... import name` statement in tests/*.py and
+src/disemi/*.py is read somewhere in its module.  The package's
+__init__.py is left out, as its imports are re-exports."""
 
 import ast
 from pathlib import Path
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 TESTS = Path(__file__).resolve().parent
+SOURCES = TESTS.parent / "src" / "disemi"
 
 
 def unused_from_imports(path):
@@ -21,7 +23,9 @@ def unused_from_imports(path):
             if alias.name != "*" and (alias.asname or alias.name) not in used]
 
 
-@pytest.mark.parametrize("path", sorted(TESTS.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", sorted(TESTS.glob("*.py")) + sorted(
+    p for p in SOURCES.glob("*.py") if p.name != "__init__.py"),
+    ids=lambda p: p.name)
 def test_from_imports_are_used(path):
     assert unused_from_imports(path) == []
 
