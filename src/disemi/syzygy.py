@@ -23,6 +23,7 @@ lifted to Q, scaled to primitive integer vectors, and re-verified by
 symbolic expansion over the exact forms before use; most unknowns of a
 system are forced to 0 by one-entry rows, and sparse_nullspace peels
 them off exactly before the modular solve.
+
 Ranks at points are taken mod the same prime: they only serve as the
 lower bound and in the upper bound's subtracted term, where a smaller
 value can only loosen the sandwich, never make it unsound.  Both are
@@ -32,6 +33,26 @@ degree r that is nonzero mod PRIME, such as an r x r minor of M_v or of
 a syzygy stack, vanishes at a uniform point with probability at most
 r / PRIME (Schwartz 1980, Zippel 1979), and a shortfall only costs the
 shortcut.
+
+On a module with a weight basis the kernel side is found as invariants
+(invariant_gradients).  For a polynomial f on V and x in s, D_x f =
+grad f(v)^T rho(x) v is the derivative of f along v -> rho(x) v, so the
+gradient of an invariant (D_x f = 0 for every x, in particular for the
+columns of M_v) is a kernel syzygy one degree below f.  The -D_x make
+each space of forms of one degree an s-module, in which D_h scales a
+monomial by its weight; an invariant has weight 0 and is killed by each
+D_{e_i} for the simple root vectors e_i, and conversely a weight-0 form
+killed by every D_{e_i} is a highest weight vector of weight 0, so it
+spans a trivial submodule and is invariant.  Solving only those
+equations on the weight-0 monomials therefore misses no invariant.  As
+s is semisimple, the invariant polynomials generate the field of
+rational invariants, whose transcendence degree is the codimension of
+a generic orbit (Rosenlicht; Popov-Vinberg, Invariant Theory, 2-3), and
+algebraically independent invariants have gradients independent at a
+generic point: so enough invariants close the kernel side.  That only
+decides when the side closes.  Soundness rests, as on the other paths,
+on exact verification: every gradient is expanded over every column of
+linear_forms by _verify_syzygies before it is ranked.
 """
 
 import random
@@ -256,6 +277,77 @@ def _syzygies(forms, degree, blocks, kind):
     return out
 
 
+def invariant_gradients(rep, degree):
+    """The gradients of the invariants of the exact degree of a module
+    with a weight basis, as primitive int kernel syzygies of degree
+    degree - 1 (see the module docstring).
+
+    The unknowns of a sector (a block multidegree, which the e_i keep)
+    are its weight-0 monomials, met from per-block tables of weight ->
+    monomials; the equations are D_{e_i} f = 0 for the simple root
+    vectors e_i, over the columns e_i of linear_forms, each cleared to
+    integers (which scales whole equations).  A monomial is held as its
+    sorted tuple of coordinates, and a weight is packed like a monomial,
+    one signed field per Cartan generator: sums stay exact while every
+    weight entry of a monomial is below 2^(FIELD_BITS - 1) in size.
+    """
+    var = symrank.var_monomial
+    blocks = coordinate_blocks(rep.action, rep.dim)
+    weights = [sum(x << (symrank.FIELD_BITS * i) for i, x in enumerate(w))
+               for w in rep.weights()]
+    forms = linear_forms(rep.action)
+    raising = rep.spec.generator_indices()[1]
+    cleared = _cleared([{e: row[e] for e in raising if e in row}
+                        for row in forms])
+    tables = {}
+    grads = []
+    for grade in _sector_multidegrees(len(blocks), degree):
+        for s, d in enumerate(grade):
+            if (s, d) not in tables:
+                table = tables[s, d] = {}
+                for combo in combinations_with_replacement(blocks[s], d):
+                    table.setdefault(sum(weights[c] for c in combo),
+                                     []).append(combo)
+        *first, last = sorted((tables[sd] for sd in enumerate(grade)), key=len)
+        partial = {0: [()]}
+        for table in first:
+            partial = _meet(partial, table)
+        unknowns = [m + q for w, ms in partial.items() for m in ms
+                    for q in last.get(-w, ())]
+        if not unknowns or len(unknowns) > MAX_UNKNOWNS:
+            continue
+        monos = [sum(map(var, combo)) for combo in unknowns]
+        equations = {}
+        for e in raising:
+            for i, (combo, m) in enumerate(zip(unknowns, monos)):
+                # once per factor v_a: d/dv_a of v_a^k brings the k
+                for a in combo:
+                    for q, c in cleared[a].get(e, {}).items():
+                        row = equations.setdefault((e, m - var(a) + q), {})
+                        row[i] = row.get(i, 0) + c
+        for x in sparse_nullspace(list(equations.values()), len(unknowns)):
+            flat = {}
+            for i, c in clear(x)[1].items():
+                for a in unknowns[i]:
+                    key = (a, monos[i] - var(a))
+                    flat[key] = flat.get(key, 0) + c
+            grad = [{} for _ in range(rep.dim)]
+            for (a, mono), c in primitive(flat)[1].items():
+                grad[a][mono] = c
+            grads.append(tuple(grad))
+    _verify_syzygies(forms, grads, "kernel")
+    return grads
+
+
+def _meet(partial, table):
+    """{w + u: every m + q} over two weight -> monomials tables."""
+    out = {}
+    for w, ms in partial.items():
+        for u, qs in table.items():
+            out.setdefault(w + u, []).extend(m + q for m in ms for q in qs)
+    return out
+
+
 def _verify_syzygies(forms, syzygies, kind):
     """Exact expansion of sum_u s[u] forms[u][r] = 0 in Q[v] for every
     r and every syzygy s, over the exact, uncleared forms."""
@@ -307,7 +399,9 @@ def generic_rank_certified(rep):
     The rank mod PRIME at generic_point is the lower bound.  Tries the
     syzygy sandwich at increasing degree, kernel side first, with the
     stacks ranked at that same point, and falls back to fraction-free
-    elimination when no upper bound meets it.
+    elimination when no upper bound meets it.  At each degree the
+    kernel syzygies of a module with a weight basis are the gradients of
+    the invariants one degree up.
     """
     d = rep.dim
     if d == 0:
@@ -320,7 +414,8 @@ def generic_rank_certified(rep):
     kernel_all = []
     stab_all = []
     for degree in range(1, MAX_SYZYGY_DEGREE + 1):
-        kernel_all.extend(kernel_syzygies(rep, degree))
+        kernel_all.extend(invariant_gradients(rep, degree + 1)
+                          if rep.weight_basis else kernel_syzygies(rep, degree))
         if d - _stack_rank(kernel_all, point, d) == lower:
             return lower
         stab_all.extend(stabilizer_syzygies(rep, degree))

@@ -8,12 +8,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from disemi import linalg, symrank, syzygy
-from disemi.classify import DESK_BOUNDS, enumerate_modules
+from disemi.classify import DESK_BOUNDS, construct_type1, enumerate_modules
 from disemi.linalg import rank
-from disemi.prehom import evaluation_matrix
+from disemi.prehom import adjoint_radical_module, evaluation_matrix
 from disemi.repbuilder import (ModuleDescriptor, direct_sum, natural, realize,
-                               realize_label, spec_of, trivial)
+                               realize_label, spec_of, sym2, trivial)
 from disemi.rootdata import SimpleType
+from test_repbuilder import sl2_efh_natural
 
 A1 = SimpleType("A", 1)
 A2 = SimpleType("A", 2)
@@ -204,6 +205,7 @@ class TestZeroModule:
         zero = trivial(spec_of(A1), 0)
         assert syzygy.kernel_syzygies(zero, degree) == []
         assert syzygy.stabilizer_syzygies(zero, degree) == []
+        assert syzygy.invariant_gradients(zero, degree) == []
         assert syzygy.generic_rank_certified(zero) == 0
 
     def test_sectors_without_blocks(self):
@@ -382,6 +384,19 @@ def two_sided_rank(rep):
     return bareiss_rank(rep), kernel + stab
 
 
+def spy_degrees(monkeypatch, *names):
+    """{name: the degrees it is called with} for syzygy functions."""
+    degrees = {name: [] for name in names}
+    for name in names:
+        real = getattr(syzygy, name)
+
+        def spy(rep, degree, _real=real, _name=name):
+            degrees[_name].append(degree)
+            return _real(rep, degree)
+        monkeypatch.setattr(syzygy, name, spy)
+    return degrees
+
+
 @pytest.fixture(scope="module")
 def cross_check_modules():
     """(descriptor, module, two_sided_rank) over the A3 and C3
@@ -403,20 +418,83 @@ class TestSandwichPerSide:
             assert syzygy.generic_rank_certified(rep) == expect, str(desc)
 
     def test_stabilizer_side_skipped_once_kernel_closes(self, monkeypatch):
-        # C3 L(0,1,0)+L(1,0,0): the degree-2 kernel syzygies close the
-        # sandwich, so no degree-2 stabilizer system is solved
-        degrees = {"kernel": [], "stabilizer": []}
-        for kind in degrees:
-            real = getattr(syzygy, kind + "_syzygies")
-
-            def spy(rep, degree, *args, _real=real, _kind=kind):
-                degrees[_kind].append(degree)
-                return _real(rep, degree, *args)
-            monkeypatch.setattr(syzygy, kind + "_syzygies", spy)
+        # C3 L(0,1,0)+L(1,0,0): at step 2 the gradients of the cubic
+        # invariants close the kernel side, so no degree-2 stabilizer
+        # system is solved; on a weight basis the kernel side is found
+        # as invariants of one degree more than the step
+        degrees = spy_degrees(monkeypatch, "invariant_gradients",
+                              "kernel_syzygies", "stabilizer_syzygies")
         rep = realize(spec_of(C3), ModuleDescriptor([lab((0, 1, 0)),
                                                      lab((1, 0, 0))]))
         assert syzygy.generic_rank_certified(rep) == 18
-        assert degrees == {"kernel": [1, 2], "stabilizer": [1]}
+        assert degrees == {"invariant_gradients": [2, 3],
+                           "kernel_syzygies": [],
+                           "stabilizer_syzygies": [1]}
+
+
+def a3_type1_radical_module():
+    g = construct_type1(A3, lab((0, 0, 1)), lab((0, 1, 0)))
+    return adjoint_radical_module(g, g.levi_basis)[0]
+
+
+class TestInvariantGradients:
+    @pytest.mark.parametrize("t,labels", [
+        (A1, [lab((2,))]),                  # the Killing form
+        (A3, [lab((0, 1, 0))]),             # the Pfaffian
+        (SimpleType("B", 3), [lab((0, 0, 1))]),   # the spin quadratic form
+        (A2, [lab((1, 0)), lab((0, 1))]),   # the pairing
+    ])
+    def test_one_quadratic_invariant(self, t, labels):
+        rep = realize(spec_of(t), ModuleDescriptor(labels))
+        assert syzygy.invariant_gradients(rep, 1) == []
+        (grad,) = syzygy.invariant_gradients(rep, 2)
+        # linear, with a symmetric Jacobian: the gradient of a quadratic
+        coeff = {(a, b): c for a, p in enumerate(grad) for m, c in p.items()
+                 for b in range(rep.dim) if m == symrank.var_monomial(b)}
+        assert len(coeff) == sum(map(len, grad))
+        assert all(coeff.get((b, a)) == c for (a, b), c in coeff.items())
+
+    def test_prehomogeneous_module_has_none(self):
+        rep = realize_label(spec_of(C3), lab((1, 0, 0)))
+        for degree in (1, 2, 3, 4):
+            assert syzygy.invariant_gradients(rep, degree) == [], degree
+
+    def test_in_the_span_of_the_kernel_syzygies(self, cross_check_modules):
+        # the gradient of an invariant of degree d + 1 is a kernel
+        # syzygy of degree d, so stacking it adds no rank at the point
+        for desc, rep, _ in cross_check_modules:
+            assert rep.weight_basis
+            point = syzygy.generic_point(rep.dim)
+            for degree in (1, 2):
+                kernel = syzygy.kernel_syzygies(rep, degree)
+                both = kernel + syzygy.invariant_gradients(rep, degree + 1)
+                assert (syzygy._stack_rank(both, point, rep.dim)
+                        == syzygy._stack_rank(kernel, point, rep.dim)), \
+                    (str(desc), degree)
+
+    def test_changed_coefficient_fails_verification(self):
+        rep = realize_label(spec_of(A3), lab((0, 1, 0)))
+        forms = syzygy.linear_forms(rep.action)
+        (grad,) = syzygy.invariant_gradients(rep, 2)
+        for a, p in enumerate(grad):
+            for mono in p:
+                bad = [dict(q) for q in grad]
+                bad[a][mono] += 1
+                with pytest.raises(AssertionError, match="kernel"):
+                    syzygy._verify_syzygies(forms, [tuple(bad)], "kernel")
+
+    @pytest.mark.parametrize("build", [
+        a3_type1_radical_module,
+        lambda: sym2(sl2_efh_natural()),    # the adjoint module of sl2
+    ])
+    def test_without_a_weight_basis_takes_kernel_syzygies(self, build,
+                                                          monkeypatch):
+        rep = build()
+        assert not rep.weight_basis
+        degrees = spy_degrees(monkeypatch, "invariant_gradients",
+                              "kernel_syzygies")
+        assert syzygy.generic_rank_certified(rep) < rep.dim
+        assert degrees["kernel_syzygies"] and not degrees["invariant_gradients"]
 
 
 class TestIntegerSyzygies:
