@@ -506,11 +506,10 @@ def search_type12(t, dim_bound=None, mode=None, jobs=1):
 # Quotient constructions with 2-step nilpotent radical
 # ---------------------------------------------------------------------------
 
-def _complement_ideal_vectors(rep, keep_vector, keep_label):
+def _complement_ideal_vectors(rep, hws, keep_vector, keep_label):
     """Vectors spanning a module complement of the cyclic module of
-    keep_vector inside rep; keep_vector must be a highest weight vector
-    of weight keep_label."""
-    hws = highest_weight_vectors(rep)
+    keep_vector inside rep; hws is highest_weight_vectors(rep), and
+    keep_vector must be a highest weight vector of weight keep_label."""
     span = IncrementalSpan()
     span.add(keep_vector)
     generators = []
@@ -529,14 +528,15 @@ def _complement_ideal_vectors(rep, keep_vector, keep_label):
     return vectors
 
 
-def _build_two_step(spec, gen_rep, wedge_rep, keep_vector, labels,
+def _build_two_step(spec, gen_rep, wedge_rep, hws, keep_vector, labels,
                     expected_dim):
     """s |x (free 2-step on gen_rep) modulo the complement of one kept
-    copy inside the derived part; wedge_rep is wedge2(gen_rep), and the
-    kept copy has the last of the radical's labels."""
+    copy inside the derived part; wedge_rep is wedge2(gen_rep), hws is
+    highest_weight_vectors(wedge_rep), and the kept copy has the last of
+    the radical's labels."""
     s = spec.algebra()
     f_alg, tau = free_two_step(gen_rep, wedge_rep)
-    comp = _complement_ideal_vectors(wedge_rep, keep_vector, labels[-1])
+    comp = _complement_ideal_vectors(wedge_rep, hws, keep_vector, labels[-1])
     g_full = semidirect(s, tau, f_alg)
     off = s.dim + gen_rep.dim
     ideal_rows = []
@@ -595,13 +595,14 @@ def construct_type1(t, label_a, label_b):
     label_b = spec.coerce_label(label_b)
     rep_a = realize_label(spec, label_a)
     wedge_rep = wedge2(rep_a)
-    hws = [v for v, lab in highest_weight_vectors(wedge_rep) if lab == label_b]
-    if not hws:
+    hws = highest_weight_vectors(wedge_rep)
+    keep = [v for v, lab in hws if lab == label_b]
+    if not keep:
         raise ValueError("label %s does not embed in the exterior square"
                          % (ModuleDescriptor([label_b]),))
     expected = spec.dim + rep_a.dim + spec.label_dim(label_b)
-    return _build_two_step(spec, rep_a, wedge_rep, hws[0], (label_a, label_b),
-                           expected)
+    return _build_two_step(spec, rep_a, wedge_rep, hws, keep[0],
+                           (label_a, label_b), expected)
 
 
 def construct_type2(t, label_a, label_b, label_c):
@@ -629,7 +630,8 @@ def construct_type2(t, label_a, label_b, label_c):
         raise ValueError("label %s does not embed in the tensor product"
                          % (ModuleDescriptor([label_c]),))
     expected = (spec.dim + rep_a.dim + rep_b.dim + spec.label_dim(label_c))
-    return _build_two_step(spec, gen_rep, wedge_rep, hws[0],
+    return _build_two_step(spec, gen_rep, wedge_rep,
+                           highest_weight_vectors(wedge_rep), hws[0],
                            (label_a, label_b, label_c), expected)
 
 

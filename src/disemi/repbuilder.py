@@ -227,12 +227,35 @@ class Representation:
                               in self.algebra.structure(i, j).items()), self.dim)
         return commutator(self.action[i], self.action[j]) == expect
 
+    def generating_indices(self):
+        """Basis indices of a set that generates the algebra as a Lie
+        algebra: the Chevalley generators e_i, f_i of every factor when
+        the algebra is spec.algebra() (they generate a semisimple
+        algebra, Serre; Humphreys section 18), else the whole basis."""
+        if self.spec is not None and self.algebra is self.spec.algebra():
+            _, e, f = self.spec.generator_indices()
+            return frozenset(e + f)
+        return frozenset(range(self.algebra.dim))
+
     def check_homomorphism(self):
-        """Exact check of action([x,y]) = [action(x), action(y)] on all
-        basis pairs; quadratic in the algebra dimension, each pair a
-        sparse product."""
+        """Exact check of action([x,b]) = [action(x), action(b)] for x in
+        generating_indices() and b in the whole basis, each pair a sparse
+        product.
+
+        This decides the same as the check on all basis pairs.  Write
+        rho for the action.  The x that pass for every b form a subspace
+        X.  For x, y in X and any b, Jacobi in the algebra, then x, y in
+        X, then Jacobi in gl(V), then x in X at b = y give
+            rho([[x,y],b]) = rho([x,[y,b]]) - rho([y,[x,b]])
+                           = [rho x, [rho y, rho b]] - [rho y, [rho x, rho b]]
+                           = [[rho x, rho y], rho b] = [rho([x,y]), rho b],
+        so X is closed under the bracket.  It holds a generating set, so
+        it is the whole algebra.  Both sides are antisymmetric in (x, b),
+        so each unordered pair is checked once and b = x is skipped."""
+        gens = self.generating_indices()
         return all(self._bracket_holds(i, j)
-                   for j in range(self.algebra.dim) for i in range(j))
+                   for j in range(self.algebra.dim) for i in range(j)
+                   if i in gens or j in gens)
 
 
 def _kron_sum(m1, m2, d1, d2):
@@ -503,7 +526,9 @@ def highest_weight_vectors(r, coord_mask=None):
     """
     if not r.weight_basis:
         raise ValueError("highest weight extraction needs a weight basis")
-    e_idx = r.spec.generator_indices()[1]
+    # per raising operator, the nonzero entries of each column
+    raising = [columns(r.action[e], r.dim)
+               for e in r.spec.generator_indices()[1]]
     weights = r.weights()
     blocks = {}
     coords_ok = set(coord_mask) if coord_mask is not None else None
@@ -515,11 +540,14 @@ def highest_weight_vectors(r, coord_mask=None):
     for w in sorted(blocks, reverse=True):
         cols = blocks[w]
         rows = []
-        for e in e_idx:
-            for row in r.action[e]:
-                vals = {i: row[c] for i, c in enumerate(cols) if c in row}
-                if vals:
-                    rows.append(vals)
+        for index in raising:
+            # the rows of this operator restricted to the block's columns;
+            # rref, hence the nullspace, does not depend on their order
+            eqs = {}
+            for i, c in enumerate(cols):
+                for a, x in index[c]:
+                    eqs.setdefault(a, {})[i] = x
+            rows.extend(eqs.values())
         for kv in nullspace(rows, len(cols)):
             v = [0] * r.dim
             for i, x in kv.items():

@@ -261,6 +261,35 @@ class TestSemidirect:
         with pytest.raises(ValueError):
             semidirect(chevalley(A1), rho, n3)
 
+    def test_homomorphism_not_by_derivations_rejected(self):
+        # natural + trivial is a homomorphism of sl4 onto the space of the
+        # free 2-step algebra, but it does not act on the bracket part
+        # by derivations; the check on e_i, f_i alone refuses it
+        from disemi.repbuilder import direct_sum as rep_sum, trivial
+        nat = natural(SimpleType("A", 3))
+        f, _ = free_two_step(nat)
+        rho = rep_sum([nat, trivial(nat.spec, 6)])
+        assert rho.check_homomorphism()
+        with pytest.raises(ValueError, match="derivation"):
+            semidirect(nat.algebra, rho, f)
+
+    def test_derivation_check_on_generators(self, monkeypatch):
+        import disemi.liealg as liealg
+        from disemi.linalg import columns
+        nat = natural(SimpleType("A", 3))
+        f, tau = free_two_step(nat)
+        cols = [[dict(c) for c in columns(m, f.dim)] for m in tau.action]
+        # the all-basis reference: every rho(b_i) is a derivation
+        assert all(liealg._is_derivation(f, c) for c in cols)
+        seen = []
+        is_derivation = liealg._is_derivation
+        monkeypatch.setattr(liealg, "_is_derivation",
+                            lambda n, c: seen.append(cols.index(c))
+                            or is_derivation(n, c))
+        semidirect(nat.algebra, tau, f)
+        assert sorted(seen) == sorted(tau.generating_indices()) \
+            == list(range(3, 9))
+
 
 class TestFreeTwoStep:
     def test_dim2_is_heisenberg(self):

@@ -17,6 +17,7 @@ A6 = SimpleType("A", 6)
 C2 = SimpleType("C", 2)
 C3 = SimpleType("C", 3)
 B3 = SimpleType("B", 3)
+D4 = SimpleType("D", 4)
 D5 = SimpleType("D", 5)
 
 
@@ -368,3 +369,140 @@ class TestSparseAction:
             semidirect(r.algebra, bad)
         assert r.check_homomorphism()
         semidirect(r.algebra, r)
+
+
+def scan_highest_weight_vectors(r, coord_mask=None):
+    """The per-row scan: for every weight block, restrict every row of
+    every raising operator to the block's columns.  The oracle the
+    column-indexed highest_weight_vectors is checked against."""
+    from disemi.linalg import nullspace
+    e_idx = r.spec.generator_indices()[1]
+    weights = r.weights()
+    blocks = {}
+    for c in range(r.dim):
+        if coord_mask is None or c in coord_mask:
+            blocks.setdefault(weights[c], []).append(c)
+    out = []
+    for w in sorted(blocks, reverse=True):
+        cols = blocks[w]
+        rows = []
+        for e in e_idx:
+            for row in r.action[e]:
+                vals = {i: row[c] for i, c in enumerate(cols) if c in row}
+                if vals:
+                    rows.append(vals)
+        for kv in nullspace(rows, len(cols)):
+            v = [0] * r.dim
+            for i, x in kv.items():
+                v[cols[i]] = x
+            out.append((v, r.split_weight(w)))
+    return out
+
+
+def _fundamental(t, k):
+    return realize_simple(t, tuple(1 if i == k else 0 for i in range(t.rank)))
+
+
+class TestHighestWeightsMatchScan:
+    @pytest.mark.parametrize("t", [A3, A4, C3, B3, D4], ids=str)
+    def test_wedge2_tensor_direct_sum(self, t):
+        nat, second = _fundamental(t, 0), _fundamental(t, 1)
+        for r in (wedge2(nat), wedge2(second), tensor(nat, second),
+                  tensor(nat, nat), direct_sum([nat, second, nat])):
+            assert highest_weight_vectors(r) == scan_highest_weight_vectors(r)
+
+    @pytest.mark.parametrize("t", [A3, A4], ids=str)
+    def test_type2_coord_mask(self, t):
+        from itertools import combinations
+        from disemi.classify import type12_candidates
+        spec = spec_of(t)
+        seen = 0
+        for cand in type12_candidates(t):
+            if len(cand.labels) != 3:
+                continue
+            rep_a, rep_b = (realize_label(spec, label)
+                            for label in cand.labels[:2])
+            gen = direct_sum([rep_a, rep_b])
+            pairs = combinations(range(gen.dim), 2)
+            mask = [k for k, (i, j) in enumerate(pairs) if i < rep_a.dim <= j]
+            w = wedge2(gen)
+            got = highest_weight_vectors(w, coord_mask=mask)
+            assert got == scan_highest_weight_vectors(w, coord_mask=set(mask))
+            assert cand.labels[2] in [label for _, label in got]
+            seen += 1
+        assert seen == 4
+
+
+def all_pairs_homomorphism(r):
+    """The bracket check on every unordered basis pair, the reference the
+    generator check is compared with."""
+    return all(r._bracket_holds(i, j)
+               for j in range(r.algebra.dim) for i in range(j))
+
+
+def _homomorphism_modules():
+    from disemi.classify import DESK_BOUNDS, simple_labels_upto
+    for t, bound in DESK_BOUNDS.items():
+        for coords in simple_labels_upto(t, bound):
+            yield realize_label(spec_of(t), (coords,))
+    a1xa2 = spec_of(A1, A2)
+    for label in (lab((1,), (1, 0)), lab((2,), (0, 1)), lab((1,), (1, 1))):
+        yield realize_label(a1xa2, label)
+    yield outer_tensor(natural(A1), natural(A2))
+    yield _spin_rep(B3)
+    yield _spin_rep(D4, parity=0)
+    yield _spin_rep(D4, parity=1)
+    yield spin16_d5()
+
+
+def _corrupt(r, k):
+    """A copy of r whose basis element k acts with entry (0, 0) raised
+    by one."""
+    action = [[dict(row) for row in m] for m in r.action]
+    action[k][0][0] = action[k][0].get(0, 0) + 1
+    return Representation(r.spec, r.algebra, action, False)
+
+
+class TestGeneratorHomomorphismCheck:
+    def test_agrees_with_all_pairs(self):
+        count = 0
+        for r in _homomorphism_modules():
+            assert r.check_homomorphism() and all_pairs_homomorphism(r), r
+            # a corrupted last basis element, never a generator
+            bad = _corrupt(r, r.algebra.dim - 1)
+            assert not bad.check_homomorphism()
+            assert not all_pairs_homomorphism(bad)
+            count += 1
+        assert count >= 30
+
+    def test_corrupt_non_simple_root_vector(self):
+        from disemi.liealg import semidirect
+        r = realize_label(spec_of(A3), lab((0, 1, 0)))
+        _, e, _ = r.spec.generator_indices()
+        # the root vector of alpha_1 + alpha_2 is [e_1, e_2]
+        (k,) = r.algebra.structure(e[0], e[1])
+        assert k not in r.generating_indices()
+        bad = _corrupt(r, k)
+        assert not bad.check_homomorphism()
+        with pytest.raises(ValueError, match="homomorphism"):
+            semidirect(r.algebra, bad)
+
+    @pytest.mark.parametrize("make,pairs", [
+        (lambda: natural(A4), 156),
+        (spin16_d5, 395),
+        (lambda: sl2_efh_natural(), 3),
+    ], ids=["A4-L(1,0,0,0)", "D5-half-spin", "sl2-efh"])
+    def test_pair_counts(self, monkeypatch, make, pairs):
+        r = make()
+        calls = []
+        holds = Representation._bracket_holds
+        monkeypatch.setattr(Representation, "_bracket_holds",
+                            lambda self, i, j: calls.append((i, j))
+                            or holds(self, i, j))
+        assert r.check_homomorphism()
+        assert len(calls) == len(set(calls)) == pairs
+
+    def test_generating_indices(self):
+        r = natural(A3)
+        assert r.generating_indices() == frozenset(range(3, 9))
+        assert sl2_efh_natural().generating_indices() == frozenset(range(3))
