@@ -25,7 +25,8 @@ class LieAlgebra:
     table maps (i, j) with i < j to {k: c} describing [b_i, b_j]; the
     antisymmetric half is implied.  Instances are immutable by
     convention.  levi_basis is metadata recorded by constructors that
-    know a Levi subalgebra by construction.
+    know a Levi subalgebra by construction; levi_spec, when set, is the
+    SemisimpleSpec whose algebra() the constructor built it from.
     """
 
     def __init__(self, dim, table, labels=None):
@@ -38,6 +39,7 @@ class LieAlgebra:
                       else {k: dict(table[k]) for k in keys})
         self.labels = list(labels) if labels else None
         self.levi_basis = None
+        self.levi_spec = None
 
     def __repr__(self):
         return "LieAlgebra(dim=%d)" % self.dim
@@ -313,10 +315,16 @@ def derived_span(g, rows1, rows2):
     return out
 
 
+def derived_rows(g):
+    """Independent sparse rows spanning [g, g], from the (cleared)
+    table rows [b_i, b_j]."""
+    span = IncrementalSpan()
+    return [row for row in g._int_table.values() if span.add(row)]
+
+
 def is_perfect(g):
-    """True iff [g, g] = g, by spanning all basis brackets."""
-    basis = identity(g.dim)
-    return len(derived_span(g, basis, basis)) == g.dim
+    """True iff [g, g] = g."""
+    return len(derived_rows(g)) == g.dim
 
 
 def _series(g, sub, lower):
@@ -361,22 +369,25 @@ def is_abelian(g):
 
 
 def killing_form(g):
-    """The row-dict matrix K[i][j] = trace(ad b_i . ad b_j)."""
-    ads = [g.ad(g.basis_vector(i)) for i in range(g.dim)]
+    """The row-dict matrix K[i][j] = trace(ad b_i . ad b_j), read off
+    the table: [b_p, b_q] = sum c b_k puts c at (k, q) of ad b_p and -c
+    at (k, p) of ad b_q, and K[i][j] sums (ad b_i)[a][b] (ad b_j)[b][a]
+    over the positions (a, b) of these entries."""
+    entries = {}          # (a, b) -> [(i, entry of ad b_i at (a, b))]
+    for (p, q), row in g.table.items():
+        for k, c in row.items():
+            if c:
+                entries.setdefault((k, q), []).append((p, c))
+                entries.setdefault((k, p), []).append((q, -c))
     k = [{} for _ in range(g.dim)]
-    for i, mi in enumerate(ads):
-        for j in range(i, g.dim):
-            mj = ads[j]
-            s = 0
-            for a, row in enumerate(mi):
-                for b, c in row.items():
-                    x = mj[b].get(a)
-                    if x:
-                        s += c * x
-            if s:
-                k[i][j] = s
-                k[j][i] = s
-    return k
+    for (a, b), left in entries.items():
+        right = entries.get((b, a))
+        if right:
+            for i, c in left:
+                row = k[i]
+                for j, d in right:
+                    row[j] = row.get(j, 0) + c * d
+    return [{j: x for j, x in row.items() if x} for row in k]
 
 
 def is_semisimple(g):
@@ -390,14 +401,15 @@ def solvable_radical(g):
     """The maximal solvable ideal.
 
     In characteristic zero this is the Killing-orthogonal complement of
-    [g, g]; the result is re-verified to be a solvable ideal.
+    [g, g]; the result is re-verified to be a solvable ideal.  Its basis
+    comes from rref, which depends only on the row space of the
+    equations, so any rows spanning [g, g] give it row for row.
     """
     if g.dim == 0:
         return zero_subspace(g)
     k = killing_form(g)
-    derived = derived_span(g, identity(g.dim), identity(g.dim))
     # K is symmetric, so the equation K(x, d) = 0 has the row K d
-    eqs = [apply(k, d) for d in derived]
+    eqs = [apply(k, dense(d, g.dim)) for d in derived_rows(g)]
     radical = Subspace(g, [dense(v, g.dim) for v in nullspace(eqs, g.dim)])
     if not is_solvable(g, radical):
         raise AssertionError("radical candidate is not solvable")
@@ -455,6 +467,9 @@ def semidirect(s, rho, n=None):
     images of those generators, and the derivations of n form a Lie
     subalgebra Der(n) of gl(n) (the commutator of two derivations is
     one).  So the generators map into Der(n) iff all of s does.
+
+    The leading ds coordinates are recorded as levi_basis, and rho.spec
+    as levi_spec when s is rho.spec.algebra().
     """
     if n is None:
         n = abelian_algebra(rho.dim)
@@ -485,6 +500,8 @@ def semidirect(s, rho, n=None):
         labels = list(s.labels) + list(nlabels)
     g = LieAlgebra(ds + n.dim, table, labels=labels)
     g.levi_basis = Subspace(g, [g.basis_vector(i) for i in range(ds)])
+    if rho.spec is not None and s is rho.spec.algebra():
+        g.levi_spec = rho.spec
     return g
 
 
@@ -568,6 +585,7 @@ def quotient_by_ideal(g, u):
         rows = [dense(project(r), qdim) for r in g.levi_basis.basis]
         if rank(rows) == len(rows):
             q.levi_basis = Subspace(q, rows)
+            q.levi_spec = g.levi_spec
     proj = LinearMap(g.dim, qdim, proj_matrix)
     return q, proj
 

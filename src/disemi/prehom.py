@@ -18,7 +18,7 @@ from .linalg import (clear_denominators, columns, dense, rank, rank_mod_p,
 from .liealg import (LinearMap, Subspace, apply_map_subspace, exp_ad,
                      is_semisimple, lower_central_series, solvable_radical,
                      subalgebra, sum_spans)
-from .repbuilder import Representation
+from .repbuilder import Representation, cartan_is_diagonal
 from .rootdata import record
 from . import syzygy
 
@@ -182,6 +182,14 @@ def is_prehomogeneous(r, mode=None):
     dimension obstruction; dim V = dim s would require an etale module,
     which semisimple algebras do not admit; a trivial summand forces
     every evaluation image into a proper submodule.
+
+    Randomized escalates to _symbolic_decide when no trial point reaches
+    dim V, and at once when the first falls short and so does
+    syzygy.generic_lower_bound.  The trial points do not change, so a
+    Yes keeps its witness and trials_used unless the generic point is a
+    zero mod PRIME of every maximal minor (probability at most r / PRIME
+    for r x r minors, see syzygy); that Yes comes from _symbolic_decide,
+    validated exactly like every Yes.
     """
     if mode is None:
         mode = Randomized()
@@ -198,6 +206,8 @@ def is_prehomogeneous(r, mode=None):
             if _witness_rank(r, v) == r.dim:
                 return _validated_yes(r, v, mode="randomized",
                                       seed=mode.seed, trials_used=trial + 1)
+            if not trial and syzygy.generic_lower_bound(r) < r.dim:
+                break
         # inconclusive-toward-No: escalate to the certified engine
         return _symbolic_decide(r)
     if isinstance(mode, Symbolic):
@@ -264,11 +274,23 @@ class DecompositionCertificate:
         return out
 
 
-def adjoint_radical_module(g, levi, radical=None):
+def adjoint_radical_module(g, levi, radical=None, lev_alg=None):
     """The adjoint action of a Levi subalgebra on the solvable radical,
-    as a Representation over the Levi's own structure constants."""
+    as a Representation over the Levi's own structure constants
+    (lev_alg, subalgebra(g, levi) unless given).
+
+    It is the same module over spec.algebra(), with a weight basis, when
+    levi is g.levi_basis, the recorded g.levi_spec has exactly the
+    structure constants of lev_alg and its Cartan generators act
+    diagonally.  That changes no verdict: the action matrices and
+    structure constants are the same, hence every evaluation matrix and
+    the generic rank; the weight basis only lets syzygy find the kernel
+    side as invariant gradients, each of which passes _verify_syzygies
+    before it is ranked.
+    """
     rad = radical if radical is not None else solvable_radical(g)
-    lev_alg = subalgebra(g, levi)
+    if lev_alg is None:
+        lev_alg = subalgebra(g, levi)
     rows = [sparse(r) for r in rad.basis]
     action = []
     for u in map(sparse, levi.basis):
@@ -276,6 +298,11 @@ def adjoint_radical_module(g, levi, radical=None):
         if None in cols:
             raise ValueError("radical is not stable under the Levi action")
         action.append([dict(enumerate(row)) for row in zip(*cols)])
+    spec = g.levi_spec
+    if (spec is not None and levi is g.levi_basis
+            and (lev_alg.dim, lev_alg.table) == (spec.dim, spec.algebra().table)
+            and cartan_is_diagonal(spec, action)):
+        return Representation(spec, spec.algebra(), action, True), rad
     return Representation(None, lev_alg, action, False), rad
 
 
@@ -309,7 +336,7 @@ def certify_disemisimple(g, levi=None, mode=None):
     # would only repeat that
     if lower_central_series(g, rad)[-1].dim:
         return Refusal(reason=RADICAL_NOT_NILPOTENT)
-    rep, rad = adjoint_radical_module(g, levi, rad)
+    rep, rad = adjoint_radical_module(g, levi, rad, lev_alg)
     cert = is_prehomogeneous(rep, mode=mode)
     if not cert:
         return Refusal(reason=RADICAL_NOT_PREHOMOGENEOUS, inner=cert)

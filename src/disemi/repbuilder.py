@@ -189,9 +189,8 @@ class Representation:
         if weight_basis:
             if spec is None or algebra is not spec.algebra():
                 raise ValueError("weight_basis needs Chevalley generator data")
-            for h in spec.generator_indices()[0]:
-                if any(b != a for a, row in enumerate(self.action[h]) for b in row):
-                    raise ValueError("Cartan action is not diagonal")
+            if not cartan_is_diagonal(spec, self.action):
+                raise ValueError("Cartan action is not diagonal")
 
     def __repr__(self):
         return "Representation(%s, dim=%d)" % (self.spec, self.dim)
@@ -256,6 +255,13 @@ class Representation:
         return all(self._bracket_holds(i, j)
                    for j in range(self.algebra.dim) for i in range(j)
                    if i in gens or j in gens)
+
+
+def cartan_is_diagonal(spec, action):
+    """True iff the matrix of every Cartan generator h_i of spec in
+    action has no nonzero entry off the diagonal."""
+    return all(b == a for h in spec.generator_indices()[0]
+               for a, row in enumerate(action[h]) for b, x in row.items() if x)
 
 
 def _kron_sum(m1, m2, d1, d2):

@@ -4,15 +4,18 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from disemi.linalg import combination, commutator, matmul
+from disemi.linalg import (apply, combination, commutator, dense, matmul,
+                           nullspace)
 from disemi.liealg import (LieAlgebra, Subspace, abelian_algebra, chevalley,
-                           check_jacobi, derived_series, direct_sum, dumps,
-                           exp_ad, free_two_step, full_subspace, is_abelian,
+                           check_jacobi, derived_series, derived_span,
+                           direct_sum, dumps, exp_ad, free_two_step,
+                           from_json_dict, full_subspace, is_abelian,
                            is_nilpotent, is_perfect, is_semisimple,
                            is_solvable, killing_form, loads,
                            lower_central_series, quotient_by_ideal,
                            semidirect, solvable_radical, subalgebra,
-                           sum_spans, zero_algebra, zero_subspace,
+                           sum_spans, to_json_dict, zero_algebra,
+                           zero_subspace,
                            _chevalley_with_matrices)
 from disemi.rootdata import SimpleType, cartan_matrix
 from disemi.repbuilder import (Representation, SemisimpleSpec, decompose,
@@ -215,6 +218,88 @@ class TestKillingForm:
                                       ("D", 5)])
     def test_chevalley_semisimple(self, spec):
         assert is_semisimple(chevalley(SimpleType(*spec)))
+
+
+def naive_killing_form(g):
+    """trace(ad b_i . ad b_j) from the ad matrices of the basis: the
+    reference for killing_form."""
+    ads = [g.ad(g.basis_vector(i)) for i in range(g.dim)]
+    k = [{} for _ in range(g.dim)]
+    for i, mi in enumerate(ads):
+        for j in range(i, g.dim):
+            s = sum(c * ads[j][b].get(a, 0)
+                    for a, row in enumerate(mi) for b, c in row.items())
+            if s:
+                k[i][j] = k[j][i] = s
+    return k
+
+
+def naive_radical_basis(g):
+    """The Killing-orthogonal complement of [g, g] spanned by the
+    brackets of all basis pairs: the reference for solvable_radical."""
+    basis = [g.basis_vector(i) for i in range(g.dim)]
+    k = naive_killing_form(g)
+    eqs = [apply(k, d) for d in derived_span(g, basis, basis)]
+    return [dense(v, g.dim) for v in nullspace(eqs, g.dim)]
+
+
+def rescaled(g, scales):
+    """g in the basis scales[i] b_i, through its JSON form: the
+    constants become c * s_i s_j / s_k."""
+    data = to_json_dict(g)
+    for entry in data["entries"]:
+        i, j, row = entry
+        entry[2] = [[k, str(Fraction(c) * scales[i] * scales[j] / scales[k])]
+                    for k, c in row]
+    return from_json_dict(data)
+
+
+def table_read_algebras():
+    from disemi.classify import construct_type1, construct_type2
+    out = [chevalley(SimpleType(*t)) for t in
+           [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 3), ("C", 3),
+            ("D", 4), ("D", 5)]]
+    a3 = SimpleType("A", 3)
+    out += [sl2_natural_semidirect(),
+            semidirect(chevalley(A2), natural(A2)),
+            construct_type1(a3, ((0, 0, 1),), ((0, 1, 0),)),
+            construct_type2(a3, ((0, 0, 1),), ((0, 1, 0),), ((1, 0, 0),))]
+    out += [rescaled(sl2_natural_semidirect(),
+                     [Fraction(1, 3), 2, Fraction(-1, 2), Fraction(3, 4), 5]),
+            abelian_algebra(3), zero_algebra(), heisenberg(), two_dim_solvable()]
+    return out
+
+
+class TestTableReads:
+    """killing_form and solvable_radical read the structure table; they
+    must agree with the ad-matrix and all-brackets references exactly,
+    entry types included."""
+
+    @pytest.fixture(scope="class")
+    def algebras(self):
+        return table_read_algebras()
+
+    def test_killing_form_matches_the_traces(self, algebras):
+        for g in algebras:
+            k, ref = killing_form(g), naive_killing_form(g)
+            assert k == ref, g
+            assert ([{j: type(x) for j, x in row.items()} for row in k]
+                    == [{j: type(x) for j, x in row.items()} for row in ref])
+
+    def test_non_integral_constants_give_fractions(self, algebras):
+        g = next(g for g in algebras if g._den > 1)
+        assert any(type(x) is Fraction for row in killing_form(g)
+                   for x in row.values())
+
+    def test_radical_basis_is_the_same_row_for_row(self, algebras):
+        for g in algebras:
+            assert solvable_radical(g).basis == naive_radical_basis(g), g
+
+    def test_perfect_matches_all_brackets(self, algebras):
+        for g in algebras:
+            basis = [g.basis_vector(i) for i in range(g.dim)]
+            assert is_perfect(g) == (len(derived_span(g, basis, basis))
+                                     == g.dim), g
 
 
 class TestSemidirect:

@@ -6,10 +6,11 @@ import pytest
 from disemi import prehom, symrank, syzygy
 from disemi.classify import DESK_BOUNDS, enumerate_modules
 from disemi.linalg import rank, rank_mod_p
-from disemi.liealg import (LieAlgebra, Subspace, chevalley, full_subspace,
-                           semidirect)
+from disemi.liealg import (LieAlgebra, Subspace, chevalley, dumps,
+                           full_subspace, loads, semidirect)
 from disemi.prehom import (DecompositionCertificate, Randomized, Refusal,
-                           Symbolic, certify_disemisimple, evaluation_matrix,
+                           Symbolic, adjoint_radical_module,
+                           certify_disemisimple, evaluation_matrix,
                            has_trivial_summand, is_etale, is_prehomogeneous,
                            DIMENSION_BOUND, ETALE_EXCLUSION, TRIVIAL_SUMMAND,
                            SYMBOLIC_RANK_DEFICIT)
@@ -22,6 +23,7 @@ A1 = SimpleType("A", 1)
 A2 = SimpleType("A", 2)
 C2 = SimpleType("C", 2)
 A3 = SimpleType("A", 3)
+A4 = SimpleType("A", 4)
 C3 = SimpleType("C", 3)
 D5 = SimpleType("D", 5)
 
@@ -339,6 +341,158 @@ class TestCertify:
         bad = Subspace(g, [g.basis_vector(3), g.basis_vector(4)])
         with pytest.raises(ValueError):
             certify_disemisimple(g, levi=bad)
+
+
+@pytest.fixture(scope="module")
+def type12_algebras():
+    """(type, candidate, algebra) for the 12 A3/A4 type-1/2 candidates."""
+    from disemi.classify import (construct_type1, construct_type2,
+                                 type12_candidates)
+    out = []
+    for t in (A3, A4):
+        for c in type12_candidates(t):
+            build = construct_type1 if c.kind == "type1" else construct_type2
+            out.append((t, c, build(t, *c.labels)))
+    assert len(out) == 12
+    return out
+
+
+def spy_calls(monkeypatch, module, *names):
+    """{name: number of calls} for functions of a module."""
+    calls = {name: 0 for name in names}
+    for name in names:
+        real = getattr(module, name)
+
+        def spy(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+def sc_round_trip(g):
+    """g and its Levi as --sc reads them: from the JSON structure
+    constants, with no Levi metadata."""
+    g2 = loads(dumps(g))
+    return g2, Subspace(g2, g.levi_basis.basis)
+
+
+class TestWeightBasisRadical:
+    def test_type12_radicals_have_a_weight_basis(self, type12_algebras):
+        from disemi.classify import radical_module
+        for t, c, g in type12_algebras:
+            rep, _ = adjoint_radical_module(g, g.levi_basis)
+            assert rep.weight_basis and rep.spec == spec_of(t), str(c)
+            assert rep.algebra is spec_of(t).algebra()
+            # an equal Levi that is not the recorded one: the same matrices
+            plain, _ = adjoint_radical_module(g, Subspace(g, g.levi_basis.basis))
+            assert not plain.weight_basis
+            assert plain.action == rep.action == radical_module(g, rep.spec).action
+
+    def test_certify_takes_invariant_gradients(self, type12_algebras,
+                                               monkeypatch):
+        calls = spy_calls(monkeypatch, syzygy, "invariant_gradients",
+                          "kernel_syzygies")
+        for _, c, g in type12_algebras[:2]:
+            res = certify_disemisimple(g)
+            assert res.reason == "radical_not_prehomogeneous", str(c)
+        assert calls["invariant_gradients"] and not calls["kernel_syzygies"]
+
+    def test_cli_semidirect_has_a_weight_basis(self):
+        from disemi.modexpr import parse_module, to_representation
+        spec = spec_of(A3)
+        module = to_representation(parse_module("3L(1,0,0)", spec), spec)
+        g = semidirect(spec.algebra(), module)
+        assert g.levi_spec == spec
+        rep, _ = adjoint_radical_module(g, g.levi_basis)
+        assert rep.weight_basis and rep.action == module.action
+        assert certify_disemisimple(g)
+
+    def test_sc_algebra_stays_weightless(self, type12_algebras, monkeypatch):
+        g, levi = sc_round_trip(type12_algebras[0][2])
+        assert g.levi_spec is None
+        assert not adjoint_radical_module(g, levi)[0].weight_basis
+        calls = spy_calls(monkeypatch, syzygy, "invariant_gradients",
+                          "kernel_syzygies")
+        assert not certify_disemisimple(g, levi)
+        assert calls["kernel_syzygies"] and not calls["invariant_gradients"]
+
+    @pytest.mark.slow
+    def test_sc_round_trip_gives_the_same_refusal(self, type12_algebras):
+        for _, c, g in type12_algebras:
+            g2, levi2 = sc_round_trip(g)
+            res, res2 = certify_disemisimple(g), certify_disemisimple(g2, levi2)
+            assert res.inner.generic_rank is not None, str(c)
+            assert res.to_json_dict() == res2.to_json_dict(), str(c)
+
+    def test_mismatched_spec_falls_back(self, type12_algebras):
+        # a trivial action is diagonal for any spec, so only the structure
+        # constants tell A1xA2 from A2xA1 (both of dimension 11)
+        spec = spec_of(A1, A2)
+        g = semidirect(spec.algebra(), trivial(spec, 2))
+        assert adjoint_radical_module(g, g.levi_basis)[0].weight_basis
+        h = type12_algebras[0][2]
+        for alg, other in ((g, spec_of(A2, A1)),
+                           (h, spec_of(A1, A1, A1, A1, A1))):
+            recorded = alg.levi_spec
+            try:
+                alg.levi_spec = other
+                rep, _ = adjoint_radical_module(alg, alg.levi_basis)
+            finally:
+                alg.levi_spec = recorded
+            assert not rep.weight_basis and rep.spec is None
+
+    def test_non_diagonal_cartan_falls_back(self):
+        # natural(A1) in the basis (v1, v1 + v2): h is not diagonal
+        spec = spec_of(A1)
+        m = [[{b: x for b, x in row.items()} for row in mat]
+             for mat in natural(A1).action]
+        conj = [[{0: r[0].get(0, 0) - r[1].get(0, 0),
+                  1: r[0].get(0, 0) + r[0].get(1, 0) - r[1].get(0, 0)
+                  - r[1].get(1, 0)},
+                 {0: r[1].get(0, 0), 1: r[1].get(0, 0) + r[1].get(1, 0)}]
+                for r in m]
+        assert conj[0][0] == {0: 1, 1: 2}
+        module = Representation(spec, spec.algebra(), conj, False)
+        assert module.check_homomorphism()
+        g = semidirect(spec.algebra(), module)
+        assert g.levi_spec == spec
+        rep, _ = adjoint_radical_module(g, g.levi_basis)
+        assert not rep.weight_basis and rep.action == module.action
+        assert certify_disemisimple(g)
+
+
+def a4_type1_radical_module(type12_algebras):
+    g = next(g for t, c, g in type12_algebras
+             if t == A4 and c.kind == "type1")
+    return adjoint_radical_module(g, g.levi_basis)[0]
+
+
+class TestEarlyEscalation:
+    @pytest.mark.parametrize("build", [
+        lambda _: realize_label(spec_of(SimpleType("B", 3)), lab((0, 0, 1))),
+        lambda _: realize_label(spec_of(A1, A1), lab((1,), (1,))),
+        a4_type1_radical_module,
+    ])
+    def test_no_takes_one_trial(self, build, type12_algebras, monkeypatch):
+        r = build(type12_algebras)
+        expect = is_prehomogeneous(r, mode=Symbolic())
+        calls = spy_calls(monkeypatch, prehom, "_witness_rank")
+        cert = is_prehomogeneous(r)
+        assert calls["_witness_rank"] == 1
+        assert cert == expect and not cert
+
+    @pytest.mark.parametrize("r,seed,witness", [
+        (natural(A1), 473, [-9, -10]),
+        (realize_label(spec_of(A1, A2), lab((1,), (0, 1))), 184,
+         [9, 7, -4, 4, 8, -10]),
+    ])
+    def test_yes_after_a_failed_trial_keeps_its_witness(self, r, seed, witness):
+        # the witness and trial count the search gave before it escalated
+        # early
+        cert = is_prehomogeneous(r, mode=Randomized(seed=seed))
+        assert cert.mode == "randomized" and cert.seed == seed
+        assert cert.witness == witness and cert.trials_used == 2
 
 
 class TestSerialization:

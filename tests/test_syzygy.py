@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from disemi import linalg, symrank, syzygy
 from disemi.classify import DESK_BOUNDS, construct_type1, enumerate_modules
 from disemi.linalg import rank
+from disemi.liealg import Subspace, dumps, loads
 from disemi.prehom import adjoint_radical_module, evaluation_matrix
 from disemi.repbuilder import (ModuleDescriptor, direct_sum, natural, realize,
                                realize_label, spec_of, sym2, trivial)
@@ -432,9 +433,16 @@ class TestSandwichPerSide:
                            "stabilizer_syzygies": [1]}
 
 
-def a3_type1_radical_module():
+def a3_type1_radical_module(weightless=False):
+    """The radical module of an A3 type-1 algebra: with a weight basis as
+    constructed, weightless once read back from its structure constants
+    (as --sc reads an algebra), which records no Levi spec."""
     g = construct_type1(A3, lab((0, 0, 1)), lab((0, 1, 0)))
-    return adjoint_radical_module(g, g.levi_basis)[0]
+    levi = g.levi_basis
+    if weightless:
+        g = loads(dumps(g))
+        levi = Subspace(g, levi.basis)
+    return adjoint_radical_module(g, levi)[0]
 
 
 class TestInvariantGradients:
@@ -483,8 +491,19 @@ class TestInvariantGradients:
                 with pytest.raises(AssertionError, match="kernel"):
                     syzygy._verify_syzygies(forms, [tuple(bad)], "kernel")
 
+    def test_radical_module_takes_invariant_gradients(self, monkeypatch):
+        weightless = syzygy.generic_rank_certified(
+            a3_type1_radical_module(weightless=True))
+        rep = a3_type1_radical_module()
+        assert rep.weight_basis
+        degrees = spy_degrees(monkeypatch, "invariant_gradients",
+                              "kernel_syzygies")
+        assert syzygy.generic_rank_certified(rep) == weightless < rep.dim
+        assert degrees["invariant_gradients"] and not degrees["kernel_syzygies"]
+
     @pytest.mark.parametrize("build", [
-        a3_type1_radical_module,
+        pytest.param(lambda: a3_type1_radical_module(weightless=True),
+                     id="a3_type1_radical_module"),
         lambda: sym2(sl2_efh_natural()),    # the adjoint module of sl2
     ])
     def test_without_a_weight_basis_takes_kernel_syzygies(self, build,
