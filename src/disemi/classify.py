@@ -13,11 +13,10 @@ import os
 
 from .liealg import (Subspace, free_two_step, lower_central_series,
                      quotient_by_ideal, semidirect)
-from .prehom import Symbolic, is_prehomogeneous
-from .repbuilder import (ModuleDescriptor, Representation, SemisimpleSpec,
-                         cyclic_submodule, decompose, direct_sum,
-                         highest_weight_vectors, realize, realize_label,
-                         tensor, wedge2)
+from .prehom import Symbolic, adjoint_radical_module, is_prehomogeneous
+from .repbuilder import (ModuleDescriptor, SemisimpleSpec, cyclic_submodule,
+                         decompose, direct_sum, highest_weight_vectors,
+                         realize, realize_label, tensor, wedge2)
 from .rootdata import (SimpleType, dual_weight, fundamental, record, weyl_dim,
                        zero_weight)
 from .linalg import IncrementalSpan
@@ -555,33 +554,11 @@ def _build_two_step(spec, gen_rep, wedge_rep, hws, keep_vector, labels,
     if len(series) != 3 or series[-1].dim != 0:
         raise AssertionError("radical is not nilpotent of class exactly 2")
     want = ModuleDescriptor(labels)
-    got = decompose(radical_module(g, spec))
+    got = decompose(adjoint_radical_module(g, g.levi_basis, rad)[0])
     if got != want:
         raise AssertionError("radical decomposes as %s, expected %s"
                              % (got, want))
     return g
-
-
-def radical_module(g, spec):
-    """The radical of a constructed algebra as a weight-basis module.
-
-    Assumes the Levi block occupies the leading coordinates, which all
-    constructors here guarantee.
-    """
-    ds = spec.dim
-    if g.levi_basis is None or g.levi_basis.dim != ds:
-        raise ValueError("algebra does not carry the expected Levi metadata")
-    nd = g.dim - ds
-    action = []
-    for i in range(ds):
-        m = [{} for _ in range(nd)]
-        for b in range(nd):
-            for k, c in g.structure(i, ds + b).items():
-                if k < ds:
-                    raise AssertionError("radical is not an ideal")
-                m[k - ds][b] = c
-        action.append(m)
-    return Representation(spec, spec.algebra(), action, True)
 
 
 def construct_type1(t, label_a, label_b):

@@ -18,7 +18,7 @@ from .linalg import (clear_denominators, columns, dense, rank, rank_mod_p,
 from .liealg import (LinearMap, Subspace, apply_map_subspace, exp_ad,
                      is_semisimple, lower_central_series, solvable_radical,
                      subalgebra, sum_spans)
-from .repbuilder import Representation, cartan_is_diagonal
+from .repbuilder import Representation
 from .rootdata import record
 from . import syzygy
 
@@ -274,36 +274,54 @@ class DecompositionCertificate:
         return out
 
 
-def adjoint_radical_module(g, levi, radical=None, lev_alg=None):
-    """The adjoint action of a Levi subalgebra on the solvable radical,
-    as a Representation over the Levi's own structure constants
-    (lev_alg, subalgebra(g, levi) unless given).
-
-    It is the same module over spec.algebra(), with a weight basis, when
-    levi is g.levi_basis, the recorded g.levi_spec has exactly the
-    structure constants of lev_alg and its Cartan generators act
-    diagonally.  That changes no verdict: the action matrices and
-    structure constants are the same, hence every evaluation matrix and
-    the generic rank; the weight basis only lets syzygy find the kernel
-    side as invariant gradients, each of which passes _verify_syzygies
-    before it is ranked.
-    """
-    rad = radical if radical is not None else solvable_radical(g)
-    if lev_alg is None:
-        lev_alg = subalgebra(g, levi)
-    rows = [sparse(r) for r in rad.basis]
-    action = []
-    for u in map(sparse, levi.basis):
-        cols = [rad.span.solve(g.sparse_bracket(u, r)) for r in rows]
-        if None in cols:
-            raise ValueError("radical is not stable under the Levi action")
-        action.append([dict(enumerate(row)) for row in zip(*cols)])
+def _recorded_spec(g, levi):
+    """g.levi_spec if levi is g.levi_basis on the leading unit vectors
+    and g's table there is spec.algebra().table (so spec.algebra() is
+    the Levi's own structure constants), else None."""
     spec = g.levi_spec
-    if (spec is not None and levi is g.levi_basis
-            and (lev_alg.dim, lev_alg.table) == (spec.dim, spec.algebra().table)
-            and cartan_is_diagonal(spec, action)):
-        return Representation(spec, spec.algebra(), action, True), rad
-    return Representation(None, lev_alg, action, False), rad
+    if (spec is None or levi is not g.levi_basis
+            or levi.basis != [g.basis_vector(i) for i in range(spec.dim)]):
+        return None
+    block = {key: row for key, row in g.table.items() if key[1] < spec.dim}
+    return spec if block == spec.algebra().table else None
+
+
+def adjoint_radical_module(g, levi, radical=None, lev_alg=None):
+    """The adjoint action of a Levi subalgebra on the solvable radical
+    (solvable_radical(g) unless given), as a Representation: over
+    spec.algebra() for a _recorded_spec, read off g.structure(i, ds + b)
+    when the radical's rows are also the trailing unit vectors; else
+    solved for over those rows (over lev_alg, subalgebra(g, levi) unless
+    given, without a spec).  Matrices and structure constants, hence
+    verdicts, are the same either way; a weight basis only lets syzygy
+    find the kernel side as invariant gradients, each verified before it
+    is ranked.  Raises ValueError when a bracket leaves the radical, or
+    for a zero Levi and a nonzero radical (no action matrix would give
+    the dimension)."""
+    rad = radical if radical is not None else solvable_radical(g)
+    if not levi.dim and rad.dim:
+        raise ValueError("a zero Levi cannot act on a nonzero radical")
+    spec, ds = _recorded_spec(g, levi), levi.dim
+    unstable = "radical is not stable under the Levi action"
+    if spec is not None and rad.basis == [g.basis_vector(i)
+                                          for i in range(ds, g.dim)]:
+        action = [[{} for _ in range(rad.dim)] for _ in range(ds)]
+        for i, m in enumerate(action):
+            for b in range(rad.dim):
+                for k, c in g.structure(i, ds + b).items():
+                    if k < ds:
+                        raise ValueError(unstable)
+                    m[k - ds][b] = c
+    else:
+        rows = [sparse(r) for r in rad.basis]
+        action = []
+        for u in map(sparse, levi.basis):
+            cols = [rad.span.solve(g.sparse_bracket(u, r)) for r in rows]
+            if None in cols:
+                raise ValueError(unstable)
+            action.append([dict(enumerate(row)) for row in zip(*cols)])
+    alg = spec.algebra() if spec is not None else lev_alg or subalgebra(g, levi)
+    return Representation(spec, alg, action), rad
 
 
 def certify_disemisimple(g, levi=None, mode=None):
@@ -321,7 +339,8 @@ def certify_disemisimple(g, levi=None, mode=None):
         levi = g.levi_basis
     if levi is None:
         raise ValueError("no Levi subalgebra supplied or recorded on g")
-    lev_alg = subalgebra(g, levi)          # raises if not closed
+    spec = _recorded_spec(g, levi)      # else subalgebra checks closure
+    lev_alg = spec.algebra() if spec is not None else subalgebra(g, levi)
     if not is_semisimple(lev_alg):
         raise ValueError("supplied Levi subalgebra is not semisimple")
     rad = solvable_radical(g)
@@ -336,6 +355,10 @@ def certify_disemisimple(g, levi=None, mode=None):
     # would only repeat that
     if lower_central_series(g, rad)[-1].dim:
         return Refusal(reason=RADICAL_NOT_NILPOTENT)
+    # a No by dimensions needs no module (a zero Levi gives no matrices)
+    cert = dimension_verdict(rad.dim, levi.dim)
+    if cert is not None and not cert:
+        return Refusal(reason=RADICAL_NOT_PREHOMOGENEOUS, inner=cert)
     rep, rad = adjoint_radical_module(g, levi, rad, lev_alg)
     cert = is_prehomogeneous(rep, mode=mode)
     if not cert:

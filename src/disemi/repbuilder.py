@@ -2,9 +2,9 @@
 
 Every Representation stores one exact action matrix per basis element of
 its algebra, as sparse row dicts (see Representation).  All constructors
-keep the Cartan subalgebra diagonal (weight_basis), so highest-weight
-extraction is plain kernel computation in fixed coordinate blocks and
-never needs diagonalisation.
+keep the Cartan subalgebra diagonal, so their modules have a weight
+basis and highest-weight extraction is plain kernel computation in fixed
+coordinate blocks that never needs diagonalisation.
 """
 
 from functools import lru_cache
@@ -171,9 +171,12 @@ class Representation:
     dicts: row a maps column b to the entry (a, b) and holds only the
     nonzero entries.  The constructor is the one place where entries are
     normalised: zeros are dropped and integral Fractions become ints.
+    weight_basis is worked out, never declared: spec is set, algebra is
+    spec.algebra() (whose generator_indices() then hold) and every
+    Cartan generator acts diagonally (cartan_is_diagonal).
     """
 
-    def __init__(self, spec, algebra, action, weight_basis):
+    def __init__(self, spec, algebra, action):
         if algebra.dim != len(action):
             raise ValueError("need one action matrix per algebra basis element")
         self.spec = spec
@@ -184,13 +187,9 @@ class Representation:
         self.action = [[{b: divide(x.numerator, x.denominator)
                          for b, x in row.items() if x} for row in m]
                        for m in action]
-        self.weight_basis = weight_basis
+        self.weight_basis = (spec is not None and algebra is spec.algebra()
+                             and cartan_is_diagonal(spec, self.action))
         self._weights = None
-        if weight_basis:
-            if spec is None or algebra is not spec.algebra():
-                raise ValueError("weight_basis needs Chevalley generator data")
-            if not cartan_is_diagonal(spec, self.action):
-                raise ValueError("Cartan action is not diagonal")
 
     def __repr__(self):
         return "Representation(%s, dim=%d)" % (self.spec, self.dim)
@@ -298,21 +297,21 @@ def natural(t):
     if not isinstance(t, SimpleType):
         raise ValueError("natural() expects a SimpleType")
     alg, mats, _ = _chevalley_with_matrices(t)
-    return Representation(SemisimpleSpec((t,)), alg, mats, True)
+    return Representation(SemisimpleSpec((t,)), alg, mats)
 
 
 def trivial(spec, k=1):
     """The k-dimensional trivial module over spec."""
     alg = spec.algebra()
     return Representation(spec, alg, [[{} for _ in range(k)]
-                                      for _ in range(alg.dim)], True)
+                                      for _ in range(alg.dim)])
 
 
 def dual(r):
     """The dual module, acting by x -> -x^T."""
     action = [[{b: -x for b, x in col} for col in columns(m, r.dim)]
               for m in r.action]
-    return _spot_check(Representation(r.spec, r.algebra, action, r.weight_basis))
+    return _spot_check(Representation(r.spec, r.algebra, action))
 
 
 def tensor(r1, r2):
@@ -321,8 +320,7 @@ def tensor(r1, r2):
         raise ValueError("tensor needs modules over the same algebra")
     action = [_kron_sum(m1, m2, r1.dim, r2.dim)
               for m1, m2 in zip(r1.action, r2.action)]
-    return _spot_check(Representation(r1.spec, r1.algebra, action,
-                                      r1.weight_basis and r2.weight_basis))
+    return _spot_check(Representation(r1.spec, r1.algebra, action))
 
 
 def direct_sum(rs):
@@ -342,8 +340,7 @@ def direct_sum(rs):
             m.extend({off + j: x for j, x in row.items()} for row in r.action[k])
             off += r.dim
         action.append(m)
-    return _spot_check(Representation(spec, alg, action,
-                                      all(r.weight_basis for r in rs)))
+    return _spot_check(Representation(spec, alg, action))
 
 
 def outer_tensor(r1, r2):
@@ -357,8 +354,7 @@ def outer_tensor(r1, r2):
     d1, d2 = r1.dim, r2.dim
     action = ([_kron_sum(m1, [{}] * d2, d1, d2) for m1 in r1.action]
               + [_kron_sum([{}] * d1, m2, d1, d2) for m2 in r2.action])
-    return _spot_check(Representation(spec, alg, action,
-                                      r1.weight_basis and r2.weight_basis))
+    return _spot_check(Representation(spec, alg, action))
 
 
 def wedge2(r):
@@ -392,7 +388,7 @@ def wedge_power(r, k):
                             c = -c
                     row[si] = row.get(si, 0) + c
         action.append(out)
-    return _spot_check(Representation(r.spec, r.algebra, action, r.weight_basis))
+    return _spot_check(Representation(r.spec, r.algebra, action))
 
 
 def sym2(r):
@@ -413,7 +409,7 @@ def sym2(r):
                 row = out[index[(a, j) if a <= j else (j, a)]]
                 row[pi] = row.get(pi, 0) + c
         action.append(out)
-    return _spot_check(Representation(r.spec, r.algebra, action, r.weight_basis))
+    return _spot_check(Representation(r.spec, r.algebra, action))
 
 
 # ---------------------------------------------------------------------------
@@ -505,7 +501,7 @@ def _spin_rep(t, parity=None):
                                for a in keep]
         images = restricted
     action = _rep_from_generators(alg.dim, defs, images)
-    rep = Representation(spec, alg, action, True)
+    rep = Representation(spec, alg, action)
     if not rep.check_homomorphism():
         raise AssertionError("spin construction failed the homomorphism check")
     return rep
@@ -625,7 +621,7 @@ def _restrict(r, vectors):
             for i, c in enumerate(coeffs):
                 out[i][j] = c
         action.append(out)
-    return Representation(r.spec, r.algebra, action, r.weight_basis)
+    return Representation(r.spec, r.algebra, action)
 
 
 def cyclic_submodule(r, v0):

@@ -142,7 +142,7 @@ def test_criterion_05_low_dimensional_trio():
     from disemi.liealg import LieAlgebra
     n3 = LieAlgebra(3, {(0, 1): {2: 1}})
     mats = [[dict(row) for row in m] + [{}] for m in natural(A1).action]
-    rho = Representation(spec_of(A1), sl2, mats, False)
+    rho = Representation(spec_of(A1), sl2, mats)
     g3 = semidirect(sl2, rho, n3)
     assert isinstance(certify_disemisimple(g3), Refusal)
     report(5, "certify succeeds exactly on sl2 x| V(2) among the three "

@@ -6,14 +6,15 @@ from disemi.classify import (DESK_BOUNDS, NotAFreeError, SKTriple,
                              a_free_structure, castling_transform,
                              construct_type1, construct_type2,
                              cross_check_vinberg,
-                             enumerate_modules, radical_module,
+                             enumerate_modules,
                              search_type12, simple_labels_upto,
                              sk_reduced_table, type12_candidates,
                              vinberg_table)
 from disemi.liealg import (check_jacobi, is_perfect, lower_central_series,
                            semidirect, Subspace)
 from disemi.prehom import (DecompositionCertificate, Refusal, Symbolic,
-                           certify_disemisimple, is_prehomogeneous)
+                           adjoint_radical_module, certify_disemisimple,
+                           is_prehomogeneous)
 from disemi.repbuilder import (ModuleDescriptor, decompose, direct_sum,
                                natural, outer_tensor, realize, spec_of,
                                spin16_d5, trivial)
@@ -385,8 +386,7 @@ class TestConstructions:
 
     def test_type1_a3_radical_structure(self):
         g = construct_type1(A3, lab((1, 0, 0)), lab((0, 1, 0)))
-        spec = spec_of(A3)
-        rad = radical_module(g, spec)
+        rad, _ = adjoint_radical_module(g, g.levi_basis)
         assert decompose(rad) == ModuleDescriptor([lab((1, 0, 0)),
                                                    lab((0, 1, 0))])
         # derived part of the radical is the wedge-square image

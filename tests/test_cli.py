@@ -149,6 +149,29 @@ class TestCertifyCommand:
         assert out == ""
         assert err.startswith("error: ") and "Traceback" not in err
 
+    @pytest.mark.parametrize("algebra", [
+        {"dim": 2, "entries": []},
+        {"dim": 3, "entries": [[0, 1, [[2, 1]]]]},       # Heisenberg
+    ], ids=["abelian", "heisenberg"])
+    @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+    def test_zero_levi_refused_by_dimension(self, capsys, tmp_path, algebra,
+                                            as_json):
+        # the radical is the whole algebra and no Levi acts on it
+        path = tmp_path / "alg.json"
+        path.write_text(json.dumps({"algebra": algebra, "levi_basis": []}))
+        code, out, err = run(capsys, "certify", "--sc", str(path),
+                             *(["--json"] if as_json else []))
+        assert code == 1 and err == ""
+        if as_json:
+            assert json.loads(out) == {
+                "refused": True, "reason": "radical_not_prehomogeneous",
+                "radical_certificate": {"verdict": "not_prehomogeneous",
+                                        "reason": "dimension_bound",
+                                        "mode": "fast_path"}}
+        else:
+            assert out == ("refused: radical_not_prehomogeneous "
+                           "(dimension_bound)\n")
+
     @pytest.mark.parametrize("argv", [(), ("A1",)])
     def test_missing_module_is_usage_error(self, capsys, argv):
         code, out, err = run(capsys, "certify", *argv)

@@ -314,7 +314,7 @@ class TestSemidirect:
         n3 = heisenberg()
         sl2 = chevalley(A1)
         mats = [[dict(row) for row in m] + [{}] for m in natural(A1).action]
-        rho = Representation(spec_of(A1), sl2, mats, False)
+        rho = Representation(spec_of(A1), sl2, mats)
         g = semidirect(sl2, rho, n3)
         assert g.dim == 6
         assert check_jacobi(g)
@@ -332,7 +332,7 @@ class TestSemidirect:
     def test_not_homomorphism_rejected(self):
         bad_mats = [[{}, {}] for _ in range(3)]
         bad_mats[0][0][1] = 1  # h acts by a nilpotent: not a rep of sl2
-        rho = Representation(spec_of(A1), chevalley(A1), bad_mats, False)
+        rho = Representation(spec_of(A1), chevalley(A1), bad_mats)
         with pytest.raises(ValueError):
             semidirect(chevalley(A1), rho)
 
@@ -342,7 +342,7 @@ class TestSemidirect:
         mats = [[dict(row) for row in m] + [{}] for m in natural(A1).action]
         # corrupt: make h act on the center too
         mats[0][2][2] = 7
-        rho = Representation(spec_of(A1), chevalley(A1), mats, False)
+        rho = Representation(spec_of(A1), chevalley(A1), mats)
         with pytest.raises(ValueError):
             semidirect(chevalley(A1), rho, n3)
 
@@ -402,8 +402,7 @@ class TestFreeTwoStep:
             tau.spec, tau.algebra,
             [[{b - 3: x for b, x in m[3 + a].items() if b >= 3}
               for a in range(3)]
-             for m in tau.action],
-            True)
+             for m in tau.action])
         assert str(decompose(derived)) == "L(0,1)"
 
 

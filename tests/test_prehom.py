@@ -1,5 +1,8 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -246,7 +249,7 @@ class TestCertify:
     def test_sl2_n3_refused(self):
         n3 = LieAlgebra(3, {(0, 1): {2: 1}})
         mats = [[dict(row) for row in m] + [{}] for m in natural(A1).action]
-        rho = Representation(spec_of(A1), chevalley(A1), mats, False)
+        rho = Representation(spec_of(A1), chevalley(A1), mats)
         g = semidirect(chevalley(A1), rho, n3)
         res = certify_disemisimple(g)
         assert isinstance(res, Refusal)
@@ -357,6 +360,27 @@ def type12_algebras():
     return out
 
 
+def type12_digests(type12_algebras):
+    """{"type candidate": {"algebra": sha256 of dumps(g), "radical_action":
+    sha256 of the radical module's action matrices}} for the 12
+    constructions; tests/golden/type12_constructions.json holds them."""
+    out = {}
+    for t, c, g in type12_algebras:
+        rep, _ = adjoint_radical_module(g, g.levi_basis)
+        action = json.dumps([[[[b, str(Fraction(x))] for b, x in sorted(
+            row.items())] for row in m] for m in rep.action],
+            separators=(",", ":"))
+        out["%s %s" % (t, c)] = {
+            "algebra": hashlib.sha256(dumps(g).encode()).hexdigest(),
+            "radical_action": hashlib.sha256(action.encode()).hexdigest()}
+    return out
+
+
+def test_type12_constructions_golden(type12_algebras):
+    path = Path(__file__).parent / "golden" / "type12_constructions.json"
+    assert type12_digests(type12_algebras) == json.loads(path.read_text())
+
+
 def spy_calls(monkeypatch, module, *names):
     """{name: number of calls} for functions of a module."""
     calls = {name: 0 for name in names}
@@ -379,7 +403,6 @@ def sc_round_trip(g):
 
 class TestWeightBasisRadical:
     def test_type12_radicals_have_a_weight_basis(self, type12_algebras):
-        from disemi.classify import radical_module
         for t, c, g in type12_algebras:
             rep, _ = adjoint_radical_module(g, g.levi_basis)
             assert rep.weight_basis and rep.spec == spec_of(t), str(c)
@@ -387,7 +410,7 @@ class TestWeightBasisRadical:
             # an equal Levi that is not the recorded one: the same matrices
             plain, _ = adjoint_radical_module(g, Subspace(g, g.levi_basis.basis))
             assert not plain.weight_basis
-            assert plain.action == rep.action == radical_module(g, rep.spec).action
+            assert plain.action == rep.action
 
     def test_certify_takes_invariant_gradients(self, type12_algebras,
                                                monkeypatch):
@@ -453,13 +476,110 @@ class TestWeightBasisRadical:
                  {0: r[1].get(0, 0), 1: r[1].get(0, 0) + r[1].get(1, 0)}]
                 for r in m]
         assert conj[0][0] == {0: 1, 1: 2}
-        module = Representation(spec, spec.algebra(), conj, False)
+        module = Representation(spec, spec.algebra(), conj)
         assert module.check_homomorphism()
         g = semidirect(spec.algebra(), module)
         assert g.levi_spec == spec
         rep, _ = adjoint_radical_module(g, g.levi_basis)
         assert not rep.weight_basis and rep.action == module.action
         assert certify_disemisimple(g)
+
+
+def cli_semidirect():
+    """s |x V for certify A3 "3L(1,0,0)", as the CLI builds it."""
+    from disemi.modexpr import parse_module, to_representation
+    spec = spec_of(A3)
+    return semidirect(spec.algebra(), to_representation(
+        parse_module("3L(1,0,0)", spec), spec))
+
+
+def spy_solves(monkeypatch):
+    """{"subalgebra": calls, "solve": calls of IncrementalSpan.solve}."""
+    from disemi.linalg import IncrementalSpan
+    calls = spy_calls(monkeypatch, prehom, "subalgebra")
+    calls["solve"] = 0
+    solve = IncrementalSpan.solve
+
+    def spy(self, v):
+        calls["solve"] += 1
+        return solve(self, v)
+    monkeypatch.setattr(IncrementalSpan, "solve", spy)
+    return calls
+
+
+class TestOneRadicalBuilder:
+    def test_constructed_radicals_are_read_not_solved(self, type12_algebras,
+                                                      monkeypatch):
+        algebras = [g for _, _, g in type12_algebras] + [cli_semidirect()]
+        calls = spy_solves(monkeypatch)
+        for g in algebras:
+            rep, rad = adjoint_radical_module(g, g.levi_basis)
+            assert rep.weight_basis and rep.algebra is g.levi_spec.algebra()
+            assert rad.dim == rep.dim == g.dim - g.levi_basis.dim
+        assert calls == {"subalgebra": 0, "solve": 0}
+
+    def test_certify_solves_nothing_on_constructions(self, type12_algebras,
+                                                     monkeypatch):
+        calls = spy_solves(monkeypatch)
+        for _, c, g in type12_algebras:
+            assert isinstance(certify_disemisimple(g), Refusal), str(c)
+        assert calls == {"subalgebra": 0, "solve": 0}
+
+    def test_other_bases_take_the_solve(self, type12_algebras, monkeypatch):
+        for _, c, g in type12_algebras + [(A3, "3L(1,0,0)", cli_semidirect())]:
+            rep, rad = adjoint_radical_module(g, g.levi_basis)
+            with monkeypatch.context() as m:
+                calls = spy_solves(m)
+                # the radical with every row doubled: the same matrices
+                scaled = Subspace(g, [[2 * x for x in r] for r in rad.basis])
+                rep2, _ = adjoint_radical_module(g, g.levi_basis, scaled)
+                ds, brackets = rep.algebra.dim, rep.dim * rep.algebra.dim
+                assert calls == {"subalgebra": 0, "solve": brackets}
+                assert rep2.weight_basis and rep2.action == rep.action, str(c)
+                # the --sc round trip: no recorded spec, same matrices
+                rep3, _ = adjoint_radical_module(*sc_round_trip(g))
+                assert calls == {"subalgebra": 1,
+                                 "solve": 2 * brackets + ds * (ds - 1) // 2}
+            assert rep3.spec is None and not rep3.weight_basis
+            assert rep3.action == rep.action, str(c)
+
+    def test_recorded_levi_with_scaled_rows_is_solved(self):
+        g = cli_semidirect()
+        rep, _ = adjoint_radical_module(g, g.levi_basis)
+        g.levi_basis = Subspace(g, [[2 * x for x in r]
+                                    for r in g.levi_basis.basis])
+        doubled, _ = adjoint_radical_module(g, g.levi_basis)
+        assert doubled.spec is None and not doubled.weight_basis
+        assert doubled.action == [[{b: 2 * x for b, x in row.items()}
+                                   for row in m] for m in rep.action]
+
+    def test_bracket_leaving_the_radical_raises(self):
+        # read path: sl2 recorded on e_0..e_2, but [h, e_3] = e
+        spec = spec_of(A1)
+        g = LieAlgebra(4, {**spec.algebra().table, (0, 3): {1: 1}})
+        g.levi_basis = Subspace(g, [g.basis_vector(i) for i in range(3)])
+        g.levi_spec = spec
+        with pytest.raises(ValueError, match="not stable"):
+            adjoint_radical_module(g, g.levi_basis,
+                                   Subspace(g, [g.basis_vector(3)]))
+        # solve path: a second row that is no ideal
+        g = semidirect(spec.algebra(), natural(A1))
+        odd = Subspace(g, [g.basis_vector(3), [0, 0, 1, 0, 1]])
+        with pytest.raises(ValueError, match="not stable"):
+            adjoint_radical_module(g, g.levi_basis, odd)
+
+    @pytest.mark.parametrize("table", [{}, {(0, 1): {2: 1}}],
+                             ids=["abelian", "heisenberg"])
+    def test_zero_levi(self, table):
+        from disemi.liealg import zero_subspace
+        g = LieAlgebra(len(table) + 2, table)
+        levi = zero_subspace(g)
+        with pytest.raises(ValueError, match="zero Levi"):
+            adjoint_radical_module(g, levi)
+        res = certify_disemisimple(g, levi)
+        assert isinstance(res, Refusal)
+        assert res.reason == "radical_not_prehomogeneous"
+        assert res.inner.reason == DIMENSION_BOUND
 
 
 def a4_type1_radical_module(type12_algebras):

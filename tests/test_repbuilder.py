@@ -106,9 +106,9 @@ class TestConstructors:
 SL2_EFH = LieAlgebra(3, {(0, 1): {2: 1}, (0, 2): {0: -2}, (1, 2): {1: 2}})
 
 
-def sl2_efh_natural(weight_basis=False):
+def sl2_efh_natural():
     h, e, f = natural(A1).action
-    return Representation(spec_of(A1), SL2_EFH, [e, f, h], weight_basis)
+    return Representation(spec_of(A1), SL2_EFH, [e, f, h])
 
 
 class TestGeneratorIndices:
@@ -139,9 +139,10 @@ class TestGeneratorIndices:
         assert t.check_homomorphism()
 
     def test_weight_basis_over_a_hand_built_algebra_refused(self):
-        assert sl2_efh_natural().check_homomorphism()
-        with pytest.raises(ValueError, match="Chevalley generator data"):
-            sl2_efh_natural(weight_basis=True)
+        # the Cartan matrix h is diagonal, but spec_of(A1) does not
+        # describe SL2_EFH, so no weight basis is worked out
+        r = sl2_efh_natural()
+        assert r.check_homomorphism() and not r.weight_basis
 
 
 class TestSpin:
@@ -190,11 +191,8 @@ class TestHighestWeights:
         assert all(lab_ == ((1, 0),) for _, lab_ in hw)
 
     def test_requires_weight_basis(self):
-        from disemi.repbuilder import Representation
-        r = natural(A1)
-        bad = Representation(r.spec, r.algebra, r.action, False)
         with pytest.raises(ValueError):
-            highest_weight_vectors(bad)
+            highest_weight_vectors(sl2_efh_natural())
 
 
 class TestDecompose:
@@ -352,7 +350,7 @@ class TestSparseAction:
         action[0][0][1] = 0
         action[0][0][0] = Fraction(2, 2)
         action[1][1][0] = Fraction(1, 2)
-        got = Representation(r.spec, r.algebra, action, False).action
+        got = Representation(r.spec, r.algebra, action).action
         assert got[0][0] == {0: 1} and type(got[0][0][0]) is int
         assert got[1][1] == {0: Fraction(1, 2)}
 
@@ -363,7 +361,7 @@ class TestSparseAction:
         h = r.spec.generator_indices()[0][0]
         action = [[dict(row) for row in m] for m in r.action]
         action[h][0][0] = action[h][0].get(0, 0) + 1
-        bad = Representation(r.spec, r.algebra, action, False)
+        bad = Representation(r.spec, r.algebra, action)
         assert not bad.check_homomorphism()
         with pytest.raises(ValueError):
             semidirect(r.algebra, bad)
@@ -460,7 +458,7 @@ def _corrupt(r, k):
     by one."""
     action = [[dict(row) for row in m] for m in r.action]
     action[k][0][0] = action[k][0].get(0, 0) + 1
-    return Representation(r.spec, r.algebra, action, False)
+    return Representation(r.spec, r.algebra, action)
 
 
 class TestGeneratorHomomorphismCheck:
@@ -506,3 +504,60 @@ class TestGeneratorHomomorphismCheck:
         r = natural(A3)
         assert r.generating_indices() == frozenset(range(3, 9))
         assert sl2_efh_natural().generating_indices() == frozenset(range(3))
+
+
+def _weight_basis_producers():
+    """(name, module) for every constructor of repbuilder."""
+    from disemi.classify import DESK_BOUNDS, simple_labels_upto
+    a2 = spec_of(A2)
+    yield "natural", natural(A2)
+    for k in (0, 1, 3):
+        yield "trivial-%d" % k, trivial(a2, k)
+    yield "dual", dual(natural(A2))
+    yield "tensor", tensor(natural(A2), natural(A2))
+    yield "direct_sum", direct_sum([natural(A2), trivial(a2, 1)])
+    yield "outer_tensor", outer_tensor(natural(A1), natural(A2))
+    yield "wedge_power", wedge_power(natural(A3), 2)
+    yield "sym2", sym2(natural(C2))
+    yield "spin-B3", _spin_rep(B3)
+    yield "spin-D4", _spin_rep(D4, parity=1)
+    yield "spin16", spin16_d5()
+    for t, bound in DESK_BOUNDS.items():
+        for coords in simple_labels_upto(t, bound):
+            yield "%s %s" % (t, coords), realize_label(spec_of(t), (coords,))
+
+
+def _conjugated_natural_a1():
+    """natural(A1) in the basis (v1, v1 + v2), where h is not diagonal."""
+    from disemi.linalg import matmul
+    p, p_inv = [{0: 1, 1: 1}, {1: 1}], [{0: 1, 1: -1}, {1: 1}]
+    return [matmul(matmul(p_inv, m), p) for m in natural(A1).action]
+
+
+class TestWorkedOutWeightBasis:
+    def test_every_producer_gives_a_weight_basis(self):
+        count = 0
+        for name, r in _weight_basis_producers():
+            assert r.weight_basis and r.algebra is r.spec.algebra(), name
+            count += 1
+        assert count == 38
+
+    def test_non_diagonal_cartan_gives_none(self):
+        spec = spec_of(A1)
+        conj = _conjugated_natural_a1()
+        assert conj[0][0] == {0: 1, 1: 2}
+        r = Representation(spec, spec.algebra(), conj)
+        assert r.check_homomorphism() and not r.weight_basis
+        with pytest.raises(ValueError):
+            highest_weight_vectors(r)
+        # a module over a weightless one inherits no weight basis
+        assert not tensor(r, natural(A1)).weight_basis
+
+    def test_no_spec_or_another_algebra_gives_none(self):
+        from disemi.liealg import dumps, loads
+        r = natural(A2)
+        assert not Representation(None, r.algebra, r.action).weight_basis
+        # equal structure constants in another object: h is diagonal, but
+        # spec.generator_indices() does not describe that algebra
+        copy = Representation(r.spec, loads(dumps(r.algebra)), r.action)
+        assert copy.check_homomorphism() and not copy.weight_basis
