@@ -10,16 +10,18 @@ without type-A factors.
 
 import json
 import os
+from itertools import combinations
 
 from .liealg import (Subspace, free_two_step, lower_central_series,
                      quotient_by_ideal, semidirect)
 from .prehom import Symbolic, adjoint_radical_module, is_prehomogeneous
-from .repbuilder import (ModuleDescriptor, SemisimpleSpec, cyclic_submodule,
-                         decompose, direct_sum, highest_weight_vectors,
-                         realize, realize_label, tensor, wedge2)
+from .repbuilder import (ModuleDescriptor, Representation, SemisimpleSpec,
+                         cyclic_submodule, decompose, direct_sum,
+                         highest_weight_vectors, realize, realize_label,
+                         tensor, wedge2)
 from .rootdata import (SimpleType, dual_weight, fundamental, record, weyl_dim,
                        zero_weight)
-from .linalg import IncrementalSpan
+from .linalg import matmul
 
 
 # dim(s) - 1 for each desk-scale type: the dimension bound above which
@@ -116,18 +118,19 @@ def vinberg_table(t):
     out = []
     for entry in VINBERG_ENTRIES:
         for desc, dim in entry.instantiate(t):
-            if desc.total_dim(_single_spec(t)) != dim:
+            if desc.total_dim(_spec(t)) != dim:
                 raise AssertionError("table dimension formula mismatch on %s"
                                      % (desc,))
             if desc not in seen:
                 seen.add(desc)
                 out.append(desc)
-    out.sort(key=lambda d: (d.total_dim(_single_spec(t)), str(d)))
+    out.sort(key=lambda d: (d.total_dim(_spec(t)), str(d)))
     return out
 
 
-def _single_spec(t):
-    return SemisimpleSpec((t,))
+def _spec(t):
+    """t as a SemisimpleSpec; a SimpleType is the one-factor spec."""
+    return SemisimpleSpec((t,)) if isinstance(t, SimpleType) else t
 
 
 # ---------------------------------------------------------------------------
@@ -319,8 +322,7 @@ def enumerate_modules(spec, dim_bound):
     """Every multiset of non-trivial irreducible labels with total
     dimension at most dim_bound, each exactly once, ordered by
     (total dimension, labels)."""
-    if isinstance(spec, SimpleType):
-        spec = SemisimpleSpec((spec,))
+    spec = _spec(spec)
     labels = candidate_labels(spec, dim_bound)
     results = []
 
@@ -505,50 +507,59 @@ def search_type12(t, dim_bound=None, mode=None, jobs=1):
 # Quotient constructions with 2-step nilpotent radical
 # ---------------------------------------------------------------------------
 
-def _complement_ideal_vectors(rep, hws, keep_vector, keep_label):
-    """Vectors spanning a module complement of the cyclic module of
-    keep_vector inside rep; hws is highest_weight_vectors(rep), and
-    keep_vector must be a highest weight vector of weight keep_label."""
-    span = IncrementalSpan()
-    span.add(keep_vector)
-    generators = []
-    for v, label in hws:
-        if label == keep_label:
-            if span.add(v):
-                generators.append(v)
-        else:
-            generators.append(v)
-    vectors = []
-    vspan = IncrementalSpan()
-    for v in generators:
-        for w in cyclic_submodule(rep, v):
-            if vspan.add(w):
-                vectors.append(w)
-    return vectors
+def _construct_two_step(t, labels):
+    """s |x (A + B) for labels (A, B), type 1, or s |x (A + B + C) for
+    labels (A, B, C), type 2.
 
+    The generators (A, or A + B) span the free 2-step algebra f =
+    gens + wedge^2 gens, on which s acts by tau.  One copy of the last
+    label is kept in the derived part: the first highest weight vector of
+    that label supported in wedge^2 A (type 1) or in the A x B pairs
+    (type 2).  These are the vectors a search restricted to that block
+    would find, since the raising operators act block-diagonally on the
+    coordinate blocks of wedge^2 (A + B) and rref is canonical.  u is the
+    sum of the cyclic modules of every other highest weight vector, an
+    s-stable complement of the kept copy, and g = s |x (f / u).
 
-def _build_two_step(spec, gen_rep, wedge_rep, hws, keep_vector, labels,
-                    expected_dim):
-    """s |x (free 2-step on gen_rep) modulo the complement of one kept
-    copy inside the derived part; wedge_rep is wedge2(gen_rep), hws is
-    highest_weight_vectors(wedge_rep), and the kept copy has the last of
-    the radical's labels."""
+    Soundness: quotient_by_ideal checks that u is an ideal of f, and
+    semidirect that s acts on f / u by a homomorphism and by derivations,
+    so g is a Lie algebra; u, a sum of submodules, is s-stable, which
+    makes g equal to (s |x f) / u.  The
+    dimension, the nilpotency class and the decomposition of the radical
+    are checked on the result.
+    """
+    spec = _spec(t)
+    labels = tuple(spec.coerce_label(label) for label in labels)
+    gens = [realize_label(spec, label) for label in labels[:-1]]
+    gen_rep = gens[0] if len(gens) == 1 else direct_sum(gens)
+    wedge_rep = wedge2(gen_rep)
+    hws = highest_weight_vectors(wedge_rep)
+    allowed = [len(gens) == 1 or i < gens[0].dim <= j
+               for i, j in combinations(range(gen_rep.dim), 2)]
+    keep = next((v for v, label in hws if label == labels[-1] and all(
+        allowed[k] for k, x in enumerate(v) if x)), None)
+    if keep is None:
+        raise ValueError("label %s does not embed in the %s"
+                         % (ModuleDescriptor([labels[-1]]),
+                            "exterior square" if len(gens) == 1
+                            else "tensor product"))
+    f, tau = free_two_step(gen_rep, wedge_rep)
+    u = Subspace(f, [[0] * gen_rep.dim + w for v, _ in hws if v is not keep
+                     for w in cyclic_submodule(wedge_rep, v)])
+    n, proj = quotient_by_ideal(f, u)
+    pivots = set(u.pivots)
+    index = {c: a for a, c in enumerate(c for c in range(f.dim)
+                                         if c not in pivots)}
+    # column a of x on n is the projection of tau(x) on basis vector a
+    action = [matmul(proj.matrix, [{index[c]: y for c, y in row.items()
+                                    if c in index} for row in m])
+              for m in tau.action]
     s = spec.algebra()
-    f_alg, tau = free_two_step(gen_rep, wedge_rep)
-    comp = _complement_ideal_vectors(wedge_rep, hws, keep_vector, labels[-1])
-    g_full = semidirect(s, tau, f_alg)
-    off = s.dim + gen_rep.dim
-    ideal_rows = []
-    for v in comp:
-        row = [0] * g_full.dim
-        for i, x in enumerate(v):
-            row[off + i] = x
-        ideal_rows.append(row)
-    u = Subspace(g_full, ideal_rows)
-    g, _proj = quotient_by_ideal(g_full, u)
-    if g.dim != expected_dim:
+    g = semidirect(s, Representation(spec, s, action), n)
+    expected = spec.dim + gen_rep.dim + spec.label_dim(labels[-1])
+    if g.dim != expected:
         raise AssertionError("constructed algebra has dim %d, expected %d"
-                             % (g.dim, expected_dim))
+                             % (g.dim, expected))
     rad = Subspace(g, [g.basis_vector(i) for i in range(s.dim, g.dim)])
     series = lower_central_series(g, rad)
     if len(series) != 3 or series[-1].dim != 0:
@@ -567,19 +578,7 @@ def construct_type1(t, label_a, label_b):
     Needs B inside wedge^2 A; the radical has nilpotency class exactly
     two with derived part isomorphic to B.
     """
-    spec = t if isinstance(t, SemisimpleSpec) else SemisimpleSpec((t,))
-    label_a = spec.coerce_label(label_a)
-    label_b = spec.coerce_label(label_b)
-    rep_a = realize_label(spec, label_a)
-    wedge_rep = wedge2(rep_a)
-    hws = highest_weight_vectors(wedge_rep)
-    keep = [v for v, lab in hws if lab == label_b]
-    if not keep:
-        raise ValueError("label %s does not embed in the exterior square"
-                         % (ModuleDescriptor([label_b]),))
-    expected = spec.dim + rep_a.dim + spec.label_dim(label_b)
-    return _build_two_step(spec, rep_a, wedge_rep, hws, keep[0],
-                           (label_a, label_b), expected)
+    return _construct_two_step(t, (label_a, label_b))
 
 
 def construct_type2(t, label_a, label_b, label_c):
@@ -588,28 +587,7 @@ def construct_type2(t, label_a, label_b, label_c):
     Needs C inside A x B; A and B bracket to zero among themselves and
     the derived radical is isomorphic to C.
     """
-    spec = t if isinstance(t, SemisimpleSpec) else SemisimpleSpec((t,))
-    label_a = spec.coerce_label(label_a)
-    label_b = spec.coerce_label(label_b)
-    label_c = spec.coerce_label(label_c)
-    rep_a = realize_label(spec, label_a)
-    rep_b = realize_label(spec, label_b)
-    gen_rep = direct_sum([rep_a, rep_b])
-    wedge_rep = wedge2(gen_rep)
-    # coordinates of the A x B block inside the exterior square
-    from itertools import combinations
-    pairs = list(combinations(range(gen_rep.dim), 2))
-    mask = [idx for idx, (i, j) in enumerate(pairs)
-            if i < rep_a.dim <= j]
-    hws = [v for v, lab in highest_weight_vectors(wedge_rep, coord_mask=mask)
-           if lab == label_c]
-    if not hws:
-        raise ValueError("label %s does not embed in the tensor product"
-                         % (ModuleDescriptor([label_c]),))
-    expected = (spec.dim + rep_a.dim + rep_b.dim + spec.label_dim(label_c))
-    return _build_two_step(spec, gen_rep, wedge_rep,
-                           highest_weight_vectors(wedge_rep), hws[0],
-                           (label_a, label_b, label_c), expected)
+    return _construct_two_step(t, (label_a, label_b, label_c))
 
 
 # ---------------------------------------------------------------------------
@@ -630,8 +608,7 @@ def a_free_structure(spec, rep, mode=None):
     over all factors, with empty descriptors for factors acting only on
     zero.
     """
-    if isinstance(spec, SimpleType):
-        spec = SemisimpleSpec((spec,))
+    spec = _spec(spec)
     for t in spec.factors:
         if t.family == "A":
             raise NotAFreeError("factor %s is of type A" % (t,))

@@ -79,16 +79,20 @@ def _print_certificate(result, as_json):
 def _read_sc(path):
     """(algebra, Levi subspace) from a structure-constant file.  Every
     check runs before anything is computed, so a malformed file raises
-    ValueError: the schema, indices, rationals, Levi row lengths and the
-    Jacobi identity."""
+    ValueError: the schema, indices, rationals, Levi rows (JSON arrays
+    of length dim) and the Jacobi identity."""
     with open(path) as fh:
         data = json.load(fh)
     try:
         g = from_json_dict(data["algebra"])
-        levi = [[rational(x) for x in row] for row in data["levi_basis"]]
+        rows = data["levi_basis"]
     except (KeyError, TypeError) as exc:
         raise ValueError("the file needs 'algebra' and 'levi_basis': %s"
                          % exc) from None
+    # a string or an object row would iterate its characters or keys
+    if not (isinstance(rows, list) and all(isinstance(r, list) for r in rows)):
+        raise ValueError("'levi_basis' must be a list of JSON arrays")
+    levi = [[rational(x) for x in row] for row in rows]
     if any(len(row) != g.dim for row in levi):
         raise ValueError("every levi_basis row needs %d entries" % g.dim)
     if not check_jacobi(g):

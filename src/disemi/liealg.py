@@ -534,7 +534,8 @@ def free_two_step(rho, wedge=None):
     The underlying space is A + wedge^2 A with [a, a'] = a ^ a' and the
     exterior square central; returns (f, tau) where tau is the induced
     module structure on f, which acts by derivations by construction.
-    wedge is wedge2(rho), built here when not given.
+    wedge is wedge2(rho), built here when not given.  The basis of f is
+    labelled v1, v2, ..., the labels semidirect gives an unlabelled n.
     """
     from .repbuilder import direct_sum as rep_direct_sum, wedge2
     from itertools import combinations
@@ -544,7 +545,8 @@ def free_two_step(rho, wedge=None):
     table = {}
     for (i, j), k in index.items():
         table[(i, j)] = {d + k: 1}
-    f = LieAlgebra(d + len(pairs), table)
+    f = LieAlgebra(d + len(pairs), table,
+                   labels=["v%d" % (a + 1) for a in range(d + len(pairs))])
     tau = rep_direct_sum([rho, wedge if wedge is not None else wedge2(rho)])
     return f, tau
 
@@ -671,15 +673,21 @@ def rational(x):
 def from_json_dict(data):
     """Inverse of to_json_dict.  The input is checked before use, so a
     malformed one raises ValueError: the schema, integer indices below
-    dim with i < j in every entry [i, j, [[k, c], ...]], and rational
+    dim with i < j in every entry [i, j, [[k, c], ...]], no repeated
+    [i, j] and no repeated k within an entry, and rational
     coefficients."""
     try:
         dim = data["dim"]
-        table = {(i, j): {k: rational(c) for k, c in row}
-                 for i, j, row in data["entries"]}
+        entries = [((i, j), [(k, rational(c)) for k, c in row])
+                   for i, j, row in data["entries"]]
+        table = {key: dict(row) for key, row in entries}
         labels = data.get("labels")
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError("malformed algebra: %s" % exc) from None
+    if len(table) != len(entries) or any(
+            len(table[key]) != len(row) for key, row in entries):
+        raise ValueError("every [i, j], and every k within an entry, "
+                         "may appear once")
     indices = [x for (i, j), row in table.items() for x in (i, j, *row)]
     if type(dim) is not int or dim < 0 or not all(
             type(x) is int and 0 <= x < dim for x in indices):

@@ -107,10 +107,6 @@ class ModuleDescriptor:
             counts[label] = counts.get(label, 0) + mult
         self.entries = tuple(sorted(counts.items()))
 
-    @classmethod
-    def empty(cls):
-        return cls([])
-
     def items(self):
         return self.entries
 
@@ -517,14 +513,12 @@ def spin16_d5():
 # Highest-weight analysis
 # ---------------------------------------------------------------------------
 
-def highest_weight_vectors(r, coord_mask=None):
+def highest_weight_vectors(r):
     """Basis of the joint kernel of all raising operators.
 
     Returns a list of (vector, label) with label the per-factor tuple of
     fundamental coordinates.  Vectors are grouped by ambient weight
-    block, so each one is a simultaneous Cartan eigenvector.  With
-    coord_mask, the search is restricted to the coordinate subspace
-    (which must be action-stable for the result to be meaningful).
+    block, so each one is a simultaneous Cartan eigenvector.
     """
     if not r.weight_basis:
         raise ValueError("highest weight extraction needs a weight basis")
@@ -533,10 +527,7 @@ def highest_weight_vectors(r, coord_mask=None):
                for e in r.spec.generator_indices()[1]]
     weights = r.weights()
     blocks = {}
-    coords_ok = set(coord_mask) if coord_mask is not None else None
     for c in range(r.dim):
-        if coords_ok is not None and c not in coords_ok:
-            continue
         blocks.setdefault(weights[c], []).append(c)
     out = []
     for w in sorted(blocks, reverse=True):

@@ -423,6 +423,28 @@ class TestConstructions:
         build(A2, *labels)
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("t,labels", [
+        (A2, (lab((1, 1)), lab((1, 1)))),
+        (A2, (lab((1, 0)), lab((1, 0)), lab((0, 1)))),
+        (A3, (lab((0, 0, 1)), lab((0, 1, 0)), lab((1, 0, 0)))),
+    ], ids=["type1-A2", "type2-A2", "type2-A3"])
+    def test_one_semidirect_on_the_quotient(self, monkeypatch, t, labels):
+        import disemi.classify
+        calls = []
+        original = disemi.classify.semidirect
+
+        def spy(s, rho, n):
+            calls.append((s.dim, n.dim))
+            return original(s, rho, n)
+        monkeypatch.setattr(disemi.classify, "semidirect", spy)
+        build = construct_type1 if len(labels) == 2 else construct_type2
+        g = build(t, *labels)
+        # s acts on the quotient, the radical of g, not on the free
+        # 2-step algebra, which is larger in all three cases
+        assert len(calls) == 1
+        s_dim, n_dim = calls[0]
+        assert n_dim == g.dim - s_dim
+
     def test_type2_bad_c_rejected(self):
         with pytest.raises(ValueError):
             construct_type2(A2, lab((1, 0)), lab((1, 0)), lab((1, 0)))

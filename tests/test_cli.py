@@ -131,8 +131,18 @@ class TestCertifyCommand:
             [0, 3, [[3, "1"]]], [1, 3, [[3, "1"]]]]},
             levi_basis=[["1", "0", "0", "0"], ["0", "1", "0", "0"],
                         ["0", "0", "1", "0"]]),
+        # Levi rows as strings, and as an object whose keys read as e_0
+        lambda d: d.update(levi_basis=["10000", "01000", "00100"]),
+        lambda d: d["levi_basis"].__setitem__(
+            0, dict.fromkeys(["1", "0", "00", "000", "0000"], "1")),
+        # [b0, b1] = 2 b1 given twice, and [b0, b2] = -2 b2 naming b2
+        # twice; the last copy is the true one, so keeping it would pass
+        # every other check
+        lambda d: d["algebra"]["entries"].insert(0, [0, 1, [[1, "5"]]]),
+        lambda d: d["algebra"]["entries"][1][2].insert(0, [2, "7"]),
     ], ids=["no-levi", "no-algebra", "dim-string", "index-range", "i-not-below-j",
-            "bad-rational", "bad-levi-rational", "levi-row-length", "jacobi"])
+            "bad-rational", "bad-levi-rational", "levi-row-length", "jacobi",
+            "levi-strings", "levi-object", "repeated-pair", "repeated-k"])
     def test_malformed_structure_constant_file(self, capsys, tmp_path, change):
         g = semidirect(chevalley(SimpleType("A", 1)), natural(SimpleType("A", 1)))
         payload = {

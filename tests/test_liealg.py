@@ -520,6 +520,15 @@ class TestSerialization:
         assert g2.labels == g.labels
         assert dumps(g2) == text
 
+    @pytest.mark.parametrize("entries", [
+        [[0, 1, [[2, "1"]]], [0, 1, [[2, "5"]]]],
+        [[0, 1, [[2, "1"], [2, "5"]]]],
+    ], ids=["repeated-pair", "repeated-k"])
+    def test_repeated_entries_rejected(self, entries):
+        # a dict built from them would keep the last one silently
+        with pytest.raises(ValueError, match="once"):
+            from_json_dict({"dim": 3, "entries": entries})
+
     def test_chevalley_round_trip(self):
         g = chevalley(A2)
         g2 = loads(dumps(g))
