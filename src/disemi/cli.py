@@ -29,6 +29,15 @@ def _mode_from_args(args):
     return Randomized(seed=args.seed, trials=args.trials)
 
 
+def _int_at_least(low):
+    """An argparse type: an int of at least low, else a usage error."""
+    def integer(text):
+        if int(text) < low:
+            raise argparse.ArgumentTypeError("%s is below %d" % (text, low))
+        return int(text)
+    return integer
+
+
 def _parse_type(text):
     spec = parse_algebra(text)
     if len(spec.factors) != 1:
@@ -274,10 +283,18 @@ def build_parser():
     def modeflags(sp):
         sp.add_argument("--seed", type=int, default=DEFAULT_SEED,
                         help="seed for the randomized witness search")
-        sp.add_argument("--trials", type=int, default=DEFAULT_TRIALS,
+        sp.add_argument("--trials", type=_int_at_least(0), default=DEFAULT_TRIALS,
                         help="number of randomized trials before escalation")
         sp.add_argument("--exact", action="store_true",
                         help="skip the randomized phase; certified mode only")
+
+    def enumflags(sp):
+        sp.add_argument("type")
+        sp.add_argument("--bound", type=_int_at_least(0), default=None,
+                        help="dimension bound override (default: dim(s)-1)")
+        sp.add_argument("--jobs", type=_int_at_least(1), default=1,
+                        help="parallel worker processes")
+        sp.add_argument("--json", action="store_true")
 
     sp = sub.add_parser("prehom", help="decide prehomogeneity")
     common(sp)
@@ -313,21 +330,12 @@ def build_parser():
 
     sp = sub.add_parser("crosscheck",
                         help="exhaustive enumeration check of the table")
-    sp.add_argument("type")
-    sp.add_argument("--bound", type=int, default=None,
-                    help="dimension bound override (default: dim(s)-1)")
-    sp.add_argument("--jobs", type=int, default=1,
-                    help="parallel worker processes")
-    sp.add_argument("--json", action="store_true")
+    enumflags(sp)
     sp.set_defaults(func=cmd_crosscheck)
 
     sp = sub.add_parser("search12",
                         help="search for prehomogeneous type-1/2 modules")
-    sp.add_argument("type")
-    sp.add_argument("--bound", type=int, default=None)
-    sp.add_argument("--jobs", type=int, default=1,
-                    help="parallel worker processes")
-    sp.add_argument("--json", action="store_true")
+    enumflags(sp)
     sp.set_defaults(func=cmd_search12)
 
     sp = sub.add_parser("construct",

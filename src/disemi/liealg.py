@@ -130,13 +130,20 @@ class Subspace:
 
     def is_ideal(self):
         """True iff [b_i, r] lies in the subspace for every basis vector
-        b_i of the parent and every basis row r; each bracket is summed
-        sparsely from the structure constants."""
-        g = self.parent
+        b_i of the parent and every basis row r.  Per r, every [r, b_i] =
+        sum_j r_j [b_j, b_i] is summed in one pass over _bracket_index,
+        and only nonzero ones are tested: 0 lies in every subspace, and
+        the sign and the table's denominator do not change membership."""
+        index = _bracket_index(self.parent)
         for r in map(sparse, self.basis):
-            for i in range(g.dim):
-                if not self.contains(g.sparse_bracket({i: 1}, r)):
-                    return False
+            brackets = {}
+            for j, x in r.items():
+                for i, row in index[j]:
+                    out = brackets.setdefault(i, {})
+                    for k, c in row.items():
+                        out[k] = out.get(k, 0) + x * c
+            if not all(map(self.contains, brackets.values())):
+                return False
         return True
 
     def __eq__(self, other):
@@ -303,12 +310,15 @@ def abelian_algebra(n, labels=None):
 # ---------------------------------------------------------------------------
 
 def derived_span(g, rows1, rows2):
-    """Row basis of span{[x, y] : x in rows1, y in rows2}."""
+    """Row basis of span{[x, y] : x in rows1, y in rows2}.  When rows1
+    is rows2 only the pairs a < b are bracketed, with the same rows: over
+    all pairs, the span would reject [x_a, x_b] = -[x_b, x_a] for b < a,
+    met earlier, and [x_a, x_a] = 0, and meet the rest in this order."""
     out = []
     span = IncrementalSpan()
     ys = [sparse(y) for y in rows2]
-    for x in map(sparse, rows1):
-        for y in ys:
+    for a, x in enumerate(map(sparse, rows1)):
+        for y in ys[a + 1:] if rows1 is rows2 else ys:
             v = g.sparse_bracket(x, y)
             if span.add(v):
                 out.append(dense(v, g.dim))
@@ -408,8 +418,10 @@ def solvable_radical(g):
     if g.dim == 0:
         return zero_subspace(g)
     k = killing_form(g)
-    # K is symmetric, so the equation K(x, d) = 0 has the row K d
-    eqs = [apply(k, dense(d, g.dim)) for d in derived_rows(g)]
+    # K is symmetric, so the equation K(x, d) = 0 has the row
+    # K d = sum_j d_j K[j], a sparse combination of the rows of K
+    eqs = [combination(((dj, [k[j]]) for j, dj in d.items()), 1)[0]
+           for d in derived_rows(g)]
     radical = Subspace(g, [dense(v, g.dim) for v in nullspace(eqs, g.dim)])
     if not is_solvable(g, radical):
         raise AssertionError("radical candidate is not solvable")
@@ -505,15 +517,23 @@ def semidirect(s, rho, n=None):
     return g
 
 
+def _bracket_index(g):
+    """Per basis index q of g, the pairs (b, [b_q, b_b]) whose bracket
+    is nonzero, read off the cleared table (so scaled by g._den)."""
+    index = [[] for _ in range(g.dim)]
+    for (a, b), row in g._int_table.items():
+        index[a].append((b, row))
+        index[b].append((a, {k: -c for k, c in row.items()}))
+    return index
+
+
 def _is_derivation(n, cols):
     """True iff the linear map D sending basis vector a of n to the
     sparse vector cols[a] is a derivation of n: the defect
     D[e_a, e_b] - [D e_a, e_b] + [D e_b, e_a] vanishes on all ordered
-    basis pairs.  Only brackets that are nonzero in n are visited."""
-    brackets = [[] for _ in range(n.dim)]     # q -> [(b, [e_q, e_b])]
-    for (a, b), row in n.table.items():
-        brackets[a].append((b, row))
-        brackets[b].append((a, {k: -c for k, c in row.items()}))
+    basis pairs.  Only brackets that are nonzero in n are visited; the
+    defect is linear in the table, so the cleared one decides it."""
+    brackets = _bracket_index(n)
     defect = Counter()
     for a in range(n.dim):
         for b, row in brackets[a]:

@@ -11,7 +11,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .linalg import (IncrementalSpan, apply, columns, combination, commutator,
-                     divide, matmul, nullspace)
+                     dense, divide, matmul, nullspace, sparse)
 from .liealg import (_chevalley_with_matrices, chevalley,
                      direct_sum as algebra_direct_sum)
 from .rootdata import SimpleType, as_coords, dual_weight, record, weyl_dim
@@ -216,10 +216,25 @@ class Representation:
         return tuple(blocks)
 
     def _bracket_holds(self, i, j):
-        """Exact check of action([b_i, b_j]) = [action(b_i), action(b_j)]."""
-        expect = combination(((c, self.action[k]) for k, c
-                              in self.algebra.structure(i, j).items()), self.dim)
-        return commutator(self.action[i], self.action[j]) == expect
+        """Exact check of action([b_i, b_j]) = [action(b_i), action(b_j)]:
+        with [b_i, b_j] = sum_k c_k b_k, the defect A_i A_j - A_j A_i -
+        sum_k c_k A_k is summed one row at a time into one dict, and the
+        check fails at the first nonzero row (a matrix is 0 iff its rows
+        are), with no commutator or combination matrix built."""
+        act = self.action
+        terms = [(c, act[k]) for k, c in self.algebra.structure(i, j).items()]
+        for a in range(self.dim):
+            row = {}
+            for p, q, sign in ((act[i], act[j], 1), (act[j], act[i], -1)):
+                for m, x in p[a].items():
+                    for b, y in q[m].items():
+                        row[b] = row.get(b, 0) + sign * x * y
+            for c, mat in terms:
+                for b, y in mat[a].items():
+                    row[b] = row.get(b, 0) - c * y
+            if any(row.values()):
+                return False
+        return True
 
     def generating_indices(self):
         """Basis indices of a set that generates the algebra as a Lie
@@ -616,35 +631,32 @@ def _restrict(r, vectors):
 
 
 def cyclic_submodule(r, v0):
-    """The submodule generated from a highest weight vector by the
-    lowering operators, with a spanning-closure loop."""
-    f_idx = r.spec.generator_indices()[2]
-    span = IncrementalSpan()
-    span.add(v0)
-    basis = [list(v0)]
-    frontier = [list(v0)]
-    while frontier:
-        new = []
-        for v in frontier:
-            for f in f_idx:
-                img = apply(r.action[f], v)
-                if any(img) and span.add(img):
-                    basis.append(img)
-                    new.append(img)
-        frontier = new
+    """The submodule generated from a weight vector v0 by the lowering
+    operators, breadth first; raises ValueError if r has no weight basis
+    or a vector met is not a weight vector.  Images are summed from one
+    column index per lowering operator.  Weight spaces are independent,
+    so a weight vector lies in the span of earlier ones iff it lies in
+    the span of those of its weight: one IncrementalSpan per weight."""
+    weights = r.weights()
+    lowering = [[dict(c) for c in columns(r.action[f], r.dim)]
+                for f in r.spec.generator_indices()[2]]
+    spans, basis, queue = {}, [], [sparse(v0)]
+    for v in queue:
+        w = {weights[c] for c in v}
+        if len(w) > 1:
+            raise ValueError("cyclic_submodule needs weight vectors")
+        if w and spans.setdefault(w.pop(), IncrementalSpan()).add(v):
+            basis.append(dense(v, r.dim))
+            queue.extend(combination(((y, [cols[b]]) for b, y in v.items()),
+                                     1)[0] for cols in lowering)
     return basis
 
 
 def _top_component(r, target):
     """Extract the irreducible submodule with highest weight target
     (a flat Cartan eigenvalue tuple) from r."""
-    hw = highest_weight_vectors(r)
-    flat = None
-    for v, label in hw:
-        cur = tuple(c for block in label for c in block)
-        if cur == tuple(target):
-            flat = v
-            break
+    flat = next((v for v, label in highest_weight_vectors(r)
+                 if sum(label, ()) == tuple(target)), None)
     if flat is None:
         raise UnconstructibleLabel("no highest weight vector of weight %r"
                                    % (target,))

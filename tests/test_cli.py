@@ -248,6 +248,29 @@ class TestOtherCommands:
         assert out == ""
         assert err.startswith("error: ") and "explicit bound" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("crosscheck", "A2", "--bound", "-1"),
+        ("search12", "A2", "--bound", "-3"),
+        ("prehom", "A1", "L(1)", "--trials", "-2"),
+        ("certify", "A1", "L(1)", "--trials", "-1"),
+        ("construct", "type1", "A2", "L(1,0)", "L(0,1)", "--trials", "-1"),
+        ("crosscheck", "A2", "--jobs", "0"),
+        ("search12", "A2", "--jobs", "-1"),
+    ])
+    def test_out_of_range_count_is_usage_error(self, capsys, argv):
+        # each was read silently: an empty enumeration reported clean,
+        # no randomized trials, or a serial run
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "is below" in err and "Traceback" not in err
+
+    def test_lowest_counts_accepted(self, capsys):
+        code, out, _ = run(capsys, "crosscheck", "A2", "--bound", "0",
+                           "--jobs", "1")
+        assert code == 0 and "tested 0 modules" in out
+        code, out, _ = run(capsys, "prehom", "A1", "L(1)", "--trials", "0")
+        assert code == 0 and "prehomogeneous" in out
+
     def test_construct(self, capsys):
         code, out, _ = run(capsys, "construct", "type1", "A2", "L(1,0)",
                            "L(0,1)")

@@ -549,3 +549,123 @@ class TestDerivedSeries:
         g = two_dim_solvable()
         ds = derived_series(g)
         assert [s.dim for s in ds] == [2, 1, 0]
+
+
+def all_pairs_derived_span(g, rows1, rows2):
+    """Row basis of span{[x, y]} over every ordered pair: the reference
+    for derived_span, which brackets only a < b when rows1 is rows2."""
+    from disemi.linalg import IncrementalSpan, sparse
+    out = []
+    span = IncrementalSpan()
+    for x in map(sparse, rows1):
+        for y in map(sparse, rows2):
+            v = g.sparse_bracket(x, y)
+            if span.add(v):
+                out.append(dense(v, g.dim))
+    return out
+
+
+def all_pairs_series(g, sub, lower):
+    """The lower central or derived series rows over all ordered pairs."""
+    top = sub.basis if sub is not None else [g.basis_vector(i)
+                                             for i in range(g.dim)]
+    series, cur = [top], top
+    while cur:
+        nxt = all_pairs_derived_span(g, top if lower else cur, cur)
+        if len(nxt) == len(cur):
+            break
+        series.append(nxt)
+        cur = nxt
+    return series
+
+
+def all_brackets_is_ideal(u):
+    """[b_i, r] in u for every basis vector b_i and basis row r, each
+    bracket summed from the table: the reference for Subspace.is_ideal."""
+    from disemi.linalg import sparse
+    g = u.parent
+    return all(u.contains(g.sparse_bracket({i: 1}, sparse(r)))
+               for r in u.basis for i in range(g.dim))
+
+
+@pytest.fixture(scope="module")
+def type12_algebras():
+    """The 12 A3/A4 type-1/2 constructions."""
+    from disemi.classify import (construct_type1, construct_type2,
+                                 type12_candidates)
+    out = []
+    for t in (SimpleType("A", 3), SimpleType("A", 4)):
+        for c in type12_candidates(t):
+            build = construct_type1 if c.kind == "type1" else construct_type2
+            out.append(build(t, *c.labels))
+    assert len(out) == 12
+    return out
+
+
+def _radical(g):
+    return Subspace(g, [g.basis_vector(i)
+                        for i in range(g.levi_basis.dim, g.dim)])
+
+
+class TestSeriesMatchAllPairs:
+    def test_type12_series(self, type12_algebras):
+        for g in type12_algebras:
+            for sub in (None, _radical(g), g.levi_basis):
+                for lower, series in ((True, lower_central_series(g, sub)),
+                                      (False, derived_series(g, sub))):
+                    ref = all_pairs_series(g, sub, lower)
+                    assert [s.dim for s in series] == [len(r) for r in ref]
+                    assert [s.basis for s in series] == ref
+
+    def test_small_algebras(self):
+        for g in table_read_algebras():
+            basis = [g.basis_vector(i) for i in range(g.dim)]
+            assert (derived_span(g, basis, basis)
+                    == all_pairs_derived_span(g, basis, basis)), g
+            for lower, series in ((True, lower_central_series(g)),
+                                  (False, derived_series(g))):
+                assert ([s.basis for s in series]
+                        == all_pairs_series(g, None, lower)), g
+
+
+class TestIdealMatchesAllBrackets:
+    def test_type12_subspaces(self, type12_algebras):
+        verdicts = []
+        for g in type12_algebras:
+            rad = _radical(g)
+            subs = [rad, g.levi_basis, full_subspace(g), zero_subspace(g),
+                    solvable_radical(g)]
+            subs += lower_central_series(g, rad)[1:]
+            # the first radical coordinate alone
+            subs.append(Subspace(g, [g.basis_vector(g.levi_basis.dim)]))
+            for u in subs:
+                verdicts.append(u.is_ideal())
+                assert verdicts[-1] == all_brackets_is_ideal(u), (g, u)
+        assert True in verdicts and False in verdicts
+
+    def test_levi_rows_of_a_semidirect_product(self):
+        for t in (A2, SimpleType("C", 3)):
+            g = semidirect(chevalley(t), natural(t))
+            assert not g.levi_basis.is_ideal()
+            assert not all_brackets_is_ideal(g.levi_basis)
+            rad = Subspace(g, [g.basis_vector(i)
+                               for i in range(g.levi_basis.dim, g.dim)])
+            assert rad.is_ideal() and all_brackets_is_ideal(rad)
+
+    def test_free_two_step(self):
+        # v1, v2, v3 generate; v4, v5, v6 = [v1, v2], [v1, v3], [v2, v3]
+        f, _ = free_two_step(natural(A2))
+        for coords, want in (((0,), False), ((0, 3), False),
+                             ((0, 3, 4), True), ((3, 4, 5), True)):
+            u = Subspace(f, [f.basis_vector(i) for i in coords])
+            assert u.is_ideal() == all_brackets_is_ideal(u) == want
+
+    def test_non_integral_table(self):
+        g = rescaled(sl2_natural_semidirect(),
+                     [Fraction(1, 3), 2, Fraction(-1, 2), Fraction(3, 4), 5])
+        assert g._den > 1
+        for rows in ([[0, 0, 0, 1, 0], [0, 0, 0, 0, 1]],
+                     [[0, 1, 0, 0, 0]], [[1, 0, 0, Fraction(1, 2), 0]]):
+            u = Subspace(g, rows)
+            assert u.is_ideal() == all_brackets_is_ideal(u)
+

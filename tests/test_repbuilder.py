@@ -563,3 +563,101 @@ class TestWorkedOutWeightBasis:
         # spec.generator_indices() does not describe that algebra
         copy = Representation(r.spec, loads(dumps(r.algebra)), r.action)
         assert copy.check_homomorphism() and not copy.weight_basis
+
+
+def commutator_bracket_holds(r, i, j):
+    """The check that builds [A_i, A_j] and sum_k c_k A_k as matrices
+    and compares them: the oracle for the fused defect pass of
+    Representation._bracket_holds."""
+    from disemi.linalg import combination, commutator
+    expect = combination(((c, r.action[k]) for k, c
+                          in r.algebra.structure(i, j).items()), r.dim)
+    return commutator(r.action[i], r.action[j]) == expect
+
+
+class TestFusedBracketCheck:
+    @pytest.mark.parametrize("t", [A3, C3, B3, D4, D5], ids=str)
+    def test_agrees_with_commutators(self, t):
+        nat = natural(t)
+        modules = ([spin16_d5()] if t == D5 else
+                   [nat, wedge2(nat), tensor(nat, nat), dual(nat)])
+        for r in modules:
+            n = r.algebra.dim
+            _, e, _ = r.spec.generator_indices()
+            # the module, a corrupted last basis element and a corrupted
+            # generator: every pair agrees, failing pairs included
+            for bad in (r, _corrupt(r, n - 1), _corrupt(r, e[0])):
+                verdicts = [bad._bracket_holds(i, j)
+                            for i in range(n) for j in range(n)]
+                assert verdicts == [commutator_bracket_holds(bad, i, j)
+                                    for i in range(n) for j in range(n)], r
+                assert all(verdicts) == (bad is r)
+
+
+def single_span_cyclic_submodule(r, v0):
+    """The closure with dense images and one IncrementalSpan over the
+    whole module: the oracle for cyclic_submodule."""
+    from disemi.linalg import IncrementalSpan, apply
+    f_idx = r.spec.generator_indices()[2]
+    span = IncrementalSpan()
+    span.add(v0)
+    basis = [list(v0)]
+    frontier = [list(v0)]
+    while frontier:
+        new = []
+        for v in frontier:
+            for f in f_idx:
+                img = apply(r.action[f], v)
+                if any(img) and span.add(img):
+                    basis.append(img)
+                    new.append(img)
+        frontier = new
+    return basis
+
+
+class TestCyclicSubmoduleMatchesSingleSpan:
+    @pytest.mark.parametrize("t", [A3, A4], ids=str)
+    def test_type12_wedge2(self, t):
+        from disemi.classify import type12_candidates
+        from disemi.repbuilder import cyclic_submodule
+        spec = spec_of(t)
+        count = 0
+        for cand in type12_candidates(t):
+            gens = [realize_label(spec, label) for label in cand.labels[:-1]]
+            w = wedge2(gens[0] if len(gens) == 1 else direct_sum(gens))
+            for v, _ in highest_weight_vectors(w):
+                assert (cyclic_submodule(w, v)
+                        == single_span_cyclic_submodule(w, v))
+                count += 1
+        assert count >= 12
+
+    @pytest.mark.parametrize("t,coords", [
+        (A3, (1, 1, 0)), (C3, (2, 0, 0)), (B3, (1, 1, 0)), (D4, (2, 0, 0, 0)),
+    ], ids=str)
+    def test_top_component(self, monkeypatch, t, coords):
+        import disemi.repbuilder as rb
+        calls = []
+        cyclic = rb.cyclic_submodule
+
+        def spy(r, v0):
+            calls.append((r, v0, cyclic(r, v0)))
+            return calls[-1][2]
+        monkeypatch.setattr(rb, "cyclic_submodule", spy)
+        rep = realize_simple.__wrapped__(t, coords)
+        assert rep.dim == weyl_dim(t, coords) and calls
+        for r, v0, got in calls:
+            assert got == single_span_cyclic_submodule(r, v0)
+
+    def test_no_weight_basis_or_weight_vector(self):
+        from disemi.repbuilder import cyclic_submodule
+        a1 = natural(A1)
+        bent = Representation(a1.spec, a1.algebra, _conjugated_natural_a1())
+        assert not bent.weight_basis
+        with pytest.raises(ValueError, match="weight basis"):
+            cyclic_submodule(bent, [1, 0])
+        nat = natural(A2)
+        with pytest.raises(ValueError, match="weight vectors"):
+            cyclic_submodule(nat, [1, 1, 0])
+        assert cyclic_submodule(nat, [1, 0, 0]) == [[1, 0, 0], [0, 1, 0],
+                                                    [0, 0, 1]]
+
