@@ -110,12 +110,13 @@ def _read_sc(path):
 
 
 def cmd_certify(args):
-    if args.sc:
+    if args.sc and args.algebra is None:
         g, levi = _read_sc(args.sc)
         result = certify_disemisimple(g, levi, mode=_mode_from_args(args))
         return _print_certificate(result, args.json)
-    if args.algebra is None or args.module is None:
-        print("certify needs ALGEBRA and MODULE, or --sc FILE", file=sys.stderr)
+    if args.sc or args.algebra is None or args.module is None:
+        print("certify needs ALGEBRA and MODULE, or --sc FILE alone",
+              file=sys.stderr)
         return 2
     spec = parse_algebra(args.algebra)
     ast = parse_module(args.module, spec)

@@ -260,7 +260,7 @@ def _chevalley_with_matrices(t):
             table[(i, j)] = {m: 1}
             queue.extend((k, m) for k in range(m))
         else:
-            table[(i, j)] = {k: v for k, v in enumerate(coeffs) if v}
+            table[(i, j)] = coeffs
     dim = len(basis)
     if dim != t.algebra_dim:
         raise AssertionError("closure reached dim %d, expected %d for %s"
@@ -453,10 +453,9 @@ def subalgebra(g, sub):
     table = {}
     for j in range(sub.dim):
         for i in range(j):
-            coeffs = sub.span.solve(g.sparse_bracket(rows[i], rows[j]))
-            if coeffs is None:
+            row = sub.span.solve(g.sparse_bracket(rows[i], rows[j]))
+            if row is None:
                 raise ValueError("subspace is not closed under the bracket")
-            row = {k: c for k, c in enumerate(coeffs) if c}
             if row:
                 table[(i, j)] = row
     return LieAlgebra(sub.dim, table)
@@ -576,10 +575,10 @@ def quotient_by_ideal(g, u):
 
     Returns (q, proj) where proj is a LinearMap from g onto q.  The
     quotient basis is the set of standard coordinates complementary to
-    the pivots of u, so Levi metadata survives whenever u avoids it.  A
-    vector projects to its residue modulo u (IncrementalSpan.residue),
-    which vanishes on the pivots, read on the other coordinates; pivots
-    and residue depend on u only, not on its basis rows.
+    the pivots of u.  A vector projects to its residue modulo u
+    (IncrementalSpan.residue), which vanishes on the pivots, read on the
+    other coordinates; pivots and residue depend on u only, not on its
+    basis rows.
     """
     if not u.is_ideal():
         raise ValueError("subspace is not an ideal")
@@ -602,14 +601,8 @@ def quotient_by_ideal(g, u):
             if row:
                 table[(i, j)] = row
     labels = [g.labels[c] for c in comp] if g.labels else None
-    q = LieAlgebra(qdim, table, labels=labels)
-    if g.levi_basis is not None:
-        rows = [dense(project(r), qdim) for r in g.levi_basis.basis]
-        if rank(rows) == len(rows):
-            q.levi_basis = Subspace(q, rows)
-            q.levi_spec = g.levi_spec
-    proj = LinearMap(g.dim, qdim, proj_matrix)
-    return q, proj
+    return (LieAlgebra(qdim, table, labels=labels),
+            LinearMap(g.dim, qdim, proj_matrix))
 
 
 @record

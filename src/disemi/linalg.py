@@ -16,7 +16,6 @@ its answers are bounds or candidates, each checked as its docstring says.
 
 from bisect import insort
 from heapq import heapify, heappop, heappush
-from itertools import islice
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
@@ -24,6 +23,9 @@ PRIME = 2 ** 61 - 1
 # Wang's bound: a fraction n/d with |n|, d <= LIFT_BOUND is the only one
 # of that size with its residue, since 2 * LIFT_BOUND**2 < PRIME.
 LIFT_BOUND = isqrt((PRIME - 1) // 2)
+# IncrementalSpan.solve tags generator i with column TAG + i, right of
+# every coordinate column
+TAG = 2 ** 62
 
 
 def identity(n):
@@ -126,16 +128,17 @@ class IncrementalSpan:
 
     This is the one elimination over Q in the package: rank, rref and
     nullspace below run on it too.  A vector is a dense list or a
-    sparse {column: entry} dict of ints and Fractions.
+    sparse {column: entry} dict of ints and Fractions, with every
+    column below TAG.
 
     It computes over Z, fraction-free as in Bareiss.  A vector v is
     cleared to ints r (clear) and reduced: where r has c at the pivot of
     a row P with p there, r <- r - (c/p) P if p | c, else r <- (p/g) r -
     (c/g) P for g = gcd(p, c) signed like p, and r is made primitive
-    (primitive).  Throughout, K r = s v - sum_q mu[q] P_q with ints
-    K, s > 0 and mu.  Pivot rows are primitive int vectors, nonzero at
-    their pivot, zero left of it and at every pivot column that existed
-    when they were added.
+    (primitive).  Throughout, K r - s v lies in the span for ints K and
+    s > 0.  Pivot rows are primitive int vectors, nonzero at their
+    pivot, zero left of it and at every pivot column that existed when
+    they were added.
 
     pivots lists the pivot columns in increasing order, and as a set it
     depends only on the row space, not on the order or scaling of the
@@ -149,26 +152,32 @@ class IncrementalSpan:
     coordinates read off them are those of any echelon form over Q,
     whatever the scaling of rows and steps.
 
+    Coordinates are residues too.  solve() keeps a twin span of the
+    accepted generators g_i, each tagged with a 1 in column TAG + i,
+    right of every coordinate.  The g_i are independent, so no nonzero
+    combination of the tagged ones vanishes on the coordinates: every
+    vector of the twin leads at a coordinate column, and the twin has
+    the pivots of this span.  If v = sum c_i g_i, then v - sum c_i
+    (g_i + e_{TAG+i}) = -sum c_i e_{TAG+i} lies in v + twin and
+    vanishes on every pivot, so it is the residue of v over the twin;
+    conversely a residue with no coordinate entry writes v over the g_i.
+
     Fractions appear only where a value leaves the span: residue, solve
     and rref divide once, at the end, and give ints where they can.
-    solve() uses each pivot row's D P = sum X[q] added_q (ints D > 0, X
-    by pivot column), built from K, s and mu by the first solve() after
-    the row was added and divided by gcd(D, X); rank never builds one.
     """
 
     def __init__(self):
         self.pivots = []
         self.rows = {}      # pivot col -> pivot row
-        self._added = {}    # pivot col -> (K, s, mu), in the order added
-        self._exprs = {}    # pivot col -> (D, X), for the first rows added
+        self._gens = []     # the accepted vectors, sparse, in order
+        self._twin = None   # their tagged span, grown by solve()
 
     def _reduce(self, v):
-        """(K, s, r, mu), r zero on every pivot column.  Pivot rows are
+        """(K, s, r), r zero on every pivot column.  Pivot rows are
         zero left of their pivot, so clearing the pivot columns of r in
         increasing order (a heap of those r has) clears them all."""
         scale, r = clear(v)
         cont = 1
-        mu = {}
         rows = self.rows
         todo = [k for k in r if k in rows]
         heapify(todo)
@@ -185,10 +194,8 @@ class IncrementalSpan:
                 alpha, c = p // g, c // g
                 r = {k: alpha * x for k, x in r.items()}
                 scale *= alpha
-                mu = {q: alpha * m for q, m in mu.items()}
             else:
                 c //= p
-            mu[pc] = c * cont
             for k, y in row.items():
                 x = r.get(k, 0) - c * y
                 if x:
@@ -200,7 +207,17 @@ class IncrementalSpan:
             if scaled:
                 g, r = primitive(r)
                 cont *= g
-        return cont, scale, r, mu
+        return cont, scale, r
+
+    def _insert(self, v):
+        """Keep v's reduction as a pivot row unless it is 0; True if kept."""
+        r = self._reduce(v)[2]
+        if not r:
+            return False
+        pc = min(r)
+        self.rows[pc] = primitive(r)[1]
+        insort(self.pivots, pc)
+        return True
 
     def add(self, v):
         """Add v as a generator; True if it enlarged the span.
@@ -208,44 +225,26 @@ class IncrementalSpan:
         Vectors already in the span are rejected and do not get a
         coordinate slot, so solve() coordinates match the accepted ones.
         """
-        cont, scale, r, mu = self._reduce(v)
-        if not r:
+        if not self._insert(v):
             return False
-        g, r = primitive(r)
-        pc = min(r)
-        self.rows[pc], self._added[pc] = r, (cont * g, scale, mu)
-        insort(self.pivots, pc)
+        self._gens.append(sparse(v))
         return True
 
-    def _combine(self, mu):
-        """(num, d) with sum_q mu[q] P_q = sum_q num[q] added_q / d."""
-        exprs = self._exprs
-        d = lcm(*[exprs[q][0] for q in mu])
-        num = {}
-        for q, m in mu.items():
-            dq, x = exprs[q]
-            f = m * (d // dq)
-            for k, e in x.items():
-                num[k] = num.get(k, 0) + f * e
-        return num, d
-
     def solve(self, v):
-        """Coefficients of v over the added generators, or None.  For a
-        new row, K P = s e - num / d gives D = d K and X = d s e - num;
-        then for v, r = 0 and s v = sum_q mu[q] P_q = num / d."""
-        for pc in islice(self._added, len(self._exprs), None):
-            cont, s, mu = self._added[pc]
-            num, d = self._combine(mu)
-            num[pc] = -d * s
-            g = gcd(d * cont, *num.values())
-            self._exprs[pc] = (d * cont // g,
-                               {q: -e // g for q, e in num.items() if e})
-        _, scale, r, mu = self._reduce(v)
-        if r:
+        """The coordinates of v over the accepted generators as a sparse
+        {slot: coefficient} dict, or None when v is outside the span:
+        minus the tag part of v's residue over the twin, which first
+        takes in the generators accepted since the last call."""
+        twin = self._twin = self._twin or IncrementalSpan()
+        for i in range(len(twin.pivots), len(self._gens)):
+            g = self._gens[i]
+            if max(g) >= TAG:
+                raise ValueError("generator column %d is not below TAG" % max(g))
+            twin._insert({**g, TAG + i: 1})
+        res = sorted(twin.residue(v).items())
+        if res and res[0][0] < TAG:
             return None
-        num, d = self._combine(mu)
-        d *= scale
-        return [divide(num[q], d) if q in num else 0 for q in self._added]
+        return {k - TAG: -x for k, x in res}
 
     def residue(self, v):
         """The vector K r / s of v + span, which vanishes on every pivot
@@ -253,7 +252,7 @@ class IncrementalSpan:
         # many are zero, some with the zeros a bracket keeps
         if not any(v.values() if isinstance(v, dict) else v):
             return {}
-        cont, scale, r, _ = self._reduce(v)
+        cont, scale, r = self._reduce(v)
         return r if cont == scale else {
             k: divide(cont * x, scale) for k, x in r.items()}
 
@@ -280,7 +279,7 @@ def rref(a):
     rows = []
     for pc in span.pivots:
         row = span.rows[pc]
-        cont, scale, r, _ = span._reduce({**row, pc: 0})
+        cont, scale, r = span._reduce({**row, pc: 0})
         d = scale * row[pc]
         rows.append({pc: 1, **{k: divide(cont * x, d) for k, x in r.items()}})
     return rows, list(span.pivots)

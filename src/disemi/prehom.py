@@ -175,6 +175,13 @@ def dimension_verdict(dim_v, dim_s):
     return None
 
 
+def _checked_mode(mode):
+    """mode, Randomized() for None; a bad mode raises before a fast path."""
+    if not isinstance(mode, (Randomized, Symbolic, type(None))):
+        raise ValueError("unknown mode %r" % (mode,))
+    return Randomized() if mode is None else mode
+
+
 def is_prehomogeneous(r, mode=None):
     """Total decision procedure returning a PrehomCertificate.
 
@@ -191,8 +198,7 @@ def is_prehomogeneous(r, mode=None):
     for r x r minors, see syzygy); that Yes comes from _symbolic_decide,
     validated exactly like every Yes.
     """
-    if mode is None:
-        mode = Randomized()
+    mode = _checked_mode(mode)
     cert = dimension_verdict(r.dim, r.algebra.dim)
     if cert is not None:
         return cert
@@ -208,11 +214,8 @@ def is_prehomogeneous(r, mode=None):
                                       seed=mode.seed, trials_used=trial + 1)
             if not trial and syzygy.generic_lower_bound(r) < r.dim:
                 break
-        # inconclusive-toward-No: escalate to the certified engine
-        return _symbolic_decide(r)
-    if isinstance(mode, Symbolic):
-        return _symbolic_decide(r)
-    raise ValueError("unknown mode %r" % (mode,))
+    # Symbolic, or Randomized inconclusive toward No: the certified engine
+    return _symbolic_decide(r)
 
 
 def is_etale(r, mode=None):
@@ -319,7 +322,7 @@ def adjoint_radical_module(g, levi, radical=None, lev_alg=None):
             cols = [rad.span.solve(g.sparse_bracket(u, r)) for r in rows]
             if None in cols:
                 raise ValueError(unstable)
-            action.append([dict(enumerate(row)) for row in zip(*cols)])
+            action.append([dict(c) for c in columns(cols, rad.dim)])
     alg = spec.algebra() if spec is not None else lev_alg or subalgebra(g, levi)
     return Representation(spec, alg, action), rad
 
@@ -335,6 +338,7 @@ def certify_disemisimple(g, levi=None, mode=None):
 
     Returns a DecompositionCertificate or a Refusal.
     """
+    mode = _checked_mode(mode)
     if levi is None:
         levi = g.levi_basis
     if levi is None:

@@ -616,17 +616,12 @@ def _restrict(r, vectors):
     for v in vectors:
         if not span.add(v):
             raise ValueError("restriction basis is dependent")
-    d = len(vectors)
     action = []
     for m in r.action:
-        out = [{} for _ in range(d)]
-        for j, v in enumerate(vectors):
-            coeffs = span.solve(apply(m, v))
-            if coeffs is None:
-                raise ValueError("subspace is not action-stable")
-            for i, c in enumerate(coeffs):
-                out[i][j] = c
-        action.append(out)
+        cols = [span.solve(apply(m, v)) for v in vectors]
+        if None in cols:
+            raise ValueError("subspace is not action-stable")
+        action.append([dict(c) for c in columns(cols, len(vectors))])
     return Representation(r.spec, r.algebra, action)
 
 

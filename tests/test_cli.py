@@ -189,6 +189,22 @@ class TestCertifyCommand:
         assert out == ""
         assert "needs ALGEBRA and MODULE" in err
 
+    @pytest.mark.parametrize("argv", [("A1", "nat"), ("A1",)])
+    def test_module_and_structure_constant_file_is_usage_error(
+            self, capsys, tmp_path, argv):
+        # one of the two would be ignored; the file alone certifies
+        g = semidirect(chevalley(SimpleType("A", 1)), natural(SimpleType("A", 1)))
+        path = tmp_path / "alg.json"
+        path.write_text(json.dumps({
+            "algebra": to_json_dict(g),
+            "levi_basis": [["1", "0", "0", "0", "0"],
+                           ["0", "1", "0", "0", "0"],
+                           ["0", "0", "1", "0", "0"]]}))
+        code, out, err = run(capsys, "certify", *argv, "--sc", str(path))
+        assert code == 2 and out == ""
+        assert "needs ALGEBRA and MODULE, or --sc FILE alone" in err
+        assert run(capsys, "certify", "--sc", str(path))[0] == 0
+
 
 class TestOtherCommands:
     def test_decompose(self, capsys):

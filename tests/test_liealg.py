@@ -423,6 +423,9 @@ class TestQuotient:
         g = sl2_natural_semidirect()
         rad = solvable_radical(g)
         q, proj = quotient_by_ideal(g, rad)
+        # g records its Levi; a quotient records none
+        assert g.levi_basis is not None and g.levi_spec is not None
+        assert q.levi_basis is None and q.levi_spec is None
         for i in range(g.dim):
             for j in range(g.dim):
                 lhs = proj(g.bracket(g.basis_vector(i), g.basis_vector(j)))

@@ -1,12 +1,18 @@
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from hypothesis import given, settings, strategies as st
 
-from disemi.linalg import (LIFT_BOUND, PRIME, IncrementalSpan,
-                           clear_denominators, commutator, dense, identity,
-                           matmul, nullspace, rank, rank_mod_p,
-                           rational_reconstruction, rref, sparse)
+from heapq import heapify, heappop, heappush
+
+import pytest
+
+from disemi.liealg import _chevalley_with_matrices, _natural_generators
+from disemi.linalg import (LIFT_BOUND, PRIME, TAG, IncrementalSpan, clear,
+                           clear_denominators, commutator, dense, divide,
+                           identity, matmul, nullspace, primitive, rank,
+                           rank_mod_p, rational_reconstruction, rref, sparse)
+from disemi.rootdata import SimpleType
 
 
 def residue(x):
@@ -75,9 +81,10 @@ def test_incremental_span_solve():
     assert not span.add([1, 2, 1])
     coeffs = span.solve([2, 3, 1])
     assert coeffs is not None
+    assert coeffs == {0: 2, 1: 1}
     got = [0, 0, 0]
-    for c, vec in zip(coeffs, [[1, 1, 0], [0, 1, 1]]):
-        got = [g + c * x for g, x in zip(got, vec)]
+    for i, c in coeffs.items():
+        got = [g + c * x for g, x in zip(got, [[1, 1, 0], [0, 1, 1]][i])]
     assert got == [2, 3, 1]
     assert span.solve([0, 0, 1]) is None
 
@@ -127,7 +134,7 @@ def test_incremental_span_matches_dense_rref(case):
     for r in rows:
         coeffs = span.solve(r)
         assert span.solve(sparse(r)) == coeffs
-        assert [sum(c * a[k] for c, a in zip(coeffs, added))
+        assert [sum(c * added[i][k] for i, c in coeffs.items())
                 for k in range(n)] == r
     # the residue vanishes on every pivot column and is the one rref gives
     res = span.residue(v)
@@ -231,8 +238,9 @@ def test_integer_span_matches_fraction_oracle(case):
     assert typed(span.residue(v)) == typed(canonical(expect))
     for r in rows + [[x - y for x, y in zip(v, expect)]]:
         coeffs = span.solve(r)
-        assert all(type(c) is int or c.denominator > 1 for c in coeffs)
-        assert [sum(c * a[k] for c, a in zip(coeffs, added))
+        assert all(type(c) is int or c.denominator > 1
+                   for c in coeffs.values())
+        assert [sum(c * added[i][k] for i, c in coeffs.items())
                 for k in range(n)] == r
     assert span.solve(v) is None if any(expect) else span.solve(v) is not None
 
@@ -266,3 +274,191 @@ def test_residue_of_a_zero_vector_reduces_nothing(monkeypatch):
         assert span.residue(v) == {}
     monkeypatch.undo()
     assert span.residue({1: 1}) == {1: 1}
+
+
+class BookkeepingSpan:
+    """The span as it solved before coordinates were read off residues,
+    the oracle for IncrementalSpan.solve: _reduce keeps K r = s v -
+    sum_q mu[q] P_q, add stores (K, s, mu) per pivot row, and the first
+    solve after an add builds that row's D P = sum X[q] added_q."""
+
+    def __init__(self):
+        self.rows = {}
+        self._added = {}
+        self._exprs = {}
+
+    def _reduce(self, v):
+        scale, r = clear(v)
+        cont = 1
+        mu = {}
+        rows = self.rows
+        todo = [k for k in r if k in rows]
+        heapify(todo)
+        while todo:
+            pc = heappop(todo)
+            c = r.get(pc)
+            if not c:
+                continue
+            row = rows[pc]
+            p = row[pc]
+            scaled = c % p
+            if scaled:
+                g = gcd(p, c) if p > 0 else -gcd(p, c)
+                alpha, c = p // g, c // g
+                r = {k: alpha * x for k, x in r.items()}
+                scale *= alpha
+                mu = {q: alpha * m for q, m in mu.items()}
+            else:
+                c //= p
+            mu[pc] = c * cont
+            for k, y in row.items():
+                x = r.get(k, 0) - c * y
+                if x:
+                    if k not in r and k in rows:
+                        heappush(todo, k)
+                    r[k] = x
+                else:
+                    del r[k]
+            if scaled:
+                g, r = primitive(r)
+                cont *= g
+        return cont, scale, r, mu
+
+    def add(self, v):
+        cont, scale, r, mu = self._reduce(v)
+        if not r:
+            return False
+        g, r = primitive(r)
+        pc = min(r)
+        self.rows[pc], self._added[pc] = r, (cont * g, scale, mu)
+        return True
+
+    def _combine(self, mu):
+        exprs = self._exprs
+        d = lcm(*[exprs[q][0] for q in mu])
+        num = {}
+        for q, m in mu.items():
+            dq, x = exprs[q]
+            f = m * (d // dq)
+            for k, e in x.items():
+                num[k] = num.get(k, 0) + f * e
+        return num, d
+
+    def solve(self, v):
+        """A dense list of coefficients over the added generators, or
+        None."""
+        for pc in list(self._added)[len(self._exprs):]:
+            cont, s, mu = self._added[pc]
+            num, d = self._combine(mu)
+            num[pc] = -d * s
+            g = gcd(d * cont, *num.values())
+            self._exprs[pc] = (d * cont // g,
+                               {q: -e // g for q, e in num.items() if e})
+        _, scale, r, mu = self._reduce(v)
+        if r:
+            return None
+        num, d = self._combine(mu)
+        d *= scale
+        return [divide(num[q], d) if q in num else 0 for q in self._added]
+
+
+solve_steps = st.integers(1, 5).flatmap(lambda n: st.lists(st.tuples(
+    st.sampled_from(["add", "solve"]),
+    st.sampled_from(["row", "combination", "zero"]),
+    st.lists(wide_rationals, min_size=n, max_size=n),
+    st.booleans()), max_size=12))
+
+
+@given(solve_steps)
+@settings(max_examples=150, deadline=None)
+def test_solve_matches_bookkeeping_oracle(steps):
+    # interleaved adds and solves of rows, combinations of earlier rows
+    # (dependent ones) and zero vectors, dense or sparse, from an empty
+    # span on: the same coordinates, value for value and type for type
+    span, oracle = IncrementalSpan(), BookkeepingSpan()
+    seen = []
+    for op, kind, v, as_dict in steps:
+        n = len(v)
+        if kind == "combination":
+            v = [sum(c * r[k] for c, r in zip(v, seen)) for k in range(n)]
+        elif kind == "zero":
+            v = [0] * n
+        seen.append(v)
+        v = sparse(v) if as_dict else v
+        if op == "add":
+            assert span.add(v) == oracle.add(v)
+        want = oracle.solve(v)
+        got = span.solve(v)
+        if want is None:
+            assert got is None
+        else:
+            assert typed(got) == typed(sparse(want))
+    for v in seen:
+        want = oracle.solve(v)
+        assert span.solve(v) == (None if want is None else sparse(want))
+
+
+def test_solve_on_empty_span_interleaved_and_tag_bound():
+    span = IncrementalSpan()
+    assert span.solve([0, 0]) == {} and span.solve({1: 3}) is None
+    assert span.add({0: 1})
+    assert span.solve({0: 5}) == {0: 5}
+    # an add after the first solve extends the tagged twin
+    assert span.add([1, 2])
+    assert typed(span.solve([3, 1])) == {0: (Fraction, Fraction(5, 2)),
+                                         1: (Fraction, Fraction(1, 2))}
+    # a generator column at or above TAG would collide with a tag; the
+    # span itself still works, and every solve raises
+    assert span.add({TAG + 1: 1}) and span.residue({TAG + 1: 2}) == {}
+    for _ in range(2):
+        with pytest.raises(ValueError, match="not below TAG"):
+            span.solve([1, 0])
+    fresh = IncrementalSpan()
+    assert fresh.add({TAG: 1})
+    with pytest.raises(ValueError, match="not below TAG"):
+        fresh.solve({TAG: 1})
+
+
+def bookkeeping_closure(t):
+    """The Chevalley closure of liealg._chevalley_with_matrices, solved
+    by BookkeepingSpan: (table, basis matrices, defs)."""
+    h, e, f = _natural_generators(t)
+    n = len(h[0])
+    basis = list(h) + list(e) + list(f)
+    span = BookkeepingSpan()
+
+    def flat(m):
+        return {a * n + b: x for a, row in enumerate(m) for b, x in row.items()}
+
+    assert all(span.add(flat(m)) for m in basis)
+    defs, table = {}, {}
+    queue = [(i, j) for j in range(len(basis)) for i in range(j)]
+    for i, j in queue:
+        c = commutator(basis[i], basis[j])
+        if not any(c):
+            continue
+        coeffs = span.solve(flat(c))
+        if coeffs is None:
+            span.add(flat(c))
+            m = len(basis)
+            basis.append(c)
+            defs[m] = (i, j)
+            table[(i, j)] = {m: 1}
+            queue.extend((k, m) for k in range(m))
+        else:
+            table[(i, j)] = sparse(coeffs)
+    return table, basis, defs
+
+
+@pytest.mark.parametrize("t", ["A1", "A2", "A3", "A4", "A5", "A6", "B2",
+                               "B3", "B4", "C2", "C3", "C4", "D4", "D5"])
+def test_chevalley_tables_match_bookkeeping_closure(t):
+    g, basis, defs = _chevalley_with_matrices(SimpleType(t[0], int(t[1:])))
+    table, oracle_basis, oracle_defs = bookkeeping_closure(
+        SimpleType(t[0], int(t[1:])))
+    assert basis == oracle_basis and defs == oracle_defs
+    # entry order too: it is the order the table is read in
+    assert ({k: [(c, type(x), x) for c, x in row.items()]
+             for k, row in g.table.items()}
+            == {k: [(c, type(x), x) for c, x in row.items()]
+                for k, row in table.items()})

@@ -8,7 +8,7 @@ import pytest
 
 from disemi import prehom, symrank, syzygy
 from disemi.classify import DESK_BOUNDS, enumerate_modules
-from disemi.linalg import rank, rank_mod_p
+from disemi.linalg import dense, rank, rank_mod_p
 from disemi.liealg import (LieAlgebra, Subspace, chevalley, dumps,
                            full_subspace, loads, semidirect)
 from disemi.prehom import (DecompositionCertificate, Randomized, Refusal,
@@ -80,6 +80,20 @@ class TestFastPaths:
         assert has_trivial_summand(r)
         cert = is_prehomogeneous(r)
         assert cert.reason == TRIVIAL_SUMMAND
+
+    @pytest.mark.parametrize("mode", ["bogus", 0, Symbolic])
+    def test_unknown_mode_raises_before_the_fast_paths(self, mode):
+        # a zero module, a dimension bound and a trivial summand would
+        # each be decided before any mode is used
+        for r in (trivial(spec_of(A1), 0), realize_label(spec_of(A1), lab((4,))),
+                  trivial(spec_of(A1), 1)):
+            with pytest.raises(ValueError, match="unknown mode"):
+                is_prehomogeneous(r, mode=mode)
+        # a certified Yes and a Refusal by the etale exclusion
+        for module in (natural(A1), realize_label(spec_of(A1), lab((2,)))):
+            with pytest.raises(ValueError, match="unknown mode"):
+                certify_disemisimple(semidirect(chevalley(A1), module),
+                                     mode=mode)
 
 
 class TestVerdicts:
@@ -304,14 +318,14 @@ class TestCertify:
         table = {}
         for j in range(5):
             for i in range(j):
-                w = untransform(g.bracket(cols[i], cols[j]))
-                row = {k: c for k, c in enumerate(w) if c}
+                row = untransform(g.bracket(cols[i], cols[j]))
                 if row:
                     table[(i, j)] = row
         g2 = LieAlgebra(5, table)
         from disemi.liealg import check_jacobi
         assert check_jacobi(g2)
-        levi_rows = [untransform(g.basis_vector(i)) for i in range(3)]
+        levi_rows = [dense(untransform(g.basis_vector(i)), 5)
+                     for i in range(3)]
         res = certify_disemisimple(g2, levi=Subspace(g2, levi_rows))
         assert isinstance(res, DecompositionCertificate)
         assert res.intersection_dim == 1
