@@ -10,7 +10,9 @@ without type-A factors.
 
 import json
 import os
+from collections import Counter
 from itertools import combinations
+from operator import add
 
 from .liealg import (Subspace, free_two_step, lower_central_series,
                      quotient_by_ideal, semidirect)
@@ -18,9 +20,9 @@ from .prehom import Symbolic, adjoint_radical_module, is_prehomogeneous
 from .repbuilder import (ModuleDescriptor, Representation, SemisimpleSpec,
                          cyclic_submodule, decompose, direct_sum,
                          highest_weight_vectors, realize, realize_label,
-                         tensor, wedge2)
+                         wedge2)
 from .rootdata import (SimpleType, dual_weight, fundamental, record, weyl_dim,
-                       zero_weight)
+                       weyl_shifts, zero_weight)
 from .linalg import matmul
 
 
@@ -451,41 +453,92 @@ class TypedModuleCandidate:
                                      for lab in self.labels))
 
 
+def _character(spec, label):
+    """{weight: multiplicity} of the irreducible with this label, read
+    off the Cartan eigenvalues of its realised basis."""
+    return Counter(realize_label(spec, label).weights())
+
+
+def _tensor_character(chi, psi):
+    """Character of a tensor product: the convolution of the factors'."""
+    out = {}
+    for mu, m in chi.items():
+        for nu, n in psi.items():
+            key = tuple(map(add, mu, nu))
+            out[key] = out.get(key, 0) + m * n
+    return out
+
+
+def _wedge2_character(chi):
+    """Character of the exterior square, (chi^2 - psi^2 chi) / 2: the
+    ordered pairs of basis weights less the diagonal, each unordered
+    pair i < j counted twice."""
+    out = _tensor_character(chi, chi)
+    for mu, m in chi.items():
+        out[tuple(2 * x for x in mu)] -= m
+    return {mu: m // 2 for mu, m in out.items() if m}
+
+
+def _multiplicity(t, chi, nu):
+    """n_nu(V), the multiplicity of L(nu) in a module V of the simple
+    type t with character chi (see type12_candidates)."""
+    if nu not in chi:
+        return 0
+    return sum(e * chi.get(tuple(map(add, nu, s)), 0)
+               for e, s in weyl_shifts(t))
+
+
 def type12_candidates(t, dim_bound=None):
     """All embedding-valid type-1 pairs and type-2 triples under the
-    dimension bound, in deterministic order."""
+    dimension bound, in deterministic order.
+
+    Whether B embeds in wedge^2 A, or C in A x B, is read off characters
+    and no module product is built.  A character is a {weight:
+    multiplicity} dict in fundamental coordinates: an irreducible's is
+    read off its realised basis, wedge^2 A's sums the pairs i < j of A's
+    basis weights, and A x B's is the convolution of A's and B's.  The
+    multiplicity of L(nu) in V is the Weyl alternation
+
+        n_nu(V) = sum over w in W of sign(w) m_V(nu + rho - w rho).
+
+    Soundness: write ch V = sum_mu n_mu ch L(mu), over dominant mu, and
+    multiply both sides by the Weyl denominator sum_w sign(w) e^{w rho}.
+    By the Weyl character formula the right side becomes
+    sum_mu n_mu sum_w sign(w) e^{w(mu + rho)}.  Compare the coefficients
+    at nu + rho.  On the left it is the sum above.  On the right,
+    w(mu + rho) = nu + rho needs w = 1 and mu = nu: mu + rho and
+    nu + rho are strictly dominant, a W-orbit meets the dominant chamber
+    in one point, and a strictly dominant point has trivial stabiliser.
+    So the coefficient is n_nu.  All of it is exact integer arithmetic,
+    with no sampling.  And n_nu <= m_V(nu), since nu is a weight of
+    L(nu), so a nu that is not a weight of V has n_nu = 0 at once.
+    """
     bound = _bound(t, dim_bound)
     spec = SemisimpleSpec((t,))
     labels = candidate_labels(spec, bound)
     if not labels:
         return []
     min_dim = min(dim for _, dim in labels)
+    # every A below, and every B, leaves room for a label of min_dim
+    chars = {label: _character(spec, label)
+             for label, dim in labels if dim + min_dim <= bound}
     out = []
-    wedge_cache = {}
     for label_a, dim_a in labels:
         partner = bound - dim_a
         if partner < min_dim:
             continue
-        if label_a not in wedge_cache:
-            wedge_cache[label_a] = decompose(wedge2(realize_label(spec, label_a)))
-        wdesc = wedge_cache[label_a]
+        chi = _wedge2_character(chars[label_a])
         for label_b, dim_b in labels:
-            if dim_b <= partner and wdesc.multiplicity(label_b) >= 1:
+            if dim_b <= partner and _multiplicity(t, chi, label_b[0]):
                 out.append(TypedModuleCandidate("type1", (label_a, label_b)))
-    tensor_cache = {}
     for ia, (label_a, dim_a) in enumerate(labels):
         for label_b, dim_b in labels[ia:]:
             rest = bound - dim_a - dim_b
             if rest < min_dim:
                 continue
-            key = (label_a, label_b)
-            if key not in tensor_cache:
-                tensor_cache[key] = decompose(
-                    tensor(realize_label(spec, label_a),
-                           realize_label(spec, label_b)))
-            tdesc = tensor_cache[key]
+            chi = _tensor_character(chars[label_a], chars[label_b])
             for label_c, dim_c in labels:
-                if dim_c <= rest and tdesc.multiplicity(label_c) >= 1:
+                if dim_c <= rest and _multiplicity(t, chi, label_c[0]):
                     out.append(TypedModuleCandidate(
                         "type2", (label_a, label_b, label_c)))
     return out

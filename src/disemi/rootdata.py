@@ -224,6 +224,33 @@ def root_system(t):
                       rho=(1,) * l)
 
 
+@lru_cache(maxsize=None)
+def weyl_shifts(t):
+    """The pairs (sign(w), rho - w rho) for w in the Weyl group of t, in
+    fundamental coordinates, identity first.
+
+    rho = (1, ..., 1) is regular, so w -> w rho is one-to-one and the
+    orbit of rho has |W| points.  Breadth-first search from rho with the
+    simple reflections s_i(lam) = lam - lam_i alpha_i, where alpha_i is
+    row i of the Cartan matrix, meets each point once; each reflection
+    flips the sign.
+    """
+    a = cartan_matrix(t)
+    rho = (1,) * t.rank
+    sign = {rho: 1}
+    frontier = [rho]
+    while frontier:
+        new = []
+        for lam in frontier:
+            for c, row in zip(lam, a):
+                img = tuple(x - c * r for x, r in zip(lam, row))
+                if img not in sign:
+                    sign[img] = -sign[lam]
+                    new.append(img)
+        frontier = new
+    return tuple((e, tuple(1 - x for x in lam)) for lam, e in sign.items())
+
+
 def num_positive_roots(t):
     return len(root_system(t).positive_roots)
 

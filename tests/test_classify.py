@@ -2,8 +2,12 @@ import itertools
 
 import pytest
 
+from disemi import classify, repbuilder
 from disemi.classify import (DESK_BOUNDS, NotAFreeError, SKTriple,
-                             a_free_structure, castling_transform,
+                             TypedModuleCandidate, _character, _multiplicity,
+                             _tensor_character, _wedge2_character,
+                             a_free_structure, candidate_labels,
+                             castling_transform,
                              construct_type1, construct_type2,
                              cross_check_vinberg,
                              enumerate_modules,
@@ -16,8 +20,8 @@ from disemi.prehom import (DecompositionCertificate, Refusal, Symbolic,
                            adjoint_radical_module, certify_disemisimple,
                            is_prehomogeneous)
 from disemi.repbuilder import (ModuleDescriptor, decompose, direct_sum,
-                               natural, outer_tensor, realize, spec_of,
-                               spin16_d5, trivial)
+                               natural, outer_tensor, realize, realize_label,
+                               spec_of, spin16_d5, tensor, trivial, wedge2)
 from disemi.rootdata import SimpleType, weyl_dim
 
 A1 = SimpleType("A", 1)
@@ -29,6 +33,9 @@ C3 = SimpleType("C", 3)
 B3 = SimpleType("B", 3)
 D4 = SimpleType("D", 4)
 D5 = SimpleType("D", 5)
+B4 = SimpleType("B", 4)
+C4 = SimpleType("C", 4)
+A5 = SimpleType("A", 5)
 
 
 def lab(*blocks):
@@ -304,12 +311,10 @@ class TestCrossCheck:
         with pytest.raises(ValueError):
             cross_check_vinberg(SimpleType("A", 5))
 
-    @pytest.mark.slow
     def test_a3(self):
         report = cross_check_vinberg(A3)
         assert report.clean and report.tested_count == 22
 
-    @pytest.mark.slow
     def test_d4_only_zero(self):
         # triality types: nothing below the bound is prehomogeneous
         report = cross_check_vinberg(D4)
@@ -351,6 +356,50 @@ class TestWorkers:
         assert seen == [3, 2, 2]
 
 
+def oracle_type12_candidates(t, bound):
+    """The decompose-based enumeration: build wedge^2 A and A x B as
+    modules and read the multiplicities off their highest weight
+    vectors."""
+    spec = spec_of(t)
+    labels = candidate_labels(spec, bound)
+    if not labels:
+        return []
+    min_dim = min(dim for _, dim in labels)
+    out = []
+    for label_a, dim_a in labels:
+        partner = bound - dim_a
+        if partner < min_dim:
+            continue
+        wdesc = decompose(wedge2(realize_label(spec, label_a)))
+        for label_b, dim_b in labels:
+            if dim_b <= partner and wdesc.multiplicity(label_b) >= 1:
+                out.append(TypedModuleCandidate("type1", (label_a, label_b)))
+    for ia, (label_a, dim_a) in enumerate(labels):
+        for label_b, dim_b in labels[ia:]:
+            rest = bound - dim_a - dim_b
+            if rest < min_dim:
+                continue
+            tdesc = decompose(tensor(realize_label(spec, label_a),
+                                     realize_label(spec, label_b)))
+            for label_c, dim_c in labels:
+                if dim_c <= rest and tdesc.multiplicity(label_c) >= 1:
+                    out.append(TypedModuleCandidate(
+                        "type2", (label_a, label_b, label_c)))
+    return out
+
+
+def character_decomposition(t, chi):
+    """{dominant nu: n_nu} read off the character chi by the Weyl
+    alternation, over every dominant weight of chi."""
+    out = {}
+    for nu in chi:
+        if min(nu) >= 0:
+            n = _multiplicity(t, chi, nu)
+            if n:
+                out[nu] = n
+    return out
+
+
 class TestType12:
     def test_a2_candidates(self):
         cands = type12_candidates(A2)
@@ -358,7 +407,6 @@ class TestType12:
             {"type1(L(0,1), L(1,0))", "type1(L(1,0), L(0,1))"}
 
     def test_type_outside_the_bound_table_needs_bound(self):
-        B4 = SimpleType("B", 4)
         with pytest.raises(ValueError, match="explicit bound"):
             type12_candidates(B4)
         assert type12_candidates(B4, 9) == []
@@ -367,9 +415,60 @@ class TestType12:
         assert search_type12(A2) == []
         assert search_type12(C2) == []
 
-    @pytest.mark.slow
     def test_search_a3(self):
         assert search_type12(A3) == []
+
+    @pytest.mark.parametrize("t", list(DESK_BOUNDS), ids=str)
+    def test_desk_bounds_match_the_oracle(self, t):
+        bound = DESK_BOUNDS[t]
+        assert type12_candidates(t) == oracle_type12_candidates(t, bound)
+
+    @pytest.mark.parametrize("t,bound,count", [
+        (B4, 35, 0), (C4, 35, 1), (D5, 44, 4), (A5, 34, 10),
+    ], ids=str)
+    def test_next_ranks_match_the_oracle(self, t, bound, count):
+        got = type12_candidates(t, bound)
+        assert got == oracle_type12_candidates(t, bound)
+        assert len(got) == count
+
+    @pytest.mark.parametrize("t", [A3, B3, C3], ids=str)
+    def test_character_multiplicities_match_decompose(self, t):
+        spec = spec_of(t)
+        labels = [label for label, _ in candidate_labels(spec, DESK_BOUNDS[t])]
+        for ia, label_a in enumerate(labels):
+            rep_a = realize_label(spec, label_a)
+            chi_a = _character(spec, label_a)
+            pairs = [(wedge2(rep_a), _wedge2_character(chi_a))]
+            for label_b in labels[ia:]:
+                pairs.append((tensor(rep_a, realize_label(spec, label_b)),
+                              _tensor_character(
+                                  chi_a, _character(spec, label_b))))
+            for rep, chi in pairs:
+                mults = character_decomposition(t, chi)
+                assert sum(n * weyl_dim(t, nu)
+                           for nu, n in mults.items()) == rep.dim
+                desc = decompose(rep)
+                assert mults == {label[0]: n for label, n in desc.items()}
+
+    def test_a2_exterior_square_of_the_adjoint(self):
+        chi = _wedge2_character(_character(spec_of(A2), lab((1, 1))))
+        assert character_decomposition(A2, chi) == \
+            {(0, 3): 1, (1, 1): 1, (3, 0): 1}
+
+    def test_no_module_product_is_built(self, monkeypatch):
+        # the irreducibles are realised, and cached, by repbuilder; warm
+        # that cache so only type12_candidates' own work is guarded
+        expected = type12_candidates(A4)
+
+        def refuse(*args):
+            raise AssertionError("type12_candidates built a module product")
+
+        for name in ("wedge2", "tensor", "decompose",
+                     "highest_weight_vectors"):
+            monkeypatch.setattr(repbuilder, name, refuse)
+            if hasattr(classify, name):
+                monkeypatch.setattr(classify, name, refuse)
+        assert type12_candidates(A4) == expected
 
 
 class TestConstructions:
@@ -488,7 +587,6 @@ class TestDeskBounds:
 
 
 class TestConverseOverBiggerTypes:
-    @pytest.mark.slow
     @pytest.mark.parametrize("t", [A3, A4, C3, D5])
     def test_every_table_entry_certifies(self, t):
         spec = spec_of(t)

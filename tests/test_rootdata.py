@@ -5,7 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from disemi.rootdata import (DominantWeight, SimpleType, cartan_matrix,
                              dual_weight, fundamental, num_positive_roots,
-                             root_system, weyl_dim, zero_weight)
+                             root_system, weyl_dim, weyl_shifts,
+                             zero_weight)
 
 
 def reflection_closure_count(t):
@@ -89,6 +90,40 @@ class TestRootSystem:
     def test_count_is_half_of_dim_minus_rank(self, family, rank):
         t = SimpleType(family, rank)
         assert num_positive_roots(t) == (t.algebra_dim - t.rank) // 2
+
+
+def weyl_order(t):
+    """|W| from its closed form: (l+1)! for A, 2^l l! for B and C,
+    2^(l-1) l! for D."""
+    l = t.rank
+    if t.family == "A":
+        return math.factorial(l + 1)
+    if t.family in ("B", "C"):
+        return 2 ** l * math.factorial(l)
+    return 2 ** (l - 1) * math.factorial(l)
+
+
+class TestWeylShifts:
+    @pytest.mark.parametrize("family,rank", [
+        ("A", 1), ("A", 2), ("A", 3), ("A", 4), ("A", 5), ("A", 6),
+        ("B", 2), ("B", 3), ("B", 4), ("C", 2), ("C", 3), ("C", 4),
+        ("D", 4), ("D", 5),
+    ])
+    def test_one_pair_per_weyl_element(self, family, rank):
+        t = SimpleType(family, rank)
+        shifts = weyl_shifts(t)
+        assert len(shifts) == weyl_order(t)
+        assert len({s for _, s in shifts}) == len(shifts)
+        assert sum(e for e, _ in shifts) == 0
+        assert shifts[0] == (1, zero_weight(t))
+
+    def test_a2_by_hand(self):
+        # over S3: the simple reflections shift rho by alpha_1 = (2,-1)
+        # and alpha_2 = (-1,2), the two rotations by alpha_1 + 2 alpha_2
+        # and 2 alpha_1 + alpha_2, and the longest element by 2 rho
+        assert set(weyl_shifts(SimpleType("A", 2))) == {
+            (1, (0, 0)), (-1, (2, -1)), (-1, (-1, 2)),
+            (1, (0, 3)), (1, (3, 0)), (-1, (2, 2))}
 
 
 class TestWeylDim:
