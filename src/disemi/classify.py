@@ -300,23 +300,14 @@ def simple_labels_upto(t, bound, include_zero=False):
 
 def candidate_labels(spec, bound):
     """Non-trivial irreducible labels over spec with dimension <= bound."""
-    per_factor = [simple_labels_upto(t, bound, include_zero=True)
-                  for t in spec.factors]
-    out = []
-
-    def rec(pos, prefix, dim):
-        if pos == len(spec.factors):
-            label = tuple(prefix)
-            if any(any(c for c in block) for block in label):
-                out.append((dim, label))
-            return
-        for w in per_factor[pos]:
-            d = dim * weyl_dim(spec.factors[pos], w)
-            if d <= bound:
-                rec(pos + 1, prefix + [w], d)
-
-    rec(0, [], 1)
-    out.sort()
+    partial = [(1, ())]
+    for t in spec.factors:
+        pairs = [(weyl_dim(t, w), w)
+                 for w in simple_labels_upto(t, bound, include_zero=True)]
+        partial = [(dim * d, label + (w,)) for dim, label in partial
+                   for d, w in pairs if dim * d <= bound]
+    out = sorted((dim, label) for dim, label in partial
+                 if any(any(block) for block in label))
     return [(label, dim) for dim, label in out]
 
 
@@ -327,21 +318,17 @@ def enumerate_modules(spec, dim_bound):
     spec = _spec(spec)
     labels = candidate_labels(spec, dim_bound)
     results = []
-
-    def rec(idx, budget, current):
+    stack = [(0, dim_bound, ())]
+    while stack:
+        idx, budget, current = stack.pop()
         if current:
-            results.append(list(current))
+            results.append(current)
         for k in range(idx, len(labels)):
             label, d = labels[k]
-            if d > budget:
-                continue
-            current.append(label)
-            rec(k, budget - d, current)
-            current.pop()
-
-    rec(0, dim_bound, [])
-    # rec picks non-decreasing indices into distinct labels, so every
-    # multiset comes once
+            if d <= budget:
+                stack.append((k, budget - d, current + (label,)))
+    # each multiset takes non-decreasing indices into distinct labels, so
+    # it comes once
     yield from sorted(map(ModuleDescriptor, results),
                       key=lambda d: (d.total_dim(spec),
                                      [str(lab) for lab in d.labels()]))
@@ -416,11 +403,12 @@ def cross_check_vinberg(t, bound=None, jobs=1):
     """Enumerate all modules below the dimension bound, decide each one
     symbolically, and diff the positives against the table."""
     bound = _bound(t, bound)
+    # the table refuses B2 and D3 before any module is decided
+    table = vinberg_table(t)
     spec = SemisimpleSpec((t,))
     modules = list(enumerate_modules(spec, bound))
     verdicts = _decide_all(t, [d.entries for d in modules], Symbolic(), jobs)
     positives = [d for d, v in zip(modules, verdicts) if v]
-    table = vinberg_table(t)
     table_set = set(d.entries for d in table)
     pos_set = set(d.entries for d in positives)
     missing = [d for d in table if d.entries not in pos_set

@@ -136,28 +136,6 @@ def _witness_rank(r, v):
     return rank_mod_p(syzygy.evaluation_rows(r, v), stop_at=r.dim)
 
 
-def _symbolic_decide(r):
-    """Certified verdict by the generic rank, then specialisation.
-
-    A generic rank below dim V is a No, since it bounds the rank at
-    every specialisation.  Otherwise some point has full rank, and the
-    first one found among the sample points, then a seeded stream of
-    small integer points, is the witness.
-    """
-    d = r.dim
-    grank = syzygy.generic_rank_certified(r)
-    if grank < d:
-        return PrehomCertificate(verdict="not_prehomogeneous",
-                                 reason=SYMBOLIC_RANK_DEFICIT,
-                                 generic_rank=grank, mode="symbolic")
-    rnd = random.Random(syzygy.SAMPLE_SEED)
-    stream = ([rnd.randint(-99, 99) for _ in range(d)] for _ in range(1000))
-    for v in chain(syzygy.sample_points(d), stream):
-        if _witness_rank(r, v) == d:
-            return _validated_yes(r, v, mode="symbolic")
-    raise AssertionError("full generic rank but no witness found")
-
-
 def dimension_verdict(dim_v, dim_s):
     """The verdict the dimensions alone give, or None: the zero module
     is prehomogeneous; dim V > dim s leaves no room for an open orbit;
@@ -190,32 +168,46 @@ def is_prehomogeneous(r, mode=None):
     which semisimple algebras do not admit; a trivial summand forces
     every evaluation image into a proper submodule.
 
-    Randomized escalates to _symbolic_decide when no trial point reaches
-    dim V, and at once when the first falls short and so does
-    syzygy.generic_lower_bound.  The trial points do not change, so a
-    Yes keeps its witness and trials_used unless the generic point is a
-    zero mod PRIME of every maximal minor (probability at most r / PRIME
-    for r x r minors, see syzygy); that Yes comes from _symbolic_decide,
-    validated exactly like every Yes.
+    Then Randomized tries small integer boxes for a witness, and
+    Symbolic is the same flow with no boxes.  The certified generic rank
+    is taken once: after the first box that falls short, or at once when
+    there are none.  Below dim V it is a No, since it bounds the rank at
+    every specialisation.  Otherwise some point has full rank: the
+    remaining boxes run as drawn, so a randomized Yes keeps its witness
+    and trials_used, and then the first full-rank point among the sample
+    points, then a seeded stream of small integer points, is the
+    witness.  Every witness is re-validated exactly.
     """
     mode = _checked_mode(mode)
-    cert = dimension_verdict(r.dim, r.algebra.dim)
+    d = r.dim
+    cert = dimension_verdict(d, r.algebra.dim)
     if cert is not None:
         return cert
     if has_trivial_summand(r):
         return PrehomCertificate(verdict="not_prehomogeneous",
                                  reason=TRIVIAL_SUMMAND, mode="fast_path")
-    if isinstance(mode, Randomized):
-        rnd = random.Random(mode.seed)
-        for trial in range(mode.trials):
-            v = [rnd.randint(-COORD_BOUND, COORD_BOUND) for _ in range(r.dim)]
-            if _witness_rank(r, v) == r.dim:
+    trials = mode.trials if isinstance(mode, Randomized) else 0
+    boxes = random.Random(mode.seed) if trials else None
+    grank = None
+    # the last pass draws no box: with none, it only takes the rank
+    for trial in range(trials + 1):
+        if trial < trials:
+            v = [boxes.randint(-COORD_BOUND, COORD_BOUND) for _ in range(d)]
+            if _witness_rank(r, v) == d:
                 return _validated_yes(r, v, mode="randomized",
                                       seed=mode.seed, trials_used=trial + 1)
-            if not trial and syzygy.generic_lower_bound(r) < r.dim:
-                break
-    # Symbolic, or Randomized inconclusive toward No: the certified engine
-    return _symbolic_decide(r)
+        if grank is None:
+            grank = syzygy.generic_rank_certified(r)
+            if grank < d:
+                return PrehomCertificate(verdict="not_prehomogeneous",
+                                         reason=SYMBOLIC_RANK_DEFICIT,
+                                         generic_rank=grank, mode="symbolic")
+    rnd = random.Random(syzygy.SAMPLE_SEED)
+    stream = ([rnd.randint(-99, 99) for _ in range(d)] for _ in range(1000))
+    for v in chain(syzygy.sample_points(d), stream):
+        if _witness_rank(r, v) == d:
+            return _validated_yes(r, v, mode="symbolic")
+    raise AssertionError("full generic rank but no witness found")
 
 
 def is_etale(r, mode=None):

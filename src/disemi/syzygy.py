@@ -393,13 +393,6 @@ def generic_point(dim):
     return [rnd.randrange(PRIME) for _ in range(dim)]
 
 
-def generic_lower_bound(rep):
-    """The rank mod PRIME of the evaluation matrix at generic_point, the
-    lower bound for the generic rank."""
-    return rank_mod_p(evaluation_rows(rep, generic_point(rep.dim)),
-                      stop_at=rep.dim)
-
-
 def generic_rank_certified(rep):
     """The exact rank of the evaluation matrix over Q(v).
 
@@ -414,10 +407,10 @@ def generic_rank_certified(rep):
     if d == 0:
         return 0
     ds = len(rep.action)
-    lower = generic_lower_bound(rep)
+    point = generic_point(d)
+    lower = rank_mod_p(evaluation_rows(rep, point), stop_at=d)
     if lower == min(d, ds):
         return lower
-    point = generic_point(d)
     kernel_all = []
     stab_all = []
     for degree in range(1, MAX_SYZYGY_DEGREE + 1):

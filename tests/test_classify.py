@@ -1,3 +1,4 @@
+import gc
 import itertools
 
 import pytest
@@ -277,6 +278,21 @@ class TestEnumeration:
         got = [str(d) for d in enumerate_modules(A1, 3)]
         assert got == ["L(1)", "L(2)"]
 
+    @pytest.mark.parametrize("call", [
+        lambda: list(enumerate_modules(spec_of(A4), 23)),
+        lambda: candidate_labels(spec_of(A4), 23),
+        lambda: type12_candidates(A4),
+    ], ids=["enumerate_modules", "candidate_labels", "type12_candidates"])
+    def test_enumerations_leave_no_reference_cycles(self, call):
+        call()              # fills the realisation caches
+        gc.collect()
+        gc.disable()
+        try:
+            call()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
 
 class TestCrossCheck:
     def test_a2(self):
@@ -306,6 +322,16 @@ class TestCrossCheck:
         seq = cross_check_vinberg(A2, jobs=1)
         par = cross_check_vinberg(A2, jobs=2)
         assert seq.to_json_dict() == par.to_json_dict()
+
+    @pytest.mark.parametrize("t,bound", [(SimpleType("B", 2), 9),
+                                         (SimpleType("D", 3), 14)])
+    def test_isomorphic_type_refused_before_deciding(self, t, bound,
+                                                     monkeypatch):
+        def refuse(*args):
+            raise AssertionError("modules decided before the table refused")
+        monkeypatch.setattr(classify, "_decide_all", refuse)
+        with pytest.raises(ValueError, match="isomorphic"):
+            cross_check_vinberg(t, bound)
 
     def test_unknown_type_needs_bound(self):
         with pytest.raises(ValueError):

@@ -1,13 +1,15 @@
-"""The package keeps no dead private helpers: every module-level
-function or class of src/disemi whose name starts with one underscore
-is read somewhere in the package outside its own definition, so a
-recursive call alone does not keep it alive."""
+"""The package keeps no dead code: every module-level function or class
+of src/disemi is read somewhere outside its own definition, so a
+recursive call alone does not keep it alive.  A name that starts with
+one underscore must be read in the package; a public name may also be
+read by the tests or the benchmark harness."""
 
 import ast
 from collections import Counter
 from pathlib import Path
 
-SOURCES = Path(__file__).resolve().parent.parent / "src" / "disemi"
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = ROOT / "src" / "disemi"
 
 
 def reads(node):
@@ -22,20 +24,36 @@ def reads(node):
     return out
 
 
-def unused_private_helpers(paths):
-    """(file name, line, name) of each module-level _name function or
-    class in paths that no read outside its own definition names."""
-    trees = {path: ast.parse(path.read_text(), str(path)) for path in paths}
+def unread_definitions(paths, readers, private):
+    """(file name, line, name) of each module-level function or class in
+    paths, the _name ones if private and the public ones otherwise, that
+    no read in readers (which include paths) names outside its own
+    definition."""
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in readers}
     total = sum((reads(tree) for tree in trees.values()), Counter())
     return [(path.name, node.lineno, node.name)
-            for path, tree in trees.items() for node in tree.body
+            for path in paths for node in trees[path].body
             if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            and node.name.startswith("_") and not node.name.startswith("__")
+            and not node.name.startswith("__")
+            and node.name.startswith("_") == private
             and total[node.name] == reads(node)[node.name]]
+
+
+def unused_private_helpers(paths):
+    """unread_definitions of the _name functions and classes, read in
+    paths alone."""
+    return unread_definitions(paths, paths, private=True)
 
 
 def test_no_dead_private_helpers():
     assert unused_private_helpers(sorted(SOURCES.glob("*.py"))) == []
+
+
+def test_no_unread_public_names():
+    sources = sorted(SOURCES.glob("*.py"))
+    readers = sources + sorted((ROOT / "tests").glob("*.py")) + sorted(
+        (ROOT / "perfbench").glob("*.py"))
+    assert unread_definitions(sources, readers, private=False) == []
 
 
 def test_guard_sees_a_dead_helper(tmp_path):
@@ -52,3 +70,20 @@ def test_guard_sees_a_dead_helper(tmp_path):
         ("bad.py", 1, "_dead"), ("bad.py", 4, "_recursive")]
     assert unused_private_helpers([bad, other]) == [
         ("bad.py", 4, "_recursive"), ("other.py", 3, "_by_attribute")]
+
+
+def test_guard_sees_an_unread_public_name(tmp_path):
+    lib = tmp_path / "lib.py"
+    lib.write_text("def orphan():\n    return 1\n\n"
+                   "def recursive(n):\n    return recursive(n - 1)\n\n"
+                   "def used():\n    return 2\n\n"
+                   "class Tested:\n    pass\n\n"
+                   "def _private():\n    return 3\n")
+    test = tmp_path / "test_lib.py"
+    test.write_text("import lib\nfrom lib import used\n\n"
+                    "def test_it():\n    assert used() and lib.Tested()\n")
+    assert unread_definitions([lib], [lib], private=False) == [
+        ("lib.py", 1, "orphan"), ("lib.py", 4, "recursive"),
+        ("lib.py", 7, "used"), ("lib.py", 10, "Tested")]
+    assert unread_definitions([lib], [lib, test], private=False) == [
+        ("lib.py", 1, "orphan"), ("lib.py", 4, "recursive")]

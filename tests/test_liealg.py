@@ -302,6 +302,51 @@ class TestTableReads:
                                      == g.dim), g
 
 
+def triple_loop_jacobi(g):
+    """Jacobi over all basis triples, the cyclic sum bracket by bracket:
+    the reference for check_jacobi."""
+    for i in range(g.dim):
+        for j in range(i + 1, g.dim):
+            for k in range(j + 1, g.dim):
+                s = {}
+                for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                    for q, x in g.sparse_bracket(g.structure(a, b),
+                                                 {c: 1}).items():
+                        s[q] = s.get(q, 0) + x
+                if any(s.values()):
+                    return False
+    return True
+
+
+def one_entry_perturbations(g):
+    """g with one structure constant c_ij^k moved by 1, for every
+    i < j and k."""
+    for i in range(g.dim):
+        for j in range(i + 1, g.dim):
+            for k in range(g.dim):
+                table = {key: dict(row) for key, row in g.table.items()}
+                row = table.setdefault((i, j), {})
+                row[k] = row.get(k, 0) + 1
+                yield LieAlgebra(g.dim, table)
+
+
+class TestJacobiMatchesTripleLoop:
+    def test_lie_algebras(self, type12_algebras):
+        for g in table_read_algebras() + type12_algebras[:6]:
+            assert check_jacobi(g) and triple_loop_jacobi(g), g
+
+    def test_one_entry_perturbations(self):
+        verdicts = []
+        for g in (sl2_natural_semidirect(), heisenberg(), two_dim_solvable(),
+                  rescaled(sl2_natural_semidirect(),
+                           [Fraction(1, 3), 2, Fraction(-1, 2),
+                            Fraction(3, 4), 5])):
+            for h in one_entry_perturbations(g):
+                verdicts.append(check_jacobi(h))
+                assert verdicts[-1] == triple_loop_jacobi(h), h.table
+        assert True in verdicts and False in verdicts
+
+
 class TestSemidirect:
     def test_sl2_v2(self):
         g = sl2_natural_semidirect()

@@ -2,12 +2,13 @@ import hashlib
 import json
 import random
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 
 import pytest
 
 from disemi import prehom, symrank, syzygy
-from disemi.classify import DESK_BOUNDS, enumerate_modules
+from disemi.classify import DESK_BOUNDS, enumerate_modules, vinberg_table
 from disemi.linalg import dense, rank, rank_mod_p
 from disemi.liealg import (LieAlgebra, Subspace, chevalley, dumps,
                            full_subspace, loads, semidirect)
@@ -612,8 +613,14 @@ class TestEarlyEscalation:
         r = build(type12_algebras)
         expect = is_prehomogeneous(r, mode=Symbolic())
         calls = spy_calls(monkeypatch, prehom, "_witness_rank")
+        certified = spy_calls(monkeypatch, syzygy, "generic_rank_certified")
+        ranked = []
+        rows = syzygy.evaluation_rows
+        monkeypatch.setattr(syzygy, "evaluation_rows",
+                            lambda rep, v: ranked.append(v) or rows(rep, v))
         cert = is_prehomogeneous(r)
-        assert calls["_witness_rank"] == 1
+        assert calls["_witness_rank"] == certified["generic_rank_certified"] == 1
+        assert ranked.count(syzygy.generic_point(r.dim)) == 1
         assert cert == expect and not cert
 
     @pytest.mark.parametrize("r,seed,witness", [
@@ -621,12 +628,100 @@ class TestEarlyEscalation:
         (realize_label(spec_of(A1, A2), lab((1,), (0, 1))), 184,
          [9, 7, -4, 4, 8, -10]),
     ])
-    def test_yes_after_a_failed_trial_keeps_its_witness(self, r, seed, witness):
+    def test_yes_after_a_failed_trial_keeps_its_witness(self, r, seed, witness,
+                                                        monkeypatch):
         # the witness and trial count the search gave before it escalated
-        # early
+        # early; the one missed box takes the generic rank once
+        calls = spy_calls(monkeypatch, syzygy, "generic_rank_certified")
         cert = is_prehomogeneous(r, mode=Randomized(seed=seed))
         assert cert.mode == "randomized" and cert.seed == seed
         assert cert.witness == witness and cert.trials_used == 2
+        assert calls["generic_rank_certified"] == 1
+
+    @pytest.mark.parametrize("mode,certified", [
+        (Randomized(), 0), (Randomized(trials=0), 1), (Symbolic(), 1)])
+    def test_yes_certifies_at_most_once(self, mode, certified, monkeypatch):
+        # natural(A1) has a witness in the first box of the default seed
+        calls = spy_calls(monkeypatch, syzygy, "generic_rank_certified")
+        assert is_prehomogeneous(natural(A1), mode=mode)
+        assert calls["generic_rank_certified"] == certified
+
+
+def two_flow_decide(r, mode=None):
+    """is_prehomogeneous as it was before the box search and the
+    symbolic engine were one flow, with the mod-PRIME rank at the generic
+    point as the escalation test: the reference for the one flow."""
+    mode = mode if mode is not None else Randomized()
+    cert = prehom.dimension_verdict(r.dim, r.algebra.dim)
+    if cert is not None:
+        return cert
+    if has_trivial_summand(r):
+        return prehom.PrehomCertificate(verdict="not_prehomogeneous",
+                                        reason=TRIVIAL_SUMMAND,
+                                        mode="fast_path")
+    if isinstance(mode, Randomized):
+        rnd = random.Random(mode.seed)
+        for trial in range(mode.trials):
+            v = [rnd.randint(-prehom.COORD_BOUND, prehom.COORD_BOUND)
+                 for _ in range(r.dim)]
+            if rank_mod_p(syzygy.evaluation_rows(r, v),
+                          stop_at=r.dim) == r.dim:
+                return prehom._validated_yes(r, v, mode="randomized",
+                                             seed=mode.seed,
+                                             trials_used=trial + 1)
+            if not trial and rank_mod_p(
+                    syzygy.evaluation_rows(r, syzygy.generic_point(r.dim)),
+                    stop_at=r.dim) < r.dim:
+                break
+    grank = syzygy.generic_rank_certified(r)
+    if grank < r.dim:
+        return prehom.PrehomCertificate(verdict="not_prehomogeneous",
+                                        reason=SYMBOLIC_RANK_DEFICIT,
+                                        generic_rank=grank, mode="symbolic")
+    rnd = random.Random(syzygy.SAMPLE_SEED)
+    stream = ([rnd.randint(-99, 99) for _ in range(r.dim)]
+              for _ in range(1000))
+    for v in chain(syzygy.sample_points(r.dim), stream):
+        if rank_mod_p(syzygy.evaluation_rows(r, v), stop_at=r.dim) == r.dim:
+            return prehom._validated_yes(r, v, mode="symbolic")
+    raise AssertionError("full generic rank but no witness found")
+
+
+ORACLE_MODES = [Symbolic()] + [Randomized(seed=s) for s in (1, 2, 3)]
+
+
+def assert_flows_agree(modules):
+    for name, r in modules:
+        for mode in ORACLE_MODES:
+            got = is_prehomogeneous(r, mode=mode).to_json_dict()
+            assert got == two_flow_decide(r, mode).to_json_dict(), (name, mode)
+
+
+class TestOneFlowMatchesTwoFlows:
+    """is_prehomogeneous gives the certificates of two_flow_decide, in
+    the Symbolic mode and in three Randomized seeds."""
+
+    @pytest.mark.parametrize("t", [
+        A3, C3, pytest.param(SimpleType("D", 4), marks=pytest.mark.slow)],
+        ids=str)
+    def test_cross_check_lists(self, t):
+        spec = spec_of(t)
+        assert_flows_agree([(str(d), realize(spec, d))
+                            for d in enumerate_modules(spec, DESK_BOUNDS[t])])
+
+    @pytest.mark.parametrize("t", [
+        A3, pytest.param(A4, marks=pytest.mark.slow)], ids=str)
+    def test_type12_radicals(self, t, type12_algebras):
+        assert_flows_agree([
+            (str(c), adjoint_radical_module(g, g.levi_basis)[0])
+            for s, c, g in type12_algebras if s == t])
+
+    @pytest.mark.parametrize("t", [
+        A2, A3, pytest.param(A4, marks=pytest.mark.slow), C2, C3], ids=str)
+    def test_vinberg_entries(self, t):
+        modules = [(str(d), realize(spec_of(t), d)) for d in vinberg_table(t)]
+        assert modules
+        assert_flows_agree(modules)
 
 
 class TestSerialization:
