@@ -81,7 +81,7 @@ def _print_certificate(result, as_json):
     print("  z = %s" % [str(Fraction(x)) for x in result.z])
     print("  intersection dim = %d" % result.intersection_dim)
     print("  levi dim = %d, algebra dim = %d"
-          % (result.levi_basis.dim, result.levi_basis.parent.dim))
+          % (result.levi_basis.dim, result.phi.source_dim))
     return 0
 
 

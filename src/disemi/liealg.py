@@ -23,20 +23,26 @@ class LieAlgebra:
     """Finite-dimensional Lie algebra by sparse structure constants.
 
     table maps (i, j) with i < j to {k: c} describing [b_i, b_j]; the
-    antisymmetric half is implied.  Instances are immutable by
-    convention.  levi_basis is metadata recorded by constructors that
-    know a Levi subalgebra by construction; levi_spec, when set, is the
-    SemisimpleSpec whose algebra() the constructor built it from.
+    antisymmetric half is implied.  Every bracket is read off brackets:
+    brackets[i][j] = _den [b_i, b_j] over ints, in both orders, where it
+    is nonzero; _den is the least int > 0 making the table integral.
+    Instances are immutable by convention.  levi_basis is metadata
+    recorded by constructors that know a Levi subalgebra by construction;
+    levi_spec, when set, is the SemisimpleSpec whose algebra() the
+    constructor built it from.
     """
 
     def __init__(self, dim, table, labels=None):
         self.dim = dim
         keys = [k for k, v in table.items() if v]
         self._den, rows = clear_denominators([table[k] for k in keys])
-        # the table cleared for sparse_bracket; kept as ints if integral
-        self._int_table = dict(zip(keys, rows))
-        self.table = (self._int_table if self._den == 1
+        # the cleared rows are the table itself when it is integral
+        self.table = (dict(zip(keys, rows)) if self._den == 1
                       else {k: dict(table[k]) for k in keys})
+        self.brackets = [{} for _ in range(dim)]
+        for (i, j), row in zip(keys, rows):
+            self.brackets[i][j] = row
+            self.brackets[j][i] = {k: -c for k, c in row.items()}
         self.labels = list(labels) if labels else None
         self.levi_basis = None
         self.levi_spec = None
@@ -44,34 +50,31 @@ class LieAlgebra:
     def __repr__(self):
         return "LieAlgebra(dim=%d)" % self.dim
 
+    def _unscaled(self, row):
+        """row / _den, in Fractions as the table holds them if _den > 1."""
+        d = self._den
+        return row if d == 1 else {k: Fraction(c, d) for k, c in row.items()}
+
     def structure(self, i, j):
         """[b_i, b_j] as a sparse {k: c} dict."""
-        if i == j:
-            return {}
-        if i < j:
-            return self.table.get((i, j), {})
-        return {k: -c for k, c in self.table.get((j, i), {}).items()}
+        return self._unscaled(self.brackets[i].get(j, {}))
 
     def sparse_bracket(self, x, y):
         """[x, y] for sparse {index: coefficient} vectors, as a dict
         (entries that cancel are kept as zeros).  It is bilinear, so it
-        is summed over the cleared x, y and table and divided once."""
+        is summed over the cleared x, y and brackets and divided once."""
         d = self._den
         if type(sum(x.values()) + sum(y.values())) is not int:
             dx, x = clear(x)
             dy, y = clear(y)
             d *= dx * dy
-        table = self._int_table
         out = {}
         for i, xi in x.items():
+            index = self.brackets[i]
             for j, yj in y.items():
-                if i < j:
-                    row, coeff = table.get((i, j)), xi * yj
-                elif i > j:
-                    row, coeff = table.get((j, i)), -xi * yj
-                else:
-                    continue
+                row = index.get(j)
                 if row:
+                    coeff = xi * yj
                     for k, c in row.items():
                         out[k] = out.get(k, 0) + coeff * c
         return out if d == 1 else {k: divide(c, d) for k, c in out.items()}
@@ -81,17 +84,16 @@ class LieAlgebra:
         return dense(self.sparse_bracket(sparse(x), sparse(y)), self.dim)
 
     def ad(self, x):
-        """ad(x) as a row-dict matrix: entry (k, j) is the coefficient
-        of b_k in [x, b_j]."""
+        """ad(x) for a dense x as a row-dict matrix: entry (k, j) is the
+        coefficient of b_k in [x, b_j] = sum_i x_i [b_i, b_j]."""
         m = [{} for _ in range(self.dim)]
-        for (i, j), row in self.table.items():
-            xi, xj = x[i], x[j]
-            for k, c in row.items():
-                if xi:
-                    m[k][j] = m[k].get(j, 0) + xi * c
-                if xj:
-                    m[k][i] = m[k].get(i, 0) - xj * c
-        return [{j: v for j, v in row.items() if v} for row in m]
+        for i, xi in enumerate(x):
+            if xi:
+                for j, row in self.brackets[i].items():
+                    for k, c in row.items():
+                        m[k][j] = m[k].get(j, 0) + xi * c
+        return [self._unscaled({j: v for j, v in row.items() if v})
+                for row in m]
 
     def basis_vector(self, i):
         v = [0] * self.dim
@@ -100,7 +102,8 @@ class LieAlgebra:
 
 
 class Subspace:
-    """A subspace of a LieAlgebra, given by independent dense basis rows.
+    """A subspace of a LieAlgebra g, given by independent dense basis
+    rows of length ambient = g.dim; it keeps no reference to g.
 
     span is the IncrementalSpan of the rows; membership, coordinates and
     residues all go through it.  pivots are its pivot columns, which
@@ -108,13 +111,13 @@ class Subspace:
     with the same rows in another order or scaling have the same ones.
     """
 
-    def __init__(self, parent, basis_rows):
-        self.parent = parent
+    def __init__(self, g, basis_rows):
+        self.ambient = g.dim
         rows = [list(r) for r in basis_rows]
         for r in rows:
-            if len(r) != parent.dim:
+            if len(r) != g.dim:
                 raise ValueError("basis row length %d != algebra dim %d"
-                                 % (len(r), parent.dim))
+                                 % (len(r), g.dim))
         self.span = IncrementalSpan()
         if not all(self.span.add(r) for r in rows):
             raise ValueError("basis rows are linearly dependent")
@@ -128,35 +131,17 @@ class Subspace:
     def contains(self, v):
         return not self.span.residue(v)
 
-    def is_ideal(self):
-        """True iff [b_i, r] lies in the subspace for every basis vector
-        b_i of the parent and every basis row r.  Per r, every [r, b_i] =
-        sum_j r_j [b_j, b_i] is summed in one pass over _bracket_index,
-        and only nonzero ones are tested: 0 lies in every subspace, and
-        the sign and the table's denominator do not change membership."""
-        index = _bracket_index(self.parent)
-        for r in map(sparse, self.basis):
-            brackets = {}
-            for j, x in r.items():
-                for i, row in index[j]:
-                    out = brackets.setdefault(i, {})
-                    for k, c in row.items():
-                        out[k] = out.get(k, 0) + x * c
-            if not all(map(self.contains, brackets.values())):
-                return False
-        return True
-
     def __eq__(self, other):
         # equal dimensions make one inclusion enough for equality
-        return (isinstance(other, Subspace) and self.parent is other.parent
+        return (isinstance(other, Subspace) and self.ambient == other.ambient
                 and self.dim == other.dim
                 and all(self.contains(r) for r in other.basis))
 
     def __hash__(self):
-        return hash((id(self.parent), self.dim))
+        return hash((self.ambient, self.dim))
 
     def __repr__(self):
-        return "Subspace(dim=%d of %d)" % (self.dim, self.parent.dim)
+        return "Subspace(dim=%d of %d)" % (self.dim, self.ambient)
 
 
 def full_subspace(g):
@@ -327,9 +312,10 @@ def derived_span(g, rows1, rows2):
 
 def derived_rows(g):
     """Independent sparse rows spanning [g, g], from the (cleared)
-    table rows [b_i, b_j]."""
+    brackets [b_i, b_j] with i < j, in table order."""
     span = IncrementalSpan()
-    return [row for row in g._int_table.values() if span.add(row)]
+    return [row for row in (g.brackets[i][j] for i, j in g.table)
+            if span.add(row)]
 
 
 def is_perfect(g):
@@ -339,10 +325,9 @@ def is_perfect(g):
 
 def _series(g, sub, lower):
     """The lower central series (lower) or the derived series of a
-    subalgebra (default: g itself), as Subspaces."""
-    top = sub.basis if sub is not None else identity(g.dim)
-    series = [Subspace(g, top)]
-    cur = top
+    subalgebra sub (default: g itself), as Subspaces starting at sub."""
+    series = [sub if sub is not None else full_subspace(g)]
+    top = cur = series[0].basis
     while cur:
         nxt = derived_span(g, top if lower else cur, cur)
         if len(nxt) == len(cur):
@@ -380,15 +365,14 @@ def is_abelian(g):
 
 def killing_form(g):
     """The row-dict matrix K[i][j] = trace(ad b_i . ad b_j), read off
-    the table: [b_p, b_q] = sum c b_k puts c at (k, q) of ad b_p and -c
-    at (k, p) of ad b_q, and K[i][j] sums (ad b_i)[a][b] (ad b_j)[b][a]
-    over the positions (a, b) of these entries."""
+    brackets: [b_p, b_q] = sum c b_k puts c at (k, q) of _den ad b_p,
+    and K[i][j] sums (ad b_i)[a][b] (ad b_j)[b][a] over the positions
+    (a, b) of these entries, divided once by _den ** 2."""
     entries = {}          # (a, b) -> [(i, entry of ad b_i at (a, b))]
-    for (p, q), row in g.table.items():
-        for k, c in row.items():
-            if c:
+    for p, index in enumerate(g.brackets):
+        for q, row in index.items():
+            for k, c in row.items():
                 entries.setdefault((k, q), []).append((p, c))
-                entries.setdefault((k, p), []).append((q, -c))
     k = [{} for _ in range(g.dim)]
     for (a, b), left in entries.items():
         right = entries.get((b, a))
@@ -397,7 +381,9 @@ def killing_form(g):
                 row = k[i]
                 for j, d in right:
                     row[j] = row.get(j, 0) + c * d
-    return [{j: x for j, x in row.items() if x} for row in k]
+    d = g._den ** 2
+    return [{j: x if d == 1 else Fraction(x, d) for j, x in row.items() if x}
+            for row in k]
 
 
 def is_semisimple(g):
@@ -425,7 +411,7 @@ def solvable_radical(g):
     radical = Subspace(g, [dense(v, g.dim) for v in nullspace(eqs, g.dim)])
     if not is_solvable(g, radical):
         raise AssertionError("radical candidate is not solvable")
-    if not radical.is_ideal():
+    if not is_ideal(g, radical):
         raise AssertionError("radical candidate is not an ideal")
     return radical
 
@@ -433,9 +419,28 @@ def solvable_radical(g):
 def check_jacobi(g):
     """Exact Jacobi check; True when it holds.  The bracket is
     antisymmetric by construction, so Jacobi holds exactly when every
-    ad b_i is a derivation."""
-    return all(_is_derivation(g, [g.structure(i, a) for a in range(g.dim)])
-               for i in range(g.dim))
+    ad b_i is a derivation.  Only the b_i with a nonzero bracket are
+    checked: any other ad b_i is 0, a derivation."""
+    return all(_is_derivation(g, [index.get(a, {}) for a in range(g.dim)])
+               for index in g.brackets if index)
+
+
+def is_ideal(g, sub):
+    """True iff [b_i, r] lies in sub for every basis vector b_i of g and
+    every basis row r.  Per r, every [r, b_i] = sum_j r_j [b_j, b_i] is
+    summed in one pass over g.brackets, and only nonzero ones are
+    tested: 0 lies in every subspace, and the sign and _den do not
+    change membership."""
+    for r in map(sparse, sub.basis):
+        out = {}
+        for j, x in r.items():
+            for i, row in g.brackets[j].items():
+                v = out.setdefault(i, {})
+                for k, c in row.items():
+                    v[k] = v.get(k, 0) + x * c
+        if not all(map(sub.contains, out.values())):
+            return False
+    return True
 
 
 def subalgebra(g, sub):
@@ -511,31 +516,21 @@ def semidirect(s, rho, n=None):
     return g
 
 
-def _bracket_index(g):
-    """Per basis index q of g, the pairs (b, [b_q, b_b]) whose bracket
-    is nonzero, read off the cleared table (so scaled by g._den)."""
-    index = [[] for _ in range(g.dim)]
-    for (a, b), row in g._int_table.items():
-        index[a].append((b, row))
-        index[b].append((a, {k: -c for k, c in row.items()}))
-    return index
-
-
 def _is_derivation(n, cols):
     """True iff the linear map D sending basis vector a of n to the
     sparse vector cols[a] is a derivation of n: the defect
     D[e_a, e_b] - [D e_a, e_b] + [D e_b, e_a] vanishes on all ordered
     basis pairs.  Only brackets that are nonzero in n are visited; the
-    defect is linear in the table, so the cleared one decides it."""
-    brackets = _bracket_index(n)
+    defect is linear in the brackets, so n.brackets decide it."""
+    brackets = n.brackets
     defect = Counter()
     for a in range(n.dim):
-        for b, row in brackets[a]:
+        for b, row in brackets[a].items():
             for k, c in row.items():
                 for q, x in cols[k].items():
                     defect[a, b, q] += c * x
         for q, x in cols[a].items():
-            for b, row in brackets[q]:
+            for b, row in brackets[q].items():
                 for k, c in row.items():
                     defect[a, b, k] -= x * c
                     defect[b, a, k] += x * c
@@ -575,7 +570,7 @@ def quotient_by_ideal(g, u):
     other coordinates; pivots and residue depend on u only, not on its
     basis rows.
     """
-    if not u.is_ideal():
+    if not is_ideal(g, u):
         raise ValueError("subspace is not an ideal")
     pivots = set(u.pivots)
     comp = [c for c in range(g.dim) if c not in pivots]

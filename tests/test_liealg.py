@@ -1,16 +1,18 @@
+import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from disemi.linalg import (apply, combination, commutator, dense, matmul,
-                           nullspace)
+from disemi.linalg import (apply, clear, clear_denominators, columns,
+                           combination, commutator, dense, divide, matmul,
+                           nullspace, sparse)
 from disemi.liealg import (LieAlgebra, Subspace, abelian_algebra, chevalley,
                            check_jacobi, derived_series, derived_span,
                            direct_sum, dumps, exp_ad, free_two_step,
                            from_json_dict, full_subspace, is_abelian,
-                           is_nilpotent, is_perfect, is_semisimple,
+                           is_ideal, is_nilpotent, is_perfect, is_semisimple,
                            is_solvable, killing_form, loads,
                            lower_central_series, quotient_by_ideal,
                            semidirect, solvable_radical, subalgebra,
@@ -627,11 +629,10 @@ def all_pairs_series(g, sub, lower):
     return series
 
 
-def all_brackets_is_ideal(u):
+def all_brackets_is_ideal(g, u):
     """[b_i, r] in u for every basis vector b_i and basis row r, each
-    bracket summed from the table: the reference for Subspace.is_ideal."""
+    bracket summed from the table: the reference for is_ideal."""
     from disemi.linalg import sparse
-    g = u.parent
     return all(u.contains(g.sparse_bracket({i: 1}, sparse(r)))
                for r in u.basis for i in range(g.dim))
 
@@ -687,18 +688,18 @@ class TestIdealMatchesAllBrackets:
             # the first radical coordinate alone
             subs.append(Subspace(g, [g.basis_vector(g.levi_basis.dim)]))
             for u in subs:
-                verdicts.append(u.is_ideal())
-                assert verdicts[-1] == all_brackets_is_ideal(u), (g, u)
+                verdicts.append(is_ideal(g, u))
+                assert verdicts[-1] == all_brackets_is_ideal(g, u), (g, u)
         assert True in verdicts and False in verdicts
 
     def test_levi_rows_of_a_semidirect_product(self):
         for t in (A2, SimpleType("C", 3)):
             g = semidirect(chevalley(t), natural(t))
-            assert not g.levi_basis.is_ideal()
-            assert not all_brackets_is_ideal(g.levi_basis)
+            assert not is_ideal(g, g.levi_basis)
+            assert not all_brackets_is_ideal(g, g.levi_basis)
             rad = Subspace(g, [g.basis_vector(i)
                                for i in range(g.levi_basis.dim, g.dim)])
-            assert rad.is_ideal() and all_brackets_is_ideal(rad)
+            assert is_ideal(g, rad) and all_brackets_is_ideal(g, rad)
 
     def test_free_two_step(self):
         # v1, v2, v3 generate; v4, v5, v6 = [v1, v2], [v1, v3], [v2, v3]
@@ -706,7 +707,7 @@ class TestIdealMatchesAllBrackets:
         for coords, want in (((0,), False), ((0, 3), False),
                              ((0, 3, 4), True), ((3, 4, 5), True)):
             u = Subspace(f, [f.basis_vector(i) for i in coords])
-            assert u.is_ideal() == all_brackets_is_ideal(u) == want
+            assert is_ideal(f, u) == all_brackets_is_ideal(f, u) == want
 
     def test_non_integral_table(self):
         g = rescaled(sl2_natural_semidirect(),
@@ -715,5 +716,279 @@ class TestIdealMatchesAllBrackets:
         for rows in ([[0, 0, 0, 1, 0], [0, 0, 0, 0, 1]],
                      [[0, 1, 0, 0, 0]], [[1, 0, 0, Fraction(1, 2), 0]]):
             u = Subspace(g, rows)
-            assert u.is_ideal() == all_brackets_is_ideal(u)
+            assert is_ideal(g, u) == all_brackets_is_ideal(g, u)
 
+
+
+# The read paths of the i < j table that LieAlgebra.brackets replaced,
+# kept as references for it: the sign-flipping structure, the bracket
+# over the cleared table, the two-sided ad, and the ideal and derivation
+# checks over a per-index list of brackets built from the cleared table.
+
+def cleared_table(g):
+    """(den, the table cleared to ints) as the table held it."""
+    den, rows = clear_denominators(list(g.table.values()))
+    return den, dict(zip(g.table, rows))
+
+
+def table_structure(g, i, j):
+    if i == j:
+        return {}
+    if i < j:
+        return g.table.get((i, j), {})
+    return {k: -c for k, c in g.table.get((j, i), {}).items()}
+
+
+def table_sparse_bracket(cleared, x, y):
+    """[x, y] over cleared = cleared_table(g)."""
+    d, table = cleared
+    if type(sum(x.values()) + sum(y.values())) is not int:
+        dx, x = clear(x)
+        dy, y = clear(y)
+        d *= dx * dy
+    out = {}
+    for i, xi in x.items():
+        for j, yj in y.items():
+            if i < j:
+                row, coeff = table.get((i, j)), xi * yj
+            elif i > j:
+                row, coeff = table.get((j, i)), -xi * yj
+            else:
+                continue
+            if row:
+                for k, c in row.items():
+                    out[k] = out.get(k, 0) + coeff * c
+    return out if d == 1 else {k: divide(c, d) for k, c in out.items()}
+
+
+def table_ad(g, x):
+    m = [{} for _ in range(g.dim)]
+    for (i, j), row in g.table.items():
+        xi, xj = x[i], x[j]
+        for k, c in row.items():
+            if xi:
+                m[k][j] = m[k].get(j, 0) + xi * c
+            if xj:
+                m[k][i] = m[k].get(i, 0) - xj * c
+    return [{j: v for j, v in row.items() if v} for row in m]
+
+
+def table_index(g):
+    """Per basis index q, the pairs (b, den [b_q, b_b]) that are nonzero."""
+    index = [[] for _ in range(g.dim)]
+    for (a, b), row in cleared_table(g)[1].items():
+        index[a].append((b, row))
+        index[b].append((a, {k: -c for k, c in row.items()}))
+    return index
+
+
+def table_is_ideal(index, sub):
+    """is_ideal over index = table_index(g)."""
+    for r in map(sparse, sub.basis):
+        brackets = {}
+        for j, x in r.items():
+            for i, row in index[j]:
+                out = brackets.setdefault(i, {})
+                for k, c in row.items():
+                    out[k] = out.get(k, 0) + x * c
+        if not all(map(sub.contains, brackets.values())):
+            return False
+    return True
+
+
+def table_is_derivation(index, cols):
+    """_is_derivation over index = table_index(n)."""
+    defect = {}
+    for a in range(len(index)):
+        for b, row in index[a]:
+            for k, c in row.items():
+                for q, x in cols[k].items():
+                    defect[a, b, q] = defect.get((a, b, q), 0) + c * x
+        for q, x in cols[a].items():
+            for b, row in index[q]:
+                for k, c in row.items():
+                    defect[a, b, k] = defect.get((a, b, k), 0) - x * c
+                    defect[b, a, k] = defect.get((b, a, k), 0) + x * c
+    return not any(defect.values())
+
+
+def typed(v):
+    """A sparse vector with the type of every entry, so that == also
+    compares types."""
+    return {k: (type(x), x) for k, x in v.items()}
+
+
+@pytest.fixture(scope="module")
+def index_algebras(type12_algebras):
+    """Chevalley A1-A6, B2-B4, C2-C4, D4, D5; the 12 A3/A4 type-1/2
+    constructions and their --sc JSON round trips; free 2-step algebras;
+    sl2 with non-integral constants."""
+    out = [chevalley(SimpleType(f, r)) for f, r in
+           [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("A", 5), ("A", 6),
+            ("B", 2), ("B", 3), ("B", 4), ("C", 2), ("C", 3), ("C", 4),
+            ("D", 4), ("D", 5)]]
+    out += type12_algebras
+    out += [loads(dumps(g)) for g in type12_algebras]
+    out += [free_two_step(natural(SimpleType(*t)))[0]
+            for t in (("A", 1), ("A", 2), ("A", 3), ("C", 2))]
+    out += [RESCALED_SL2,
+            rescaled(sl2_natural_semidirect(),
+                     [Fraction(1, 3), 2, Fraction(-1, 2), Fraction(3, 4), 5])]
+    return out
+
+
+def random_vectors(g, rng, count):
+    """count sparse vectors with a few int and Fraction entries."""
+    return [{rng.randrange(g.dim): rng.choice([1, -2, 3, Fraction(1, 2),
+                                               Fraction(-5, 3)])
+             for _ in range(3)} for _ in range(count)]
+
+
+class TestBracketIndex:
+    """LieAlgebra.brackets against the table reads it replaced."""
+
+    def test_both_orders_antisymmetric(self, index_algebras):
+        for g in index_algebras:
+            assert len(g.brackets) == g.dim
+            for i in range(g.dim):
+                assert i not in g.brackets[i]
+                for j in range(g.dim):
+                    row = g.brackets[i].get(j, {})
+                    assert g.brackets[j].get(i, {}) == {
+                        k: -c for k, c in row.items()}, (g, i, j)
+                    assert all(type(c) is int and c for c in row.values())
+
+    def test_structure(self, index_algebras):
+        for g in index_algebras:
+            for i in range(g.dim):
+                for j in range(g.dim):
+                    assert (typed(g.structure(i, j))
+                            == typed(table_structure(g, i, j))), (g, i, j)
+
+    def test_sparse_bracket(self, index_algebras):
+        rng = random.Random(21)
+        for g in index_algebras:
+            cleared = cleared_table(g)
+            vectors = [{i: 1} for i in range(g.dim)]
+            pairs = [(x, y) for x in vectors for y in vectors]
+            xs = random_vectors(g, rng, 12)
+            pairs += list(zip(xs, xs[::-1])) + [(x, {i: 1}) for x in xs
+                                                for i in range(g.dim)]
+            for x, y in pairs:
+                assert (typed(g.sparse_bracket(x, y))
+                        == typed(table_sparse_bracket(cleared, x, y))), (g, x, y)
+
+    def test_ad(self, index_algebras):
+        rng = random.Random(22)
+        for g in index_algebras:
+            xs = [g.basis_vector(i) for i in range(g.dim)]
+            xs += [dense(v, g.dim) for v in random_vectors(g, rng, 6)]
+            for x in xs:
+                assert ([typed(r) for r in g.ad(x)]
+                        == [typed(r) for r in table_ad(g, x)]), (g, x)
+
+    def test_is_ideal(self, index_algebras):
+        verdicts = []
+        for g in index_algebras:
+            subs = [zero_subspace(g), full_subspace(g),
+                    Subspace(g, [g.basis_vector(0)]),
+                    Subspace(g, [g.basis_vector(g.dim - 1)])]
+            subs += lower_central_series(g)[1:] + derived_series(g)[1:]
+            if g.levi_basis is not None:
+                ds = g.levi_basis.dim
+                subs += [g.levi_basis,
+                         Subspace(g, [g.basis_vector(i)
+                                      for i in range(ds, g.dim)])]
+            index = table_index(g)
+            for u in subs:
+                verdicts.append(is_ideal(g, u))
+                assert verdicts[-1] == table_is_ideal(index, u), (g, u)
+        assert True in verdicts and False in verdicts
+
+    def test_is_derivation(self, index_algebras):
+        import disemi.liealg as liealg
+        verdicts = []
+        for g in index_algebras:
+            index = table_index(g)
+            for i in range(g.dim):
+                cols = [dict(c) for c in columns(g.ad(g.basis_vector(i)),
+                                                 g.dim)]
+                # ad b_i is a derivation; ad b_i plus a unit at (i, i)
+                # may not be one
+                cols_off = [dict(c) for c in cols]
+                cols_off[i][i] = cols_off[i].get(i, 0) + 1
+                for c in (cols, cols_off):
+                    verdicts.append(liealg._is_derivation(g, c))
+                    assert verdicts[-1] == table_is_derivation(index, c), (g, i)
+        assert True in verdicts and False in verdicts
+
+
+class TestJacobiVisitsNonzeroBrackets:
+    def spy(self, monkeypatch):
+        import disemi.liealg as liealg
+        calls = []
+        is_derivation = liealg._is_derivation
+        monkeypatch.setattr(liealg, "_is_derivation",
+                            lambda n, c: calls.append(n) or is_derivation(n, c))
+        return calls
+
+    def test_abelian_algebra_needs_no_derivation_check(self, monkeypatch):
+        calls = self.spy(monkeypatch)
+        assert check_jacobi(abelian_algebra(3000))
+        assert calls == []
+
+    def test_one_check_per_basis_element(self, monkeypatch):
+        calls = self.spy(monkeypatch)
+        g = chevalley(SimpleType("A", 3))
+        assert check_jacobi(g)
+        assert len(calls) == g.dim == 15
+
+
+class TestSeriesStartAtTheSubspace:
+    def test_first_term_is_the_given_subspace(self, type12_algebras):
+        for g in type12_algebras:
+            rad = _radical(g)
+            assert lower_central_series(g, rad)[0] is rad
+            assert derived_series(g, rad)[0] is rad
+            assert lower_central_series(g)[0] == full_subspace(g)
+
+
+class TestNoCycles:
+    """A LieAlgebra and its Subspaces do not reference each other, so
+    constructing and certifying leaves nothing for the cyclic garbage
+    collector."""
+
+    def collected_after(self, work):
+        import gc
+        gc.collect()
+        gc.disable()
+        try:
+            work()
+            return gc.collect()
+        finally:
+            gc.enable()
+
+    def test_type12_construct_and_certify(self):
+        from disemi.classify import (construct_type1, construct_type2,
+                                     type12_candidates)
+        from disemi.prehom import certify_disemisimple
+
+        def work():
+            for t in (SimpleType("A", 3), SimpleType("A", 4)):
+                for c in type12_candidates(t):
+                    build = (construct_type1 if c.kind == "type1"
+                             else construct_type2)
+                    certify_disemisimple(build(t, *c.labels))
+        assert self.collected_after(work) == 0
+
+    def test_certify_from_structure_constants(self):
+        from disemi.classify import construct_type1
+        from disemi.prehom import Refusal, certify_disemisimple
+        g = construct_type1(SimpleType("A", 3), ((0, 0, 1),), ((0, 1, 0),))
+        data, rows = to_json_dict(g), g.levi_basis.basis
+
+        def work():
+            h = from_json_dict(data)
+            assert isinstance(certify_disemisimple(h, Subspace(h, rows)),
+                              Refusal)
+        assert self.collected_after(work) == 0
