@@ -13,19 +13,20 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .linalg import (IncrementalSpan, apply, clear, clear_denominators,
-                     columns, combination, commutator, dense, divide,
-                     identity, matmul, nullspace, rank, sparse)
+from .linalg import (IncrementalSpan, apply, clear_denominators, columns,
+                     combination, commutator, dense, divide, identity,
+                     matmul, normal, nullspace, rank, sparse)
 from .rootdata import SimpleType, record
 
 
 class LieAlgebra:
     """Finite-dimensional Lie algebra by sparse structure constants.
 
-    table maps (i, j) with i < j to {k: c} describing [b_i, b_j]; the
-    antisymmetric half is implied.  Every bracket is read off brackets:
-    brackets[i][j] = _den [b_i, b_j] over ints, in both orders, where it
-    is nonzero; _den is the least int > 0 making the table integral.
+    table maps (i, j) with 0 <= i < j < dim to {k: c} describing
+    [b_i, b_j], each c an int where it is integral and a Fraction
+    otherwise (normal); the antisymmetric half is implied.  Every bracket
+    is read off brackets: brackets[i][j] = [b_i, b_j] in both orders
+    where it is nonzero, and for i < j it is the table row itself.
     Instances are immutable by convention.  levi_basis is metadata
     recorded by constructors that know a Levi subalgebra by construction;
     levi_spec, when set, is the SemisimpleSpec whose algebra() the
@@ -34,15 +35,16 @@ class LieAlgebra:
 
     def __init__(self, dim, table, labels=None):
         self.dim = dim
-        keys = [k for k, v in table.items() if v]
-        self._den, rows = clear_denominators([table[k] for k in keys])
-        # the cleared rows are the table itself when it is integral
-        self.table = (dict(zip(keys, rows)) if self._den == 1
-                      else {k: dict(table[k]) for k in keys})
+        self.table = {}
         self.brackets = [{} for _ in range(dim)]
-        for (i, j), row in zip(keys, rows):
-            self.brackets[i][j] = row
-            self.brackets[j][i] = {k: -c for k, c in row.items()}
+        for (i, j), row in table.items():
+            if not (0 <= i < j < dim and all(0 <= k < dim for k in row)):
+                raise ValueError("table entry %r: [b_i, b_j] = sum c b_k "
+                                 "needs 0 <= i < j < %d and 0 <= k < %d"
+                                 % ((i, j), dim, dim))
+            if row:
+                self.table[i, j] = self.brackets[i][j] = row = normal(row)
+                self.brackets[j][i] = {k: -c for k, c in row.items()}
         self.labels = list(labels) if labels else None
         self.levi_basis = None
         self.levi_spec = None
@@ -50,24 +52,14 @@ class LieAlgebra:
     def __repr__(self):
         return "LieAlgebra(dim=%d)" % self.dim
 
-    def _unscaled(self, row):
-        """row / _den, in Fractions as the table holds them if _den > 1."""
-        d = self._den
-        return row if d == 1 else {k: Fraction(c, d) for k, c in row.items()}
-
     def structure(self, i, j):
         """[b_i, b_j] as a sparse {k: c} dict."""
-        return self._unscaled(self.brackets[i].get(j, {}))
+        return self.brackets[i].get(j, {})
 
     def sparse_bracket(self, x, y):
         """[x, y] for sparse {index: coefficient} vectors, as a dict
-        (entries that cancel are kept as zeros).  It is bilinear, so it
-        is summed over the cleared x, y and brackets and divided once."""
-        d = self._den
-        if type(sum(x.values()) + sum(y.values())) is not int:
-            dx, x = clear(x)
-            dy, y = clear(y)
-            d *= dx * dy
+        (entries that cancel are kept as zeros), each entry an int where
+        it is integral."""
         out = {}
         for i, xi in x.items():
             index = self.brackets[i]
@@ -77,7 +69,11 @@ class LieAlgebra:
                     coeff = xi * yj
                     for k, c in row.items():
                         out[k] = out.get(k, 0) + coeff * c
-        return out if d == 1 else {k: divide(c, d) for k, c in out.items()}
+        # a sum of ints is an int, and one Fraction makes it a Fraction
+        if type(sum(out.values())) is int:
+            return out
+        return {k: c.numerator if c.denominator == 1 else c
+                for k, c in out.items()}
 
     def bracket(self, x, y):
         """[x, y] for dense coordinate vectors, as a dense vector."""
@@ -92,8 +88,7 @@ class LieAlgebra:
                 for j, row in self.brackets[i].items():
                     for k, c in row.items():
                         m[k][j] = m[k].get(j, 0) + xi * c
-        return [self._unscaled({j: v for j, v in row.items() if v})
-                for row in m]
+        return [normal(row) for row in m]
 
     def basis_vector(self, i):
         v = [0] * self.dim
@@ -311,7 +306,7 @@ def derived_span(g, rows1, rows2):
 
 
 def derived_rows(g):
-    """Independent sparse rows spanning [g, g], from the (cleared)
+    """Independent sparse rows spanning [g, g], from the
     brackets [b_i, b_j] with i < j, in table order."""
     span = IncrementalSpan()
     return [row for row in (g.brackets[i][j] for i, j in g.table)
@@ -365,9 +360,9 @@ def is_abelian(g):
 
 def killing_form(g):
     """The row-dict matrix K[i][j] = trace(ad b_i . ad b_j), read off
-    brackets: [b_p, b_q] = sum c b_k puts c at (k, q) of _den ad b_p,
-    and K[i][j] sums (ad b_i)[a][b] (ad b_j)[b][a] over the positions
-    (a, b) of these entries, divided once by _den ** 2."""
+    brackets: [b_p, b_q] = sum c b_k puts c at (k, q) of ad b_p, and
+    K[i][j] sums (ad b_i)[a][b] (ad b_j)[b][a] over the positions (a, b)
+    of these entries."""
     entries = {}          # (a, b) -> [(i, entry of ad b_i at (a, b))]
     for p, index in enumerate(g.brackets):
         for q, row in index.items():
@@ -381,9 +376,7 @@ def killing_form(g):
                 row = k[i]
                 for j, d in right:
                     row[j] = row.get(j, 0) + c * d
-    d = g._den ** 2
-    return [{j: x if d == 1 else Fraction(x, d) for j, x in row.items() if x}
-            for row in k]
+    return [normal(row) for row in k]
 
 
 def is_semisimple(g):
@@ -429,8 +422,7 @@ def is_ideal(g, sub):
     """True iff [b_i, r] lies in sub for every basis vector b_i of g and
     every basis row r.  Per r, every [r, b_i] = sum_j r_j [b_j, b_i] is
     summed in one pass over g.brackets, and only nonzero ones are
-    tested: 0 lies in every subspace, and the sign and _den do not
-    change membership."""
+    tested: 0 lies in every subspace."""
     for r in map(sparse, sub.basis):
         out = {}
         for j, x in r.items():
@@ -675,10 +667,10 @@ def rational(x):
 
 def from_json_dict(data):
     """Inverse of to_json_dict.  The input is checked before use, so a
-    malformed one raises ValueError: the schema, integer indices below
-    dim with i < j in every entry [i, j, [[k, c], ...]], no repeated
-    [i, j] and no repeated k within an entry, and rational
-    coefficients."""
+    malformed one raises ValueError: the schema, a natural number dim,
+    integer indices in every entry [i, j, [[k, c], ...]], no repeated
+    [i, j] and no repeated k within an entry, and rational coefficients;
+    LieAlgebra checks that the indices are below dim with i < j."""
     try:
         dim = data["dim"]
         entries = [((i, j), [(k, rational(c)) for k, c in row])
@@ -693,11 +685,9 @@ def from_json_dict(data):
                          "may appear once")
     indices = [x for (i, j), row in table.items() for x in (i, j, *row)]
     if type(dim) is not int or dim < 0 or not all(
-            type(x) is int and 0 <= x < dim for x in indices):
+            type(x) is int for x in indices):
         raise ValueError("'dim' must be a natural number and every index "
-                         "an integer below it")
-    if any(i >= j for i, j in table):
-        raise ValueError("every entry [i, j, ...] needs i < j")
+                         "an integer")
     if labels is not None and not (isinstance(labels, list)
                                    and len(labels) == dim):
         raise ValueError("'labels' must name each of the %d basis vectors" % dim)

@@ -123,6 +123,13 @@ def divide(x, d):
     return Fraction(x, d) if x % d else x // d
 
 
+def normal(v):
+    """The nonzero entries of a sparse vector of ints and Fractions,
+    each an int where it is integral and a Fraction otherwise."""
+    return {k: x.numerator if x.denominator == 1 else x
+            for k, x in v.items() if x}
+
+
 class IncrementalSpan:
     """Grows a row space one vector at a time, with coordinate recovery.
 

@@ -13,8 +13,7 @@ import random
 from fractions import Fraction
 from itertools import chain
 
-from .linalg import (clear_denominators, columns, dense, rank, rank_mod_p,
-                     sparse)
+from .linalg import columns, dense, rank, rank_mod_p, sparse
 from .liealg import (LinearMap, Subspace, apply_map_subspace, exp_ad,
                      is_semisimple, lower_central_series, solvable_radical,
                      subalgebra, sum_spans)
@@ -380,16 +379,14 @@ def certify_disemisimple(g, levi=None, mode=None):
 
 def _is_bracket_preserving(g, phi):
     """Exact check of phi([b_i, b_j]) = [phi b_i, phi b_j] on all basis
-    pairs, times the least L > 0 making Phi = L phi integral: as
-    L Phi([b_i, b_j]) = [Phi b_i, Phi b_j] on the sparse columns of Phi."""
-    scale, cleared = clear_denominators(phi.matrix)
-    images = [dict(col) for col in columns(cleared, g.dim)]
+    pairs, on the sparse columns of phi."""
+    images = [dict(col) for col in columns(phi.matrix, g.dim)]
     for j in range(g.dim):
         for i in range(j):
             lhs = {}
             for k, c in g.structure(i, j).items():
                 for a, x in images[k].items():
-                    lhs[a] = lhs.get(a, 0) + scale * c * x
+                    lhs[a] = lhs.get(a, 0) + c * x
             if sparse(lhs) != sparse(g.sparse_bracket(images[i], images[j])):
                 return False
     return True

@@ -11,7 +11,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .linalg import (IncrementalSpan, apply, columns, combination, commutator,
-                     dense, divide, matmul, nullspace, sparse)
+                     dense, matmul, normal, nullspace, sparse)
 from .liealg import (_chevalley_with_matrices, chevalley,
                      direct_sum as algebra_direct_sum)
 from .rootdata import SimpleType, as_coords, dual_weight, record, weyl_dim
@@ -180,9 +180,7 @@ class Representation:
         self.dim = len(action[0]) if action else 0
         if any(len(m) != self.dim for m in action):
             raise ValueError("every action matrix needs one row per coordinate")
-        self.action = [[{b: divide(x.numerator, x.denominator)
-                         for b, x in row.items() if x} for row in m]
-                       for m in action]
+        self.action = [[normal(row) for row in m] for m in action]
         self.weight_basis = (spec is not None and algebra is spec.algebra()
                              and cartan_is_diagonal(spec, self.action))
         self._weights = None

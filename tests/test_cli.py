@@ -1,12 +1,14 @@
 import contextlib
 import io
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from disemi.cli import main
 from disemi.liealg import chevalley, semidirect, to_json_dict
+from disemi.modexpr import parse_algebra, parse_module, to_representation
 from disemi.repbuilder import natural
 from disemi.rootdata import SimpleType
 
@@ -444,3 +446,83 @@ class TestGoldenOutput:
             '"radical_certificate":{"verdict":"not_prehomogeneous",'
             '"reason":"symbolic_rank_deficit","generic_rank":5,'
             '"mode":"symbolic"}}}\n')
+
+
+def sc_payload(g, levi_dim, scales=None):
+    """A --sc payload for g with the leading levi_dim unit rows as its
+    Levi; scales rescales the basis to scales[i] b_i, which turns the
+    constants c of [b_i, b_j] at b_k into c s_i s_j / s_k."""
+    data = to_json_dict(g)
+    if scales is not None:
+        for entry in data["entries"]:
+            i, j, row = entry
+            entry[2] = [[k, str(Fraction(c) * scales[i] * scales[j]
+                                / scales[k])] for k, c in row]
+    rows = [["1" if c == r else "0" for c in range(g.dim)]
+            for r in range(levi_dim)]
+    return {"algebra": data, "levi_basis": rows}
+
+
+def sl2_natural_rescaled():
+    a1 = SimpleType("A", 1)
+    return sc_payload(semidirect(chevalley(a1), natural(a1)), 3,
+                      [Fraction(1, 3), 2, Fraction(-1, 2), Fraction(3, 4), 5])
+
+
+def sl3_sym2():
+    spec = parse_algebra("A2")
+    rep = to_representation(parse_module("L(2,0)", spec), spec)
+    return sc_payload(semidirect(spec.algebra(), rep), 8)
+
+
+SL3_SYM2_REFUSAL = (
+    '{"refused":true,"reason":"radical_not_prehomogeneous",'
+    '"radical_certificate":{"verdict":"not_prehomogeneous",'
+    '"reason":"symbolic_rank_deficit","generic_rank":5,"mode":"symbolic"}}\n')
+
+
+class TestNonIntegralCertifyGolden:
+    """Certify on algebras whose structure constants are not all
+    integers: frozen byte-level outputs."""
+
+    def test_sl3_sym2(self, capsys):
+        # the Sym^2 action of sl3 has entries 1/2, so the table does too
+        assert run(capsys, "certify", "A2", "L(2,0)", "--json") == (
+            1, SL3_SYM2_REFUSAL, "")
+
+    def test_sp6_wedge2(self, capsys):
+        assert run(capsys, "certify", "C3", "L(0,1,0)", "--json") == (
+            1, '{"refused":true,"reason":"radical_not_prehomogeneous",'
+            '"radical_certificate":{"verdict":"not_prehomogeneous",'
+            '"reason":"symbolic_rank_deficit","generic_rank":12,'
+            '"mode":"symbolic"}}\n', "")
+
+    def test_sl3_sym2_structure_constant_file(self, capsys, tmp_path):
+        payload = sl3_sym2()
+        assert any("/" in c for _, _, row in payload["algebra"]["entries"]
+                   for _, c in row)
+        path = tmp_path / "alg.json"
+        path.write_text(json.dumps(payload))
+        assert run(capsys, "certify", "--sc", str(path), "--json") == (
+            1, SL3_SYM2_REFUSAL, "")
+
+    def test_rescaled_sl2_natural_structure_constant_file(self, capsys,
+                                                          tmp_path):
+        # a Yes whose automorphism phi has non-integral entries
+        payload = sl2_natural_rescaled()
+        assert any("/" in c for _, _, row in payload["algebra"]["entries"]
+                   for _, c in row)
+        path = tmp_path / "alg.json"
+        path.write_text(json.dumps(payload))
+        assert run(capsys, "certify", "--sc", str(path), "--json") == (
+            0, '{"refused":false,"levi_basis":[["1","0","0","0","0"],'
+            '["0","1","0","0","0"],["0","0","1","0","0"]],'
+            '"z":["0","0","0","-10","9"],'
+            '"phi":[["1","0","0","0","0"],["0","1","0","0","0"],'
+            '["0","0","1","0","0"],["10/3","-120","0","1","0"],'
+            '["3","0","-3/4","0","1"]],'
+            '"s2_basis":[["1","0","0","10/3","3"],["0","1","0","-120","0"],'
+            '["0","0","1","0","-3/4"]],"intersection_dim":1,'
+            '"radical_certificate":{"verdict":"prehomogeneous",'
+            '"witness":["10","-9"],"rank":2,"mode":"randomized",'
+            '"seed":1729,"trials_used":1}}\n', "")

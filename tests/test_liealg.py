@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from disemi.linalg import (apply, clear, clear_denominators, columns,
                            combination, commutator, dense, divide, matmul,
-                           nullspace, sparse)
+                           normal, nullspace, sparse)
 from disemi.liealg import (LieAlgebra, Subspace, abelian_algebra, chevalley,
                            check_jacobi, derived_series, derived_span,
                            direct_sum, dumps, exp_ad, free_two_step,
@@ -19,6 +19,7 @@ from disemi.liealg import (LieAlgebra, Subspace, abelian_algebra, chevalley,
                            sum_spans, to_json_dict, zero_algebra,
                            zero_subspace,
                            _chevalley_with_matrices)
+from disemi.modexpr import parse_algebra, parse_module, to_representation
 from disemi.rootdata import SimpleType, cartan_matrix
 from disemi.repbuilder import (Representation, SemisimpleSpec, decompose,
                                natural, spec_of)
@@ -118,8 +119,8 @@ class TestIntegerBracket:
             max_size=4)] * 2)))
     @settings(max_examples=150, deadline=None)
     def test_matches_fraction_bracket(self, case):
-        # cleared to ints, bracketed over Z and divided once: the same
-        # values as Fraction arithmetic, an int wherever one is integral
+        # summed over the exact table: the same values as Fraction
+        # arithmetic, an int wherever one is integral
         which, x, y = case
         g = RESCALED_SL2 if which == "rescaled" else chevalley(SimpleType(*which))
         got = {k: v for k, v in g.sparse_bracket(x, y).items() if v}
@@ -223,8 +224,8 @@ class TestKillingForm:
 
 
 def naive_killing_form(g):
-    """trace(ad b_i . ad b_j) from the ad matrices of the basis: the
-    reference for killing_form."""
+    """trace(ad b_i . ad b_j) from the ad matrices of the basis, each
+    entry an int where it is integral: the reference for killing_form."""
     ads = [g.ad(g.basis_vector(i)) for i in range(g.dim)]
     k = [{} for _ in range(g.dim)]
     for i, mi in enumerate(ads):
@@ -233,7 +234,7 @@ def naive_killing_form(g):
                     for a, row in enumerate(mi) for b, c in row.items())
             if s:
                 k[i][j] = k[j][i] = s
-    return k
+    return [normal(row) for row in k]
 
 
 def naive_radical_basis(g):
@@ -254,6 +255,11 @@ def rescaled(g, scales):
         entry[2] = [[k, str(Fraction(c) * scales[i] * scales[j] / scales[k])]
                     for k, c in row]
     return from_json_dict(data)
+
+
+def has_fraction_constant(g):
+    return any(type(c) is Fraction for row in g.table.values()
+               for c in row.values())
 
 
 def table_read_algebras():
@@ -289,7 +295,7 @@ class TestTableReads:
                     == [{j: type(x) for j, x in row.items()} for row in ref])
 
     def test_non_integral_constants_give_fractions(self, algebras):
-        g = next(g for g in algebras if g._den > 1)
+        g = next(g for g in algebras if has_fraction_constant(g))
         assert any(type(x) is Fraction for row in killing_form(g)
                    for x in row.values())
 
@@ -594,6 +600,31 @@ class TestSerialization:
         assert dumps(g) + "\n" == path.read_text()
 
 
+class TestTableValidation:
+    """Every table key (i, j) has 0 <= i < j < dim, and every bracket
+    names basis vectors below dim."""
+
+    @pytest.mark.parametrize("table", [
+        {(1, 1): {0: 1}},       # [b_1, b_1] is 0, not -b_0
+        {(1, 0): {0: 1}},       # the table keeps i < j only
+        {(1, 0): {}},
+        {(-1, 1): {0: 1}},
+        {(0, 2): {0: 1}},       # b_2 in a 2-dimensional algebra
+        {(0, 1): {2: 1}},
+        {(0, 1): {0: 1, -1: 0}},
+    ], ids=["i-equals-j", "i-above-j", "i-above-j-empty", "negative-i",
+            "j-is-dim", "k-is-dim", "negative-k"])
+    def test_rejected(self, table):
+        with pytest.raises(ValueError, match="0 <= i < j < 2"):
+            LieAlgebra(2, table)
+
+    @pytest.mark.parametrize("entry", [[1, 0, [[0, "1"]]], [1, 1, [[0, "1"]]],
+                                       [0, 2, [[0, "1"]]], [0, 1, [[2, "1"]]]])
+    def test_json_rejected(self, entry):
+        with pytest.raises(ValueError):
+            from_json_dict({"dim": 2, "entries": [entry]})
+
+
 class TestDerivedSeries:
     def test_solvable_chain(self):
         g = two_dim_solvable()
@@ -712,7 +743,7 @@ class TestIdealMatchesAllBrackets:
     def test_non_integral_table(self):
         g = rescaled(sl2_natural_semidirect(),
                      [Fraction(1, 3), 2, Fraction(-1, 2), Fraction(3, 4), 5])
-        assert g._den > 1
+        assert has_fraction_constant(g)
         for rows in ([[0, 0, 0, 1, 0], [0, 0, 0, 0, 1]],
                      [[0, 1, 0, 0, 0]], [[1, 0, 0, Fraction(1, 2), 0]]):
             u = Subspace(g, rows)
@@ -770,7 +801,7 @@ def table_ad(g, x):
                 m[k][j] = m[k].get(j, 0) + xi * c
             if xj:
                 m[k][i] = m[k].get(i, 0) - xj * c
-    return [{j: v for j, v in row.items() if v} for row in m]
+    return [normal(row) for row in m]
 
 
 def table_index(g):
@@ -810,6 +841,11 @@ def table_is_derivation(index, cols):
                     defect[a, b, k] = defect.get((a, b, k), 0) - x * c
                     defect[b, a, k] = defect.get((b, a, k), 0) + x * c
     return not any(defect.values())
+
+
+def is_normal(x):
+    """True iff x is an int exactly when it is integral."""
+    return type(x) is (int if x.denominator == 1 else Fraction)
 
 
 def typed(v):
@@ -856,7 +892,7 @@ class TestBracketIndex:
                     row = g.brackets[i].get(j, {})
                     assert g.brackets[j].get(i, {}) == {
                         k: -c for k, c in row.items()}, (g, i, j)
-                    assert all(type(c) is int and c for c in row.values())
+                    assert all(c and is_normal(c) for c in row.values())
 
     def test_structure(self, index_algebras):
         for g in index_algebras:
@@ -921,6 +957,75 @@ class TestBracketIndex:
                     verdicts.append(liealg._is_derivation(g, c))
                     assert verdicts[-1] == table_is_derivation(index, c), (g, i)
         assert True in verdicts and False in verdicts
+
+
+def sl3_sym2_semidirect():
+    """sl3 |x Sym^2 C^3, whose table has constants 1/2."""
+    spec = parse_algebra("A2")
+    rep = to_representation(parse_module("L(2,0)", spec), spec)
+    return semidirect(spec.algebra(), rep)
+
+
+class TestOneConvention:
+    """The table row is the one store of [b_i, b_j], and every value the
+    readers return is an int exactly when it is integral."""
+
+    @pytest.fixture(scope="class")
+    def algebras(self):
+        out = [RESCALED_SL2,
+               rescaled(sl2_natural_semidirect(),
+                        [Fraction(1, 3), 2, Fraction(-1, 2), Fraction(3, 4), 5])]
+        out += [loads(dumps(g)) for g in out]
+        return out + [sl3_sym2_semidirect()]
+
+    def test_table_is_the_bracket_index(self, index_algebras, algebras):
+        for g in index_algebras + algebras:
+            for (i, j), row in g.table.items():
+                assert row is g.brackets[i][j], (g, i, j)
+            assert sum(map(len, g.brackets)) == 2 * len(g.table), g
+
+    def test_non_integral_tables(self, algebras):
+        assert all(map(has_fraction_constant, algebras))
+
+    def check(self, values):
+        values = list(values)
+        assert all(map(is_normal, values))
+        return {type(x) for x in values if x}
+
+    def test_structure(self, algebras):
+        types = set()
+        for g in algebras:
+            types |= self.check(c for i in range(g.dim) for j in range(g.dim)
+                                for c in g.structure(i, j).values())
+        assert types == {int, Fraction}
+
+    def test_sparse_bracket(self, algebras):
+        rng = random.Random(23)
+        types = set()
+        for g in algebras:
+            xs = [{i: 1} for i in range(g.dim)] + random_vectors(g, rng, 12)
+            types |= self.check(c for x in xs for y in xs
+                                for c in g.sparse_bracket(x, y).values())
+        assert types == {int, Fraction}
+
+    def test_ad(self, algebras):
+        rng = random.Random(24)
+        types = set()
+        for g in algebras:
+            xs = [g.basis_vector(i) for i in range(g.dim)]
+            xs += [dense(v, g.dim) for v in random_vectors(g, rng, 6)]
+            types |= self.check(c for x in xs for row in g.ad(x)
+                                for c in row.values())
+        assert types == {int, Fraction}
+
+    def test_killing_form(self, algebras):
+        types = set()
+        for g in algebras:
+            types |= self.check(c for row in killing_form(g)
+                                for c in row.values())
+        assert types == {int, Fraction}
+        # the trace of products of Fraction constants, -5, is an int
+        assert killing_form(algebras[1])[1] == {2: -5}
 
 
 class TestJacobiVisitsNonzeroBrackets:

@@ -333,8 +333,8 @@ class TestCertify:
 
     def test_bracket_check_rejects_one_corrupted_entry(self):
         # phi = exp(ad z) for a rational z has Fraction entries, and the
-        # check runs on phi cleared to ints; it must still reject phi
-        # with any one entry moved by 1/7
+        # check sums them exactly; it must reject phi with any one entry
+        # moved by 1/7
         from disemi.liealg import LinearMap, exp_ad
         from disemi.prehom import _is_bracket_preserving
         g = semidirect(chevalley(A1), natural(A1))
