@@ -28,15 +28,10 @@ from .linalg import matmul
 
 # dim(s) - 1 for each desk-scale type: the dimension bound above which
 # no nonzero module can be prehomogeneous
-DESK_BOUNDS = {
-    SimpleType("A", 2): 7,
-    SimpleType("A", 3): 14,
-    SimpleType("A", 4): 23,
-    SimpleType("C", 2): 9,
-    SimpleType("C", 3): 20,
-    SimpleType("B", 3): 20,
-    SimpleType("D", 4): 27,
-}
+DESK_BOUNDS = {t: t.algebra_dim - 1 for t in (
+    SimpleType("A", 2), SimpleType("A", 3), SimpleType("A", 4),
+    SimpleType("C", 2), SimpleType("C", 3), SimpleType("B", 3),
+    SimpleType("D", 4))}
 
 
 def _lab(*blocks):
@@ -116,18 +111,15 @@ def vinberg_table(t):
         raise ValueError("B2 is isomorphic to C2; query the table via C2")
     if t.family == "D" and t.rank == 3:
         raise ValueError("D3 is isomorphic to A3; query the table via A3")
-    seen = set()
-    out = []
+    spec = _spec(t)
+    dims = {}
     for entry in VINBERG_ENTRIES:
         for desc, dim in entry.instantiate(t):
-            if desc.total_dim(_spec(t)) != dim:
+            if desc.total_dim(spec) != dim:
                 raise AssertionError("table dimension formula mismatch on %s"
                                      % (desc,))
-            if desc not in seen:
-                seen.add(desc)
-                out.append(desc)
-    out.sort(key=lambda d: (d.total_dim(_spec(t)), str(d)))
-    return out
+            dims[desc] = dim
+    return sorted(dims, key=lambda d: (dims[d], str(d)))
 
 
 def _spec(t):
@@ -322,16 +314,16 @@ def enumerate_modules(spec, dim_bound):
     while stack:
         idx, budget, current = stack.pop()
         if current:
-            results.append(current)
+            results.append((dim_bound - budget, ModuleDescriptor(current)))
         for k in range(idx, len(labels)):
             label, d = labels[k]
             if d <= budget:
                 stack.append((k, budget - d, current + (label,)))
     # each multiset takes non-decreasing indices into distinct labels, so
     # it comes once
-    yield from sorted(map(ModuleDescriptor, results),
-                      key=lambda d: (d.total_dim(spec),
-                                     [str(lab) for lab in d.labels()]))
+    results.sort(key=lambda r: (r[0], [str(lab) for lab in r[1].labels()]))
+    for _, desc in results:
+        yield desc
 
 
 # ---------------------------------------------------------------------------

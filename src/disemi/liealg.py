@@ -23,10 +23,11 @@ class LieAlgebra:
     """Finite-dimensional Lie algebra by sparse structure constants.
 
     table maps (i, j) with 0 <= i < j < dim to {k: c} describing
-    [b_i, b_j], each c an int where it is integral and a Fraction
-    otherwise (normal); the antisymmetric half is implied.  Every bracket
-    is read off brackets: brackets[i][j] = [b_i, b_j] in both orders
-    where it is nonzero, and for i < j it is the table row itself.
+    [b_i, b_j] where it is nonzero, each c an int where it is integral
+    and a Fraction otherwise (normal); the antisymmetric half is
+    implied.  Every bracket is read off brackets: brackets[i][j] =
+    [b_i, b_j] in both orders where it is nonzero, and for i < j it is
+    the table row itself.
     Instances are immutable by convention.  levi_basis is metadata
     recorded by constructors that know a Levi subalgebra by construction;
     levi_spec, when set, is the SemisimpleSpec whose algebra() the
@@ -42,8 +43,9 @@ class LieAlgebra:
                 raise ValueError("table entry %r: [b_i, b_j] = sum c b_k "
                                  "needs 0 <= i < j < %d and 0 <= k < %d"
                                  % ((i, j), dim, dim))
+            row = normal(row)
             if row:
-                self.table[i, j] = self.brackets[i][j] = row = normal(row)
+                self.table[i, j] = self.brackets[i][j] = row
                 self.brackets[j][i] = {k: -c for k, c in row.items()}
         self.labels = list(labels) if labels else None
         self.levi_basis = None

@@ -36,10 +36,6 @@ class SemisimpleSpec:
         return "x".join(str(t) for t in self.factors)
 
     @property
-    def ranks(self):
-        return tuple(t.rank for t in self.factors)
-
-    @property
     def dim(self):
         return sum(t.algebra_dim for t in self.factors)
 

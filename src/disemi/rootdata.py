@@ -8,7 +8,6 @@ is A[i][j] = <alpha_i, alpha_j^vee>, so a Chevalley basis satisfies
 [h_i, e_j] = A[j][i] e_j.  Long roots are normalised to squared length 2.
 """
 
-from fractions import Fraction
 from functools import lru_cache
 from operator import attrgetter
 
@@ -182,14 +181,14 @@ def cartan_matrix(t):
     return tuple(tuple(row) for row in a)
 
 
-def _half_lengths(t):
-    """(alpha_i, alpha_i)/2 per simple root, long roots normalised to 2."""
+def _squared_lengths(t):
+    """(alpha_i, alpha_i) per simple root: 2 for long roots, 1 for short."""
     l = t.rank
     if t.family == "B":
-        return [1] * (l - 1) + [Fraction(1, 2)]
+        return [2] * (l - 1) + [1]
     if t.family == "C":
-        return [Fraction(1, 2)] * (l - 1) + [1]
-    return [1] * l
+        return [1] * (l - 1) + [2]
+    return [2] * l
 
 
 @lru_cache(maxsize=None)
@@ -258,23 +257,23 @@ def num_positive_roots(t):
 def weyl_dim(t, lam):
     """Dimension of the irreducible module with highest weight lam.
 
-    Evaluates the Weyl dimension formula over exact rationals; for a
-    positive root alpha = sum c_j alpha_j and lam = sum m_j omega_j,
-    (lam + rho, alpha) = sum_j c_j d_j (m_j + 1) with d_j the half
-    squared root lengths.
+    Evaluates the Weyl dimension formula, the product over positive
+    roots alpha of (lam + rho, alpha) / (rho, alpha), over the integers:
+    for alpha = sum c_j alpha_j and lam = sum m_j omega_j,
+    (lam + rho, alpha) = sum_j c_j d_j (m_j + 1) / 2 with d_j the
+    squared length (alpha_j, alpha_j), and the factor 1/2 cancels in
+    each ratio.
     """
     coords = as_coords(t, lam)
-    rs = root_system(t)
-    d = _half_lengths(t)
+    d = _squared_lengths(t)
     num = 1
     den = 1
-    for alpha in rs.positive_roots:
+    for alpha in root_system(t).positive_roots:
         num *= sum(c * dj * (m + 1) for c, dj, m in zip(alpha, d, coords) if c)
         den *= sum(c * dj for c, dj in zip(alpha, d) if c)
-    dim = Fraction(num) / den
-    if dim.denominator != 1:
+    if num % den:
         raise AssertionError("non-integral Weyl dimension for %s, %r" % (t, coords))
-    return int(dim)
+    return num // den
 
 
 def dual_weight(t, lam):

@@ -5,7 +5,8 @@ import pytest
 
 from disemi import classify, repbuilder
 from disemi.classify import (DESK_BOUNDS, NotAFreeError, SKTriple,
-                             TypedModuleCandidate, _character, _multiplicity,
+                             TypedModuleCandidate, VINBERG_ENTRIES,
+                             _character, _multiplicity,
                              _tensor_character, _wedge2_character,
                              a_free_structure, candidate_labels,
                              castling_transform,
@@ -43,7 +44,28 @@ def lab(*blocks):
     return tuple(tuple(b) for b in blocks)
 
 
+def parent_vinberg_table(t):
+    """The table in its earlier order: entries deduplicated as met, then
+    sorted by each descriptor's total re-derived from its labels."""
+    spec = spec_of(t)
+    seen, out = set(), []
+    for entry in VINBERG_ENTRIES:
+        for desc, _ in entry.instantiate(t):
+            if desc not in seen:
+                seen.add(desc)
+                out.append(desc)
+    return sorted(out, key=lambda d: (d.total_dim(spec), str(d)))
+
+
 class TestVinbergTable:
+    @pytest.mark.parametrize("t", [SimpleType("A", l) for l in range(1, 8)]
+                             + [SimpleType("B", l) for l in range(3, 6)]
+                             + [SimpleType("C", l) for l in range(2, 6)]
+                             + [SimpleType("D", l) for l in range(4, 7)],
+                             ids=str)
+    def test_order_matches_the_totals_from_labels(self, t):
+        assert vinberg_table(t) == parent_vinberg_table(t)
+
     def test_a2(self):
         got = {str(d) for d in vinberg_table(A2)}
         assert got == {"L(1,0)", "L(0,1)", "2L(1,0)", "2L(0,1)"}
@@ -237,7 +259,32 @@ def oracle_enumeration(spec, bound):
     return found
 
 
+def parent_enumeration_order(spec, bound):
+    """enumerate_modules sorted as before: by the total each descriptor
+    re-derives from its labels, then by the labels."""
+    return sorted(enumerate_modules(spec, bound),
+                  key=lambda d: (d.total_dim(spec),
+                                 [str(lab) for lab in d.labels()]))
+
+
 class TestEnumeration:
+    @pytest.mark.parametrize("t,bound", list(DESK_BOUNDS.items()) + [
+        (B4, 35), (C4, 35), (D5, 44), (A5, 34)], ids=str)
+    def test_order_matches_the_totals_from_labels(self, t, bound):
+        spec = spec_of(t)
+        assert list(enumerate_modules(spec, bound)) == \
+            parent_enumeration_order(spec, bound)
+
+    def test_totals_come_from_the_stack(self, monkeypatch):
+        expected = [str(d) for d in enumerate_modules(spec_of(A4), 23)]
+
+        def refuse(self, spec):
+            raise AssertionError("total_dim re-derived")
+
+        monkeypatch.setattr(ModuleDescriptor, "total_dim", refuse)
+        assert [str(d) for d in enumerate_modules(spec_of(A4), 23)] == expected
+        assert [str(d) for d in enumerate_modules(spec_of(A1, A2), 14)]
+
     def test_a1_bound_3(self):
         got = [str(d) for d in enumerate_modules(spec_of(A1), 3)]
         assert got == ["L(1)", "L(2)"]
@@ -610,6 +657,11 @@ class TestDeskBounds:
     def test_bounds_are_dim_minus_one(self):
         for t, bound in DESK_BOUNDS.items():
             assert bound == t.algebra_dim - 1
+
+    def test_the_seven_desk_types(self):
+        assert DESK_BOUNDS == {A2: 7, A3: 14, A4: 23, C2: 9, C3: 20,
+                               B3: 20, D4: 27}
+        assert list(DESK_BOUNDS) == [A2, A3, A4, C2, C3, B3, D4]
 
 
 class TestConverseOverBiggerTypes:

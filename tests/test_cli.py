@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from disemi.cli import main
-from disemi.liealg import chevalley, semidirect, to_json_dict
+from disemi.liealg import (LieAlgebra, chevalley, direct_sum, semidirect,
+                           to_json_dict)
 from disemi.modexpr import parse_algebra, parse_module, to_representation
 from disemi.repbuilder import natural
 from disemi.rootdata import SimpleType
@@ -183,6 +184,19 @@ class TestCertifyCommand:
         else:
             assert out == ("refused: radical_not_prehomogeneous "
                            "(dimension_bound)\n")
+
+    @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+    def test_radical_not_nilpotent_refused(self, capsys, tmp_path, as_json):
+        # sl2 + r2 with [x, y] = y: a solvable radical that is not
+        # nilpotent
+        r2 = LieAlgebra(2, {(0, 1): {1: 1}})
+        g = direct_sum([chevalley(SimpleType("A", 1)), r2])
+        path = tmp_path / "alg.json"
+        path.write_text(json.dumps(sc_payload(g, 3)))
+        out = ('{"refused":true,"reason":"radical_not_nilpotent"}\n'
+               if as_json else "refused: radical_not_nilpotent\n")
+        assert run(capsys, "certify", "--sc", str(path),
+                   *(["--json"] if as_json else [])) == (1, out, "")
 
     @pytest.mark.parametrize("argv", [(), ("A1",)])
     def test_missing_module_is_usage_error(self, capsys, argv):

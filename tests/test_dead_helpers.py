@@ -1,8 +1,10 @@
 """The package keeps no dead code: every module-level function or class
-of src/disemi is read somewhere outside its own definition, so a
-recursive call alone does not keep it alive.  A name that starts with
-one underscore must be read in the package; a public name may also be
-read by the tests or the benchmark harness."""
+of src/disemi, and every method or property of such a class, is read
+somewhere outside its own definition, so a recursive call alone does
+not keep it alive.  A name that starts with one underscore must be read
+in the package; a public name may also be read by the tests or the
+benchmark harness.  A method counts as read wherever an attribute of
+its name is read, whatever the object."""
 
 import ast
 from collections import Counter
@@ -24,24 +26,35 @@ def reads(node):
     return out
 
 
+def definitions(tree):
+    """The module-level functions and classes of tree, each class
+    followed by the functions defined in its body (methods and
+    properties), in source order."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node
+        if isinstance(node, ast.ClassDef):
+            yield from (sub for sub in node.body
+                        if isinstance(sub, ast.FunctionDef))
+
+
 def unread_definitions(paths, readers, private):
-    """(file name, line, name) of each module-level function or class in
-    paths, the _name ones if private and the public ones otherwise, that
-    no read in readers (which include paths) names outside its own
-    definition."""
+    """(file name, line, name) of each definition in paths, the _name
+    ones if private and the public ones otherwise, that no read in
+    readers (which include paths) names outside its own definition;
+    dunder names are left out."""
     trees = {path: ast.parse(path.read_text(), str(path)) for path in readers}
     total = sum((reads(tree) for tree in trees.values()), Counter())
     return [(path.name, node.lineno, node.name)
-            for path in paths for node in trees[path].body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            and not node.name.startswith("__")
+            for path in paths for node in definitions(trees[path])
+            if not node.name.startswith("__")
             and node.name.startswith("_") == private
             and total[node.name] == reads(node)[node.name]]
 
 
 def unused_private_helpers(paths):
-    """unread_definitions of the _name functions and classes, read in
-    paths alone."""
+    """unread_definitions of the _name functions, classes and methods,
+    read in paths alone."""
     return unread_definitions(paths, paths, private=True)
 
 
@@ -87,3 +100,25 @@ def test_guard_sees_an_unread_public_name(tmp_path):
         ("lib.py", 7, "used"), ("lib.py", 10, "Tested")]
     assert unread_definitions([lib], [lib, test], private=False) == [
         ("lib.py", 1, "orphan"), ("lib.py", 4, "recursive")]
+
+
+
+def test_guard_sees_dead_methods_and_properties(tmp_path):
+    lib = tmp_path / "lib.py"
+    lib.write_text("class Shape:\n"
+                   "    def __init__(self, n):\n        self.n = n\n\n"
+                   "    def area(self):\n        return self._side() ** 2\n\n"
+                   "    def _side(self):\n        return self.n\n\n"
+                   "    def _unused(self):\n        return self._unused()\n\n"
+                   "    @property\n    def corners(self):\n        return 4\n\n"
+                   "    @property\n    def edges(self):\n        return 4\n\n"
+                   "def make():\n    return Shape(2).edges\n")
+    test = tmp_path / "test_lib.py"
+    test.write_text("from lib import Shape, make\n\n"
+                    "def test_it():\n    assert Shape(1).area() and make()\n")
+    assert unused_private_helpers([lib]) == [("lib.py", 11, "_unused")]
+    assert unread_definitions([lib], [lib], private=False) == [
+        ("lib.py", 5, "area"), ("lib.py", 15, "corners"),
+        ("lib.py", 22, "make")]
+    assert unread_definitions([lib], [lib, test], private=False) == [
+        ("lib.py", 15, "corners")]

@@ -625,6 +625,31 @@ class TestTableValidation:
             from_json_dict({"dim": 2, "entries": [entry]})
 
 
+class TestZeroRowsDropped:
+    """A table row whose entries are all zero is no bracket: its key is
+    not kept, so the algebra is abelian and serialises with no entry."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: LieAlgebra(2, {(0, 1): {1: 0}}),
+        lambda: LieAlgebra(2, {(0, 1): {0: Fraction(0), 1: 0}}),
+        lambda: loads('{"dim":2,"entries":[[0,1,[[1,"0"]]]]}'),
+        lambda: from_json_dict({"dim": 2, "entries": [[0, 1, [[1, 0]]]]}),
+    ], ids=["int-zero", "fraction-zero", "loads", "from-json-dict"])
+    def test_abelian_with_no_entries(self, build):
+        g = build()
+        assert g.table == {} and g.brackets == [{}, {}]
+        assert is_abelian(g) and check_jacobi(g)
+        assert dumps(g) == '{"dim":2,"entries":[]}'
+        h = loads(dumps(g))
+        assert h.table == {} and h.brackets == [{}, {}] and is_abelian(h)
+
+    def test_other_rows_kept(self):
+        g = LieAlgebra(3, {(0, 1): {2: 0}, (0, 2): {1: 0, 2: 1}})
+        assert g.table == {(0, 2): {2: 1}}
+        assert g.brackets == [{2: {2: 1}}, {}, {0: {2: -1}}]
+        assert dumps(g) == '{"dim":3,"entries":[[0,2,[[2,"1"]]]]}'
+
+
 class TestDerivedSeries:
     def test_solvable_chain(self):
         g = two_dim_solvable()

@@ -12,6 +12,7 @@ from disemi.classify import DESK_BOUNDS, enumerate_modules, vinberg_table
 from disemi.linalg import dense, rank, rank_mod_p
 from disemi.liealg import (LieAlgebra, Subspace, chevalley, dumps,
                            full_subspace, loads, semidirect)
+from disemi.liealg import direct_sum as direct_sum_algebras
 from disemi.prehom import (DecompositionCertificate, Randomized, Refusal,
                            Symbolic, adjoint_radical_module,
                            certify_disemisimple, evaluation_matrix,
@@ -269,6 +270,17 @@ class TestCertify:
         res = certify_disemisimple(g)
         assert isinstance(res, Refusal)
         assert res.reason == "radical_not_prehomogeneous"
+
+    def test_solvable_radical_not_nilpotent_refused(self):
+        # sl2 + r2 with [x, y] = y: the radical r2 is solvable and not
+        # nilpotent, so the paper's first condition fails
+        r2 = LieAlgebra(2, {(0, 1): {1: 1}})
+        g = direct_sum_algebras([chevalley(A1), r2])
+        levi = Subspace(g, [g.basis_vector(i) for i in range(3)])
+        res = certify_disemisimple(g, levi)
+        assert res == Refusal(reason="radical_not_nilpotent", inner=None)
+        assert res.to_json_dict() == {"refused": True,
+                                      "reason": "radical_not_nilpotent"}
 
     def test_semisimple_self(self):
         g = chevalley(A1)

@@ -1,4 +1,6 @@
+import itertools
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -126,7 +128,40 @@ class TestWeylShifts:
             (1, (0, 3)), (1, (3, 0)), (-1, (2, 2))}
 
 
+def fraction_weyl_dim(t, lam):
+    """The Weyl dimension formula over Fraction through the half squared
+    root lengths (alpha_i, alpha_i) / 2, long roots of squared length 2:
+    the product over positive roots alpha of (lam + rho, alpha) /
+    (rho, alpha)."""
+    l = t.rank
+    half = {"B": [1] * (l - 1) + [Fraction(1, 2)],
+            "C": [Fraction(1, 2)] * (l - 1) + [1]}.get(t.family, [1] * l)
+    dim = Fraction(1)
+    for alpha in root_system(t).positive_roots:
+        dim *= Fraction(
+            sum(c * d * (m + 1) for c, d, m in zip(alpha, half, lam)),
+            sum(c * d for c, d in zip(alpha, half)))
+    return dim
+
+
+# A1-A7, B2-B5, C2-C5 and D3-D6
+GRID_TYPES = ([SimpleType("A", l) for l in range(1, 8)]
+              + [SimpleType(f, l) for f in "BC" for l in range(2, 6)]
+              + [SimpleType("D", l) for l in range(3, 7)])
+
+
 class TestWeylDim:
+    def test_integer_formula_matches_fractions(self):
+        # every weight with coordinates <= 2: 5,079 of them
+        count = 0
+        for t in GRID_TYPES:
+            for lam in itertools.product(range(3), repeat=t.rank):
+                d = weyl_dim(t, lam)
+                assert type(d) is int and d == fraction_weyl_dim(t, lam), (
+                    str(t), lam)
+                count += 1
+        assert count == 5079
+
     @pytest.mark.parametrize("spec,lam,expected", [
         (("A", 2), (1, 0), 3),
         (("A", 4), (0, 1, 0, 0), 10),
@@ -152,7 +187,6 @@ class TestWeylDim:
                 assert weyl_dim(t, fundamental(t, k)) == math.comb(l + 1, k)
 
     def test_dual_invariance_small_grid(self):
-        import itertools
         import random
         # full grid with coordinates <= 3 at rank 2, sampled at ranks 3..5
         for t in (SimpleType("A", 2), SimpleType("B", 2), SimpleType("C", 2)):

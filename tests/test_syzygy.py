@@ -41,6 +41,25 @@ def transpose(forms, ncols):
     return [dict(col) for col in linalg.columns(forms, ncols)]
 
 
+SPARSE_INTEGER_SYSTEMS = st.integers(1, 8).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.dictionaries(st.integers(0, n - 1),
+                                         st.integers(-3, 3), max_size=3),
+                         max_size=8)))
+
+
+def one_wrong_entry(rows, n):
+    """sparse_nullspace_mod_p with one entry of its first vector moved
+    by 1 in a column that some row reads, so that row no longer
+    vanishes on it."""
+    basis = linalg.sparse_nullspace_mod_p(rows, n)
+    cols = [k for row in rows for k, c in row.items() if c]
+    if not basis or not cols:
+        return basis
+    wrong = dict(basis[0])
+    wrong[cols[0]] = wrong.get(cols[0], 0) + 1
+    return [wrong] + basis[1:]
+
+
 class TestSparseNullspace:
     def test_simple(self):
         rows = [{0: 1, 1: 1}, {1: 1, 2: -1}]
@@ -65,6 +84,33 @@ class TestSparseNullspace:
         # others, so equal lists mean equal spans
         n, rows = system
         assert syzygy.sparse_nullspace(rows, n) == linalg.nullspace(rows, n)
+
+    @given(SPARSE_INTEGER_SYSTEMS)
+    @settings(max_examples=100, deadline=None)
+    def test_no_modular_basis_gives_the_exact_one(self, system):
+        n, rows = system
+        with mock.patch.object(syzygy, "sparse_nullspace_mod_p",
+                               lambda r, m: None):
+            assert syzygy.sparse_nullspace(rows, n) == linalg.nullspace(
+                rows, n)
+
+    @given(SPARSE_INTEGER_SYSTEMS)
+    @settings(max_examples=100, deadline=None)
+    def test_wrong_modular_basis_gives_the_exact_one(self, system):
+        n, rows = system
+        with mock.patch.object(syzygy, "sparse_nullspace_mod_p",
+                               one_wrong_entry):
+            assert syzygy.sparse_nullspace(rows, n) == linalg.nullspace(
+                rows, n)
+
+    def test_one_wrong_entry_is_wrong(self):
+        # x0 + x1 = 0, x1 - x2 = 0: the basis (-1, 1, 1), moved at x0
+        rows = [{0: 1, 1: 1}, {1: 1, 2: -1}]
+        assert linalg.sparse_nullspace_mod_p(rows, 3) == [{2: 1, 1: 1, 0: -1}]
+        assert one_wrong_entry(rows, 3) == [{2: 1, 1: 1, 0: 0}]
+        with mock.patch.object(syzygy, "sparse_nullspace_mod_p",
+                               one_wrong_entry):
+            assert syzygy.sparse_nullspace(rows, 3) == [{2: 1, 1: 1, 0: -1}]
 
     def test_wrong_lift_falls_back_to_exact(self):
         # 2**40 lifts to 1/2**21 mod PRIME; the exact check rejects it
@@ -326,6 +372,26 @@ class TestGenericRankCertified:
     def test_values(self, t, labels, expected):
         rep = realize(spec_of(t), ModuleDescriptor(labels))
         assert syzygy.generic_rank_certified(rep) == expected
+
+    @pytest.mark.parametrize("spec,labels,expected", [
+        (spec_of(A1, A1), [lab((1,), (1,))], 3),
+        (spec_of(A2), [lab((2, 0))], 5),
+        (spec_of(A3), [lab((0, 0, 1)), lab((1, 0, 0))], 7),
+    ], ids=["A1xA1", "A2", "A3"])
+    def test_every_sector_over_budget_falls_back(self, spec, labels, expected,
+                                                 monkeypatch):
+        # with no sector in budget no syzygy is found, and the one
+        # elimination decides
+        rep = realize(spec, ModuleDescriptor(labels))
+        solves, ranks = [], []
+        real_rank = symrank.generic_rank
+        monkeypatch.setattr(syzygy, "MAX_UNKNOWNS", 0)
+        monkeypatch.setattr(syzygy, "sparse_nullspace",
+                            lambda *a: solves.append(a))
+        monkeypatch.setattr(symrank, "generic_rank",
+                            lambda *a: ranks.append(a) or real_rank(*a))
+        assert syzygy.generic_rank_certified(rep) == expected
+        assert solves == [] and len(ranks) == 1
 
     def test_agrees_with_bareiss(self):
         # the sandwich and the elimination engine agree on a small suite
