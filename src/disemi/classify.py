@@ -264,12 +264,10 @@ def castling_transform(triple):
 # Enumeration
 # ---------------------------------------------------------------------------
 
-def simple_labels_upto(t, bound, include_zero=False):
-    """Dominant weights of t with Weyl dimension at most bound.
-
-    The search tree prunes on monotonicity: the dimension strictly
-    increases in every fundamental coordinate.
-    """
+def _label_dims(t, bound):
+    """{w: Weyl dimension} over the dominant weights w of t, 0 included,
+    of dimension at most bound; the search prunes on monotonicity, as the
+    dimension strictly increases in every fundamental coordinate."""
     found = {}
     start = zero_weight(t)
     stack = [start]
@@ -285,19 +283,23 @@ def simple_labels_upto(t, bound, include_zero=False):
             if nxt not in seen:
                 seen.add(nxt)
                 stack.append(nxt)
-    if not include_zero:
-        found.pop(start, None)
-    return sorted(found, key=lambda w: (found[w], w))
+    return found
+
+
+def simple_labels_upto(t, bound, include_zero=False):
+    """Dominant weights of t with Weyl dimension at most bound."""
+    found = _label_dims(t, bound)
+    return sorted((w for w in found if include_zero or any(w)),
+                  key=lambda w: (found[w], w))
 
 
 def candidate_labels(spec, bound):
     """Non-trivial irreducible labels over spec with dimension <= bound."""
     partial = [(1, ())]
     for t in spec.factors:
-        pairs = [(weyl_dim(t, w), w)
-                 for w in simple_labels_upto(t, bound, include_zero=True)]
+        dims = _label_dims(t, bound).items()
         partial = [(dim * d, label + (w,)) for dim, label in partial
-                   for d, w in pairs if dim * d <= bound]
+                   for w, d in dims if dim * d <= bound]
     out = sorted((dim, label) for dim, label in partial
                  if any(any(block) for block in label))
     return [(label, dim) for dim, label in out]

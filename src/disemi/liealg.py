@@ -1,10 +1,10 @@
 """Lie algebras over exact rationals, given by structure constants.
 
 The simple algebras of type A-D are realised as matrix algebras whose
-Cartan subalgebra is diagonal in the natural representation; the full
-basis is grown from the Chevalley generators by bracket closure, which
-records the bracket that produced each derived basis element, so that
-representations defined on generators extend mechanically.
+Cartan subalgebra is diagonal in the natural representation; the basis
+closes the Chevalley generators under brackets, each read off the one
+basis matrix of its weight, and records the bracket that produced each
+derived basis element, so representations extend from generators.
 """
 
 import json
@@ -12,6 +12,7 @@ from collections import Counter, deque
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
+from operator import add, sub
 
 from .linalg import (IncrementalSpan, apply, clear_denominators, columns,
                      combination, commutator, dense, divide, identity,
@@ -207,49 +208,65 @@ def _chevalley_with_matrices(t):
     """(LieAlgebra, natural-module row-dict matrices per basis element,
     bracket definitions) for type t.
 
-    The basis starts h_1..h_l, e_1..e_l, f_1..f_l.  Bracket closure from
-    the generators: every pair of basis elements is bracketed once, and
-    its commutator either joins the basis or is solved over it, which
-    gives that pair's structure constants.  defs maps each basis element
-    m >= 3l to the pair (i, j) with b_m = [b_i, b_j].
+    The basis starts h_1..h_l, e_1..e_l, f_1..f_l and is closed under
+    brackets, each pair bracketed once; defs maps each basis element
+    m >= 3l to the pair (i, j) with b_m = [b_i, b_j].  Entry (a, b) of
+    the diagonal h_i has weight diag[a] - diag[b]; with the diag[a]
+    distinct (weight 0 is the diagonal) and the generators homogeneous,
+    both checked, a bracket is homogeneous of the summed weight, so 0
+    for two h's or a sum no entry has.  Root spaces are lines: a bracket
+    of a root's weight is its ratio at one entry times the root's matrix,
+    checked entry for entry, or joins the basis if the weight is new.
+    One of weight 0 is solved over the diagonals of the h_i.
     """
     h, e, f = _natural_generators(t)
     l = t.rank
-    n = len(h[0])
     basis = list(h) + list(e) + list(f)
-    span = IncrementalSpan()
-
-    def flat(m):
-        return {a * n + b: x for a, row in enumerate(m) for b, x in row.items()}
-
-    for m in basis:
-        if not span.add(flat(m)):
-            raise AssertionError("Chevalley generators dependent for %s" % (t,))
-    defs = {}
-    table = {}
+    diag = [tuple(m[a].get(a, 0) for m in h) for a in range(len(h[0]))]
+    entries = {tuple(map(sub, x, y)) for x in diag for y in diag}
+    weights = [{tuple(map(sub, diag[a], diag[b])) for a, row in enumerate(m)
+                for b in row} for m in basis]
+    weights = [w.pop() for w in weights if len(w) == 1]
+    root = {w: k for k, w in enumerate(weights) if any(w)}
+    cartan = IncrementalSpan()
+    if (len(set(diag)) < len(diag) or len(weights) < 3 * l
+            or len(root) != 2 * l
+            or not all(cartan.add([d[i] for d in diag]) for i in range(l))):
+        raise AssertionError("bad Chevalley generators for %s" % (t,))
+    defs, table = {}, {}
     queue = deque((i, j) for j in range(len(basis)) for i in range(j))
     while queue:
         i, j = queue.popleft()
+        w = tuple(map(add, weights[i], weights[j]))
+        if j < l or w not in entries:
+            continue
         c = commutator(basis[i], basis[j])
         if not any(c):
             continue
-        coeffs = span.solve(flat(c))
-        if coeffs is None:
-            span.add(flat(c))
-            m = len(basis)
-            basis.append(c)
-            defs[m] = (i, j)
-            table[(i, j)] = {m: 1}
-            queue.extend((k, m) for k in range(m))
+        if not any(w):
+            coeffs = cartan.solve({a: row[a] for a, row in enumerate(c) if row})
+        elif w in root:
+            k = root[w]
+            a, b, x = next((a, b, x) for a, row in enumerate(basis[k])
+                           for b, x in row.items())
+            coeffs = {k: divide(c[a].get(b, 0), x)}
+            if c != [{b: coeffs[k] * y for b, y in r.items()} for r in basis[k]]:
+                coeffs = None
         else:
-            table[(i, j)] = coeffs
+            m = root[w] = len(basis)
+            basis.append(c)
+            weights.append(w)
+            defs[m] = (i, j)
+            coeffs = {m: 1}
+            queue.extend((k, m) for k in range(m))
+        if coeffs is None:
+            raise AssertionError("[b_%d, b_%d] is off its weight" % (i, j))
+        table[(i, j)] = coeffs
     dim = len(basis)
     if dim != t.algebra_dim:
         raise AssertionError("closure reached dim %d, expected %d for %s"
                              % (dim, t.algebra_dim, t))
-    labels = (["h%d" % (i + 1) for i in range(l)]
-              + ["e%d" % (i + 1) for i in range(l)]
-              + ["f%d" % (i + 1) for i in range(l)]
+    labels = (["%s%d" % (p, i + 1) for p in "hef" for i in range(l)]
               + ["x%d" % m for m in range(3 * l, dim)])
     return LieAlgebra(dim, table, labels=labels), basis, defs
 

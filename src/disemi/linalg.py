@@ -72,8 +72,18 @@ def matmul(a, b):
 
 
 def commutator(a, b):
-    """[a, b] = ab - ba, zero entries dropped."""
-    return combination(((1, matmul(a, b)), (-1, matmul(b, a))), len(a))
+    """[a, b] = ab - ba, zero entries dropped, summed one row at a time."""
+    out = []
+    for arow, brow in zip(a, b):
+        row = {}
+        for k, x in arow.items():
+            for j, y in b[k].items():
+                row[j] = row.get(j, 0) + x * y
+        for k, x in brow.items():
+            for j, y in a[k].items():
+                row[j] = row.get(j, 0) - x * y
+        out.append({j: x for j, x in row.items() if x})
+    return out
 
 
 def columns(m, n):

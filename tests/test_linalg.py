@@ -7,11 +7,13 @@ from heapq import heapify, heappop, heappush
 
 import pytest
 
+from disemi import liealg
 from disemi.liealg import _chevalley_with_matrices, _natural_generators
 from disemi.linalg import (LIFT_BOUND, PRIME, TAG, IncrementalSpan, clear,
-                           clear_denominators, commutator, dense, divide,
-                           identity, matmul, nullspace, primitive, rank,
-                           rank_mod_p, rational_reconstruction, rref, sparse)
+                           clear_denominators, combination, commutator, dense,
+                           divide, identity, matmul, nullspace, primitive,
+                           rank, rank_mod_p, rational_reconstruction, rref,
+                           sparse)
 from disemi.rootdata import SimpleType
 
 
@@ -419,10 +421,36 @@ def test_solve_on_empty_span_interleaved_and_tag_bound():
         fresh.solve({TAG: 1})
 
 
+def parent_commutator(a, b):
+    """ab - ba as two products and a combination, the oracle for the
+    one-pass commutator."""
+    return combination(((1, matmul(a, b)), (-1, matmul(b, a))), len(a))
+
+
+row_dict_matrices = st.integers(1, 5).flatmap(lambda n: st.lists(
+    st.lists(st.dictionaries(st.integers(0, n - 1),
+                             st.integers(-3, 3).filter(bool)
+                             | small_fractions.filter(bool), max_size=n),
+             min_size=n, max_size=n), min_size=2, max_size=2))
+
+
+@given(row_dict_matrices)
+def test_commutator_matches_two_products(pair):
+    a, b = pair
+    got = commutator(a, b)
+    assert got == parent_commutator(a, b)
+    assert all(x for row in got for x in row.values())
+    if all(type(x) is int for m in pair for row in m for x in row.values()):
+        assert all(type(x) is int for row in got for x in row.values())
+
+
 def bookkeeping_closure(t):
-    """The Chevalley closure of liealg._chevalley_with_matrices, solved
-    by BookkeepingSpan: (table, basis matrices, defs)."""
+    """The Chevalley closure of liealg._chevalley_with_matrices as it was
+    before brackets were read off weights: each commutator (two products
+    and a combination) solved over the flattened span by BookkeepingSpan.
+    (table, basis matrices, defs, labels)."""
     h, e, f = _natural_generators(t)
+    l = t.rank
     n = len(h[0])
     basis = list(h) + list(e) + list(f)
     span = BookkeepingSpan()
@@ -434,7 +462,7 @@ def bookkeeping_closure(t):
     defs, table = {}, {}
     queue = [(i, j) for j in range(len(basis)) for i in range(j)]
     for i, j in queue:
-        c = commutator(basis[i], basis[j])
+        c = parent_commutator(basis[i], basis[j])
         if not any(c):
             continue
         coeffs = span.solve(flat(c))
@@ -447,18 +475,73 @@ def bookkeeping_closure(t):
             queue.extend((k, m) for k in range(m))
         else:
             table[(i, j)] = sparse(coeffs)
-    return table, basis, defs
+    labels = (["h%d" % (i + 1) for i in range(l)]
+              + ["e%d" % (i + 1) for i in range(l)]
+              + ["f%d" % (i + 1) for i in range(l)]
+              + ["x%d" % m for m in range(3 * l, len(basis))])
+    return table, basis, defs, labels
 
 
-@pytest.mark.parametrize("t", ["A1", "A2", "A3", "A4", "A5", "A6", "B2",
-                               "B3", "B4", "C2", "C3", "C4", "D4", "D5"])
+CLOSURE_TYPES = (["A%d" % r for r in range(1, 8)] + ["B%d" % r for r in range(2, 6)]
+                 + ["C%d" % r for r in range(2, 6)] + ["D%d" % r for r in range(3, 7)])
+
+
+@pytest.mark.parametrize("t", CLOSURE_TYPES)
 def test_chevalley_tables_match_bookkeeping_closure(t):
-    g, basis, defs = _chevalley_with_matrices(SimpleType(t[0], int(t[1:])))
-    table, oracle_basis, oracle_defs = bookkeeping_closure(
-        SimpleType(t[0], int(t[1:])))
+    t = SimpleType(t[0], int(t[1:]))
+    g, basis, defs = _chevalley_with_matrices(t)
+    table, oracle_basis, oracle_defs, labels = bookkeeping_closure(t)
     assert basis == oracle_basis and defs == oracle_defs
+    assert g.labels == labels
     # entry order too: it is the order the table is read in
     assert ({k: [(c, type(x), x) for c, x in row.items()]
              for k, row in g.table.items()}
             == {k: [(c, type(x), x) for c, x in row.items()]
                 for k, row in table.items()})
+    # every basis matrix is homogeneous for the diagonal Cartan: its
+    # entries (a, b) share one weight diag[a] - diag[b]
+    diag = [tuple(basis[i][a].get(a, 0) for i in range(t.rank))
+            for a in range(len(basis[0]))]
+    assert len(set(diag)) == len(diag)
+    for m in basis:
+        assert len({tuple(x - y for x, y in zip(diag[a], diag[b]))
+                    for a, row in enumerate(m) for b in row}) == 1
+
+
+def closure_with(monkeypatch, t, **patches):
+    """The uncached closure of t with liealg names patched."""
+    for name, value in patches.items():
+        monkeypatch.setattr(liealg, name, value)
+    return _chevalley_with_matrices.__wrapped__(SimpleType(*t))
+
+
+def test_closure_checks_each_coefficient_it_reads(monkeypatch):
+    wrong = lambda x, d: divide(x, d) + 1  # noqa: E731
+    with pytest.raises(AssertionError, match="off its weight"):
+        closure_with(monkeypatch, ("C", 2), divide=wrong)
+
+
+def test_closure_raises_on_a_cartan_bracket_outside_the_cartan(monkeypatch):
+    def plus_identity(a, b):
+        c = commutator(a, b)
+        if all(set(row) <= {i} for i, row in enumerate(c)):
+            c = [{i: row.get(i, 0) + 1} if row.get(i, 0) != -1 else {}
+                 for i, row in enumerate(c)]
+        return c
+    with pytest.raises(AssertionError, match="off its weight"):
+        closure_with(monkeypatch, ("A", 2), commutator=plus_identity)
+
+
+def test_closure_checks_its_dimension(monkeypatch):
+    def no_top_root(a, b):
+        c = commutator(a, b)
+        return [{} for _ in c] if c[0].get(2) else c
+    with pytest.raises(AssertionError, match="reached dim 7, expected 8"):
+        closure_with(monkeypatch, ("A", 2), commutator=no_top_root)
+
+
+def test_closure_refuses_dependent_generators(monkeypatch):
+    h, e, f = _natural_generators(SimpleType("A", 2))
+    with pytest.raises(AssertionError, match="bad Chevalley generators"):
+        closure_with(monkeypatch, ("A", 2), _natural_generators=lambda t: (
+            [h[0], h[0]], e, f))
