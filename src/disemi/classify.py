@@ -286,10 +286,10 @@ def _label_dims(t, bound):
     return found
 
 
-def simple_labels_upto(t, bound, include_zero=False):
-    """Dominant weights of t with Weyl dimension at most bound."""
+def simple_labels_upto(t, bound):
+    """Nonzero dominant weights of t with Weyl dimension at most bound."""
     found = _label_dims(t, bound)
-    return sorted((w for w in found if include_zero or any(w)),
+    return sorted((w for w in found if any(w)),
                   key=lambda w: (found[w], w))
 
 

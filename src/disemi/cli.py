@@ -5,11 +5,13 @@ serialised certificate or report.  Exit codes: 0 for a positive result
 (prehomogeneous / certificate found / clean diff), 1 for a negative
 one, 2 for usage, parse or input errors, 3 for an internal error (a
 failed invariant check, reported as "internal error: ..."; never a
-verdict).
+verdict), and 141 (128 + SIGPIPE, as a shell reports a writer ended by
+SIGPIPE), silently, when the reader of stdout closes it early.
 """
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -359,7 +361,13 @@ def main(argv=None):
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()      # a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # no input error; the interpreter's final flush goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except ModuleParseError as exc:
         print("parse error: %s" % exc, file=sys.stderr)
         return 2

@@ -269,6 +269,9 @@ class IncrementalSpan:
         # many are zero, some with the zeros a bracket keeps
         if not any(v.values() if isinstance(v, dict) else v):
             return {}
+        # one entry off the pivot columns is reduced by no pivot row
+        if isinstance(v, dict) and len(v) == 1 and min(v) not in self.rows:
+            return normal(v)
         cont, scale, r = self._reduce(v)
         return r if cont == scale else {
             k: divide(cont * x, scale) for k, x in r.items()}
@@ -279,7 +282,7 @@ def rank(a, stop_at=None):
     IncrementalSpan accepts.  Stops once stop_at rows are accepted."""
     span = IncrementalSpan()
     for row in a:
-        if span.add(row) and len(span.pivots) == stop_at:
+        if span._insert(row) and len(span.pivots) == stop_at:
             break
     return len(span.pivots)
 
@@ -292,7 +295,7 @@ def rref(a):
     residue of P - p e_pc."""
     span = IncrementalSpan()
     for row in a:
-        span.add(row)
+        span._insert(row)
     rows = []
     for pc in span.pivots:
         row = span.rows[pc]

@@ -15,8 +15,8 @@ from itertools import chain
 
 from .linalg import columns, dense, rank, rank_mod_p, sparse
 from .liealg import (LinearMap, Subspace, apply_map_subspace, exp_ad,
-                     is_semisimple, lower_central_series, solvable_radical,
-                     subalgebra, sum_spans)
+                     is_ideal, is_semisimple, lower_central_series,
+                     solvable_radical, subalgebra, sum_spans)
 from .repbuilder import Representation
 from .rootdata import record
 from . import syzygy
@@ -327,6 +327,15 @@ def certify_disemisimple(g, levi=None, mode=None):
     prehomogeneous under the Levi action; the construction then takes
     z = -v for a witness v and maps the Levi through exp(ad z).
 
+    When the Levi spans the leading unit vectors e_0..e_{ds-1}, as every
+    constructor's does, the radical is read off the split: if the
+    trailing unit vectors span an ideal n whose lower central series
+    reaches 0, n is a solvable ideal, so n lies in rad g, and rad g / n
+    is a solvable ideal of g/n, which is isomorphic to the Levi, checked
+    semisimple, so rad g = n.  Otherwise solvable_radical searches for
+    it.  Its basis is the same either way: solvable_radical's nullspace
+    basis of the span of the trailing unit vectors is those vectors.
+
     Returns a DecompositionCertificate or a Refusal.
     """
     mode = _checked_mode(mode)
@@ -338,17 +347,24 @@ def certify_disemisimple(g, levi=None, mode=None):
     lev_alg = spec.algebra() if spec is not None else subalgebra(g, levi)
     if not is_semisimple(lev_alg):
         raise ValueError("supplied Levi subalgebra is not semisimple")
-    rad = solvable_radical(g)
+    ds, series = levi.dim, None
+    if not any(x for r in levi.basis for x in r[ds:]):
+        rad = Subspace(g, [g.basis_vector(i) for i in range(ds, g.dim)])
+        if is_ideal(g, rad):
+            series = lower_central_series(g, rad)
+    if series is None or series[-1].dim:
+        rad = solvable_radical(g)
+        series = lower_central_series(g, rad)
     if levi.dim + rad.dim != g.dim:
         raise ValueError("Levi dimension %d plus radical dimension %d "
                          "does not fill the algebra" % (levi.dim, rad.dim))
     spans, inter = sum_spans(g, levi, rad)
     if not spans or inter != 0:
         raise ValueError("Levi subalgebra does not complement the radical")
-    # a radical strictly larger than the nilradical; solvable_radical
-    # has verified rad as an ideal, so is_nilpotent's closure check
-    # would only repeat that
-    if lower_central_series(g, rad)[-1].dim:
+    # a radical strictly larger than the nilradical; either path has
+    # verified rad as an ideal, so is_nilpotent's closure check would
+    # only repeat that
+    if series[-1].dim:
         return Refusal(reason=RADICAL_NOT_NILPOTENT)
     # a No by dimensions needs no module (a zero Levi gives no matrices)
     cert = dimension_verdict(rad.dim, levi.dim)

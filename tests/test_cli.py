@@ -1,7 +1,11 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -414,6 +418,31 @@ class TestExitCodes:
         assert code == 3
         assert out == ""
         assert err.startswith("internal error: witness failed")
+
+    @pytest.mark.parametrize("buffered", [False, True],
+                             ids=["unbuffered", "buffered"])
+    @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+    def test_reader_closing_the_pipe_exits_141_quietly(self, as_json,
+                                                       buffered):
+        # as in `disemi certify ... | head`: a reader that is gone is no
+        # input error, so nothing goes to stderr and the exit code is
+        # the one a shell reports for a writer ended by SIGPIPE
+        env = dict(os.environ, PYTHONPATH=str(
+            Path(__file__).resolve().parent.parent / "src"))
+        env.pop("PYTHONUNBUFFERED", None)
+        if not buffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read, write = os.pipe()
+        os.close(read)          # before the child writes anything
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "disemi.cli", "certify", "A1", "nat",
+                 *(["--json"] if as_json else [])],
+                stdout=write, stderr=subprocess.PIPE, env=env, text=True,
+                timeout=300)
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (141, "")
 
 
 class TestGoldenOutput:

@@ -278,6 +278,63 @@ def test_residue_of_a_zero_vector_reduces_nothing(monkeypatch):
     assert span.residue({1: 1}) == {1: 1}
 
 
+def test_one_entry_residue_off_the_pivots_reduces_nothing(monkeypatch):
+    span = IncrementalSpan()
+    span.add([1, 2, 0])
+    monkeypatch.setattr(span, "_reduce", None)   # a call would raise
+    got = [span.residue(v) for v in
+           ({1: Fraction(4)}, {2: Fraction(-6, 3)}, {2: Fraction(1, 2)}, {1: 7})]
+    assert [typed(v) for v in got] == [typed({1: 4}), typed({2: -2}),
+                                       typed({2: Fraction(1, 2)}),
+                                       typed({1: 7})]
+    monkeypatch.undo()
+    # on the pivot column the full reduction runs
+    assert typed(span.residue({0: Fraction(3, 2)})) == typed({1: -3})
+
+
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(wide_rationals, min_size=n, max_size=n), max_size=5),
+    st.integers(0, n - 1),
+    wide_rationals | st.sampled_from([Fraction(4), Fraction(-6, 3)]),
+    st.just(n))))
+@settings(max_examples=150, deadline=None)
+def test_one_entry_residue_matches_full_reduction(case):
+    # a one-entry dict, on a pivot column or off the pivots, against
+    # Gauss-Jordan over Fraction and against the same vector as a dense
+    # list, which always takes the full reduction
+    rows, c, x, n = case
+    reduced, pivots = dense_rref(rows)
+    span = IncrementalSpan()
+    for r in rows:
+        span.add(r)
+    v = [0] * n
+    v[c] = x
+    expect = [Fraction(y) for y in v]
+    for row, pc in zip(reduced, pivots):
+        expect = [y - v[pc] * z for y, z in zip(expect, row)]
+    got = span.residue({c: x})
+    assert typed(got) == typed(canonical(expect)) == typed(span.residue(v))
+
+
+@given(st.integers(1, 6).flatmap(lambda n: st.lists(
+    st.lists(wide_rationals, min_size=n, max_size=n), min_size=1,
+    max_size=6)), st.integers(1, 6))
+@settings(max_examples=100, deadline=None)
+def test_rank_and_rref_keep_no_generators(rows, stop_at):
+    # neither calls solve, so neither goes through add, which copies
+    # every accepted vector for it; the answers are Gauss-Jordan's
+    def refuse(self, v):
+        raise AssertionError("add called")
+    reduced, pivots = dense_rref(rows)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(IncrementalSpan, "add", refuse)
+        assert rank(rows) == len(pivots)
+        assert rank(rows, stop_at) == min(stop_at, len(pivots))
+        got_rows, got_pivots = rref(rows)
+    assert got_pivots == pivots
+    assert [typed(r) for r in got_rows] == [typed(canonical(r)) for r in reduced]
+
+
 class BookkeepingSpan:
     """The span as it solved before coordinates were read off residues,
     the oracle for IncrementalSpan.solve: _reduce keeps K r = s v -

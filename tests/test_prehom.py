@@ -9,7 +9,7 @@ import pytest
 
 from disemi import prehom, symrank, syzygy
 from disemi.classify import DESK_BOUNDS, enumerate_modules, vinberg_table
-from disemi.linalg import dense, rank, rank_mod_p
+from disemi.linalg import dense, identity, rank, rank_mod_p, sparse
 from disemi.liealg import (LieAlgebra, Subspace, chevalley, dumps,
                            full_subspace, loads, semidirect)
 from disemi.liealg import direct_sum as direct_sum_algebras
@@ -306,40 +306,7 @@ class TestCertify:
             assert rad.contains(row)
 
     def test_certify_in_scrambled_coordinates(self):
-        # conjugate sl2 x| V(2) by an invertible rational matrix and
-        # certify from raw structure constants plus an explicit Levi
-        from disemi.linalg import IncrementalSpan
-        g = semidirect(chevalley(A1), natural(A1))
-        t = [[1, 2, 0, 0, 1],
-             [0, 1, 0, 3, 0],
-             [1, 0, 1, 0, 0],
-             [0, 0, 2, 1, 0],
-             [0, 1, 0, 0, 1]]
-        cols = [[t[a][b] for a in range(5)] for b in range(5)]
-        # the solution x of t x = v is v's coordinates over t's columns
-        col_span = IncrementalSpan()
-        assert all(col_span.add(c) for c in cols)
-
-        def transform(v):
-            return [sum(a * x for a, x in zip(row, v)) for row in t]
-
-        def untransform(v):
-            out = col_span.solve(v)
-            assert out is not None
-            return out
-
-        table = {}
-        for j in range(5):
-            for i in range(j):
-                row = untransform(g.bracket(cols[i], cols[j]))
-                if row:
-                    table[(i, j)] = row
-        g2 = LieAlgebra(5, table)
-        from disemi.liealg import check_jacobi
-        assert check_jacobi(g2)
-        levi_rows = [dense(untransform(g.basis_vector(i)), 5)
-                     for i in range(3)]
-        res = certify_disemisimple(g2, levi=Subspace(g2, levi_rows))
+        res = certify_disemisimple(*scrambled_sl2_natural())
         assert isinstance(res, DecompositionCertificate)
         assert res.intersection_dim == 1
 
@@ -371,6 +338,46 @@ class TestCertify:
         bad = Subspace(g, [g.basis_vector(3), g.basis_vector(4)])
         with pytest.raises(ValueError):
             certify_disemisimple(g, levi=bad)
+
+
+def conjugated(g, t):
+    """g in the basis of the columns of the invertible matrix t, from
+    raw structure constants, and the map from g's coordinates to the
+    new ones (dense)."""
+    from disemi.linalg import IncrementalSpan
+    from disemi.liealg import check_jacobi
+    n = g.dim
+    cols = [[t[a][b] for a in range(n)] for b in range(n)]
+    # the solution x of t x = v is v's coordinates over t's columns
+    col_span = IncrementalSpan()
+    assert all(col_span.add(c) for c in cols)
+
+    def coords(v):
+        out = col_span.solve(v)
+        assert out is not None
+        return dense(out, n)
+
+    table = {}
+    for j in range(n):
+        for i in range(j):
+            row = sparse(coords(g.bracket(cols[i], cols[j])))
+            if row:
+                table[(i, j)] = row
+    g2 = LieAlgebra(n, table)
+    assert check_jacobi(g2)
+    return g2, coords
+
+
+def scrambled_sl2_natural():
+    """sl2 x| V(2) conjugated by an invertible rational matrix, with its
+    Levi as an explicit Subspace whose rows are not unit vectors."""
+    g = semidirect(chevalley(A1), natural(A1))
+    g2, coords = conjugated(g, [[1, 2, 0, 0, 1],
+                                [0, 1, 0, 3, 0],
+                                [1, 0, 1, 0, 0],
+                                [0, 0, 2, 1, 0],
+                                [0, 1, 0, 0, 1]])
+    return g2, Subspace(g2, [coords(g.basis_vector(i)) for i in range(3)])
 
 
 @pytest.fixture(scope="module")
@@ -512,12 +519,12 @@ class TestWeightBasisRadical:
         assert certify_disemisimple(g)
 
 
-def cli_semidirect():
-    """s |x V for certify A3 "3L(1,0,0)", as the CLI builds it."""
-    from disemi.modexpr import parse_module, to_representation
-    spec = spec_of(A3)
+def cli_semidirect(algebra="A3", module="3L(1,0,0)"):
+    """s |x V for certify ALGEBRA MODULE, as the CLI builds it."""
+    from disemi.modexpr import parse_algebra, parse_module, to_representation
+    spec = parse_algebra(algebra)
     return semidirect(spec.algebra(), to_representation(
-        parse_module("3L(1,0,0)", spec), spec))
+        parse_module(module, spec), spec))
 
 
 def spy_solves(monkeypatch):
@@ -607,6 +614,173 @@ class TestOneRadicalBuilder:
         assert isinstance(res, Refusal)
         assert res.reason == "radical_not_prehomogeneous"
         assert res.inner.reason == DIMENSION_BOUND
+
+
+def parent_certify(g, levi=None, mode=None):
+    """(result, radical rows) of certify_disemisimple as it ran before
+    the radical was read off the Levi split, as an oracle: the radical
+    is solvable_radical's, and its lower central series comes after."""
+    from disemi.liealg import (apply_map_subspace, exp_ad, is_semisimple,
+                               lower_central_series, solvable_radical,
+                               subalgebra, sum_spans)
+    mode = prehom._checked_mode(mode)
+    levi = levi if levi is not None else g.levi_basis
+    spec = prehom._recorded_spec(g, levi)
+    lev_alg = spec.algebra() if spec is not None else subalgebra(g, levi)
+    assert is_semisimple(lev_alg)
+    rad = solvable_radical(g)
+    rows = [list(r) for r in rad.basis]
+    assert levi.dim + rad.dim == g.dim
+    assert sum_spans(g, levi, rad) == (True, 0)
+    if lower_central_series(g, rad)[-1].dim:
+        return Refusal(reason="radical_not_nilpotent"), rows
+    cert = prehom.dimension_verdict(rad.dim, levi.dim)
+    if cert is not None and not cert:
+        return Refusal(reason="radical_not_prehomogeneous", inner=cert), rows
+    rep, rad = adjoint_radical_module(g, levi, rad, lev_alg)
+    cert = is_prehomogeneous(rep, mode=mode)
+    if not cert:
+        return Refusal(reason="radical_not_prehomogeneous", inner=cert), rows
+    v = [0] * g.dim
+    for c, row in zip(cert.witness, rad.basis):
+        v = [x + c * y for x, y in zip(v, row)]
+    z = [-x for x in v]
+    phi = exp_ad(g, z)
+    assert prehom._is_bracket_preserving(g, phi)
+    s2 = apply_map_subspace(g, phi, levi)
+    assert is_semisimple(subalgebra(g, s2))
+    spans, inter = sum_spans(g, levi, s2)
+    assert spans
+    return DecompositionCertificate(levi_basis=levi, z=z, phi=phi,
+                                    s2_basis=s2, intersection_dim=inter,
+                                    prehom=cert), rows
+
+
+def certify_seen(monkeypatch, g, levi=None):
+    """(certify_disemisimple's result, the radical rows it checks
+    against the Levi, calls of solvable_radical)."""
+    seen = []
+    with monkeypatch.context() as m:
+        def spy(g, u1, u2, _real=prehom.sum_spans):
+            seen.append([list(r) for r in u2.basis])
+            return _real(g, u1, u2)
+        m.setattr(prehom, "sum_spans", spy)
+        calls = spy_calls(m, prehom, "solvable_radical")
+        res = certify_disemisimple(g, levi)
+    return res, seen[0], calls["solvable_radical"]
+
+
+def sc_algebras(tmp_path):
+    """{name: (algebra, Levi)} read by the CLI from the --sc fixtures of
+    test_cli."""
+    from disemi.cli import _read_sc
+    from test_cli import sc_payload, sl2_natural_rescaled, sl3_sym2
+    r2 = LieAlgebra(2, {(0, 1): {1: 1}})
+    payloads = {
+        "sl2-natural": sc_payload(semidirect(chevalley(A1), natural(A1)), 3),
+        "sl2-natural-rescaled": sl2_natural_rescaled(),
+        "sl3-sym2": sl3_sym2(),
+        "sl2+r2": sc_payload(direct_sum_algebras([chevalley(A1), r2]), 3),
+        "abelian": {"algebra": {"dim": 2, "entries": []}, "levi_basis": []},
+        "heisenberg": {"algebra": {"dim": 3, "entries": [[0, 1, [[2, 1]]]]},
+                       "levi_basis": []},
+    }
+    out = {}
+    for name, payload in payloads.items():
+        path = tmp_path / ("%s.json" % name)
+        path.write_text(json.dumps(payload))
+        out[name] = _read_sc(path)
+    return out
+
+
+class TestRadicalReadOffTheSplit:
+    """certify_disemisimple against parent_certify: an equal result and
+    the same radical, row for row; the read-off runs no
+    solvable_radical, the fallback and the general path run it once."""
+
+    def check(self, monkeypatch, g, levi=None, searched=0):
+        res, rows, calls = certify_seen(monkeypatch, g, levi)
+        expect, expect_rows = parent_certify(g, levi)
+        assert res == expect and res.to_json_dict() == expect.to_json_dict()
+        assert rows == expect_rows and calls == searched
+        return res
+
+    def test_type12_constructions(self, type12_algebras, monkeypatch):
+        for _, c, g in type12_algebras:
+            res = self.check(monkeypatch, g)
+            assert res.reason == "radical_not_prehomogeneous", str(c)
+
+    @pytest.mark.parametrize("algebra,module", [
+        ("A1", "nat"), ("A3", "3L(1,0,0)"), ("A4", "2L(0,0,1,0)"),
+        ("C3", "L(1,0,0)"), ("A2", "L(2,0)"), ("C3", "L(0,1,0)")])
+    def test_cli_certify_examples(self, monkeypatch, algebra, module):
+        self.check(monkeypatch, cli_semidirect(algebra, module))
+
+    def test_sc_fixtures(self, monkeypatch, tmp_path):
+        verdicts = {}
+        for name, (g, levi) in sc_algebras(tmp_path).items():
+            # sl2 + r2: r2 is an ideal, but not nilpotent
+            searched = 1 if name == "sl2+r2" else 0
+            res = self.check(monkeypatch, g, levi, searched)
+            verdicts[name] = getattr(res, "reason", "certified")
+        assert verdicts == {
+            "sl2-natural": "certified", "sl2-natural-rescaled": "certified",
+            "sl3-sym2": "radical_not_prehomogeneous",
+            "sl2+r2": "radical_not_nilpotent",
+            "abelian": "radical_not_prehomogeneous",
+            "heisenberg": "radical_not_prehomogeneous"}
+
+    def test_semisimple_algebra_reads_a_zero_radical(self, monkeypatch):
+        g = chevalley(A1)
+        res = self.check(monkeypatch, g, full_subspace(g))
+        assert isinstance(res, DecompositionCertificate)
+
+    def test_sl2_plus_r2_falls_back(self, monkeypatch):
+        r2 = LieAlgebra(2, {(0, 1): {1: 1}})
+        g = direct_sum_algebras([chevalley(A1), r2])
+        levi = Subspace(g, [g.basis_vector(i) for i in range(3)])
+        res = self.check(monkeypatch, g, levi, searched=1)
+        assert res.reason == "radical_not_nilpotent"
+
+    def test_solvable_module_algebra_with_a_recorded_spec_falls_back(
+            self, monkeypatch):
+        # sl2 acting trivially on r2: the trailing unit vectors span a
+        # solvable ideal that is not nilpotent
+        spec = spec_of(A1)
+        g = semidirect(spec.algebra(), trivial(spec, 2),
+                       LieAlgebra(2, {(0, 1): {1: 1}}))
+        assert g.levi_spec == spec
+        res = self.check(monkeypatch, g, searched=1)
+        assert res.reason == "radical_not_nilpotent"
+
+    def test_scrambled_levi_takes_the_general_path(self, monkeypatch):
+        res = self.check(monkeypatch, *scrambled_sl2_natural(), searched=1)
+        assert isinstance(res, DecompositionCertificate)
+
+    def test_scrambled_levi_over_the_trailing_radical(self, monkeypatch):
+        # sl2 x| V(2) in the basis h + v1, e + 2 v2, f, v1, v2: the
+        # radical is still e_3, e_4, but the Levi rows leave e_0..e_2
+        g, coords = conjugated(semidirect(chevalley(A1), natural(A1)),
+                               [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0],
+                                [0, 0, 1, 0, 0], [1, 0, 0, 1, 0],
+                                [0, 2, 0, 0, 1]])
+        levi = Subspace(g, [coords(r) for r in identity(5)[:3]])
+        assert levi.basis[:2] == [[1, 0, 0, -1, 0], [0, 1, 0, 0, -2]]
+        assert isinstance(self.check(monkeypatch, g, levi, searched=1),
+                          DecompositionCertificate)
+
+    def test_nilpotent_non_ideal_falls_back(self, monkeypatch):
+        # sl2 x| V(2) in the basis h, e, f, v1, v2 + e: the Levi still
+        # spans e_0..e_2, and e_3, e_4 span an abelian subalgebra, but
+        # [f, v2 + e] = -h leaves it; the radical is e_3 and e_4 - e_1
+        g, _ = conjugated(semidirect(chevalley(A1), natural(A1)),
+                          [[1, 0, 0, 0, 0], [0, 1, 0, 0, 1], [0, 0, 1, 0, 0],
+                           [0, 0, 0, 1, 0], [0, 0, 0, 0, 1]])
+        levi = Subspace(g, [g.basis_vector(i) for i in range(3)])
+        _, rows, _ = certify_seen(monkeypatch, g, levi)
+        assert rows == [[0, 0, 0, 1, 0], [0, -1, 0, 0, 1]]
+        assert isinstance(self.check(monkeypatch, g, levi, searched=1),
+                          DecompositionCertificate)
 
 
 def a4_type1_radical_module(type12_algebras):
