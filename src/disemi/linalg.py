@@ -269,9 +269,6 @@ class IncrementalSpan:
         # many are zero, some with the zeros a bracket keeps
         if not any(v.values() if isinstance(v, dict) else v):
             return {}
-        # one entry off the pivot columns is reduced by no pivot row
-        if isinstance(v, dict) and len(v) == 1 and min(v) not in self.rows:
-            return normal(v)
         cont, scale, r = self._reduce(v)
         return r if cont == scale else {
             k: divide(cont * x, scale) for k, x in r.items()}

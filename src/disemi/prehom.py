@@ -348,6 +348,8 @@ def certify_disemisimple(g, levi=None, mode=None):
     if not is_semisimple(lev_alg):
         raise ValueError("supplied Levi subalgebra is not semisimple")
     ds, series = levi.dim, None
+    # the Levi spans e_0..e_{ds-1}; _recorded_spec and adjoint_radical_module
+    # also need its rows to be those vectors, as they read g.table by index
     if not any(x for r in levi.basis for x in r[ds:]):
         rad = Subspace(g, [g.basis_vector(i) for i in range(ds, g.dim)])
         if is_ideal(g, rad):

@@ -278,20 +278,6 @@ def test_residue_of_a_zero_vector_reduces_nothing(monkeypatch):
     assert span.residue({1: 1}) == {1: 1}
 
 
-def test_one_entry_residue_off_the_pivots_reduces_nothing(monkeypatch):
-    span = IncrementalSpan()
-    span.add([1, 2, 0])
-    monkeypatch.setattr(span, "_reduce", None)   # a call would raise
-    got = [span.residue(v) for v in
-           ({1: Fraction(4)}, {2: Fraction(-6, 3)}, {2: Fraction(1, 2)}, {1: 7})]
-    assert [typed(v) for v in got] == [typed({1: 4}), typed({2: -2}),
-                                       typed({2: Fraction(1, 2)}),
-                                       typed({1: 7})]
-    monkeypatch.undo()
-    # on the pivot column the full reduction runs
-    assert typed(span.residue({0: Fraction(3, 2)})) == typed({1: -3})
-
-
 @given(st.integers(1, 6).flatmap(lambda n: st.tuples(
     st.lists(st.lists(wide_rationals, min_size=n, max_size=n), max_size=5),
     st.integers(0, n - 1),
@@ -301,7 +287,7 @@ def test_one_entry_residue_off_the_pivots_reduces_nothing(monkeypatch):
 def test_one_entry_residue_matches_full_reduction(case):
     # a one-entry dict, on a pivot column or off the pivots, against
     # Gauss-Jordan over Fraction and against the same vector as a dense
-    # list, which always takes the full reduction
+    # list
     rows, c, x, n = case
     reduced, pivots = dense_rref(rows)
     span = IncrementalSpan()
