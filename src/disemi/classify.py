@@ -11,16 +11,15 @@ without type-A factors.
 import json
 import os
 from collections import Counter
-from itertools import combinations
 from operator import add
 
 from .liealg import (Subspace, free_two_step, lower_central_series,
                      quotient_by_ideal, semidirect)
 from .prehom import Symbolic, adjoint_radical_module, is_prehomogeneous
 from .repbuilder import (ModuleDescriptor, Representation, SemisimpleSpec,
-                         cyclic_submodule, decompose, direct_sum,
+                         cyclic_submodule, decompose,
                          highest_weight_vectors, realize, realize_label,
-                         wedge2)
+                         tensor, wedge2)
 from .rootdata import (SimpleType, dual_weight, fundamental, record, weyl_dim,
                        weyl_shifts, zero_weight)
 from .linalg import matmul
@@ -546,15 +545,28 @@ def _construct_two_step(t, labels):
     """s |x (A + B) for labels (A, B), type 1, or s |x (A + B + C) for
     labels (A, B, C), type 2.
 
-    The generators (A, or A + B) span the free 2-step algebra f =
-    gens + wedge^2 gens, on which s acts by tau.  One copy of the last
-    label is kept in the derived part: the first highest weight vector of
-    that label supported in wedge^2 A (type 1) or in the A x B pairs
-    (type 2).  These are the vectors a search restricted to that block
-    would find, since the raising operators act block-diagonally on the
-    coordinate blocks of wedge^2 (A + B) and rref is canonical.  u is the
-    sum of the cyclic modules of every other highest weight vector, an
-    s-stable complement of the kept copy, and g = s |x (f / u).
+    The generators (A, or A + B) span f = free_two_step: the free 2-step
+    algebra on A, with bracket part wedge^2 A (type 1), or its quotient
+    on A + B with bracket part A x B (type 2), on which s acts by tau.
+    One copy of the last label is kept in the bracket part: its first
+    highest weight vector there.  u is the sum of the cyclic modules of
+    every other highest weight vector, an s-stable complement of the
+    kept copy, and g = s |x (f / u).
+
+    Type 2 gives what the free algebra on A + B would, with bracket part
+    wedge^2 (A + B) and the kept vector the first one supported in the
+    A x B pairs (i, dim A + j): (a) restricted to those pairs, wedge^2
+    (A + B) is A x B in the Kronecker basis, same order and no signs,
+    as every A index is below every B index; (b) the raising operators
+    act block-diagonally on wedge^2 A, A x B and wedge^2 B and rref is
+    canonical, so the highest weight vectors in the A x B block are A x
+    B's, in the same order, and the kept one is the same; (c) the
+    cyclic modules of the others fill wedge^2 A and wedge^2 B, so u
+    there is wedge^2 A + wedge^2 B + (u here), a central ideal, whose
+    pivots and residues on the A x B block are those of u here (see
+    IncrementalSpan): the quotient coordinates, table and projection
+    are the same; (d) each kept coordinate keeps its label (see
+    free_two_step).
 
     Soundness: quotient_by_ideal checks that u is an ideal of f, and
     semidirect that s acts on f / u by a homomorphism and by derivations,
@@ -566,21 +578,18 @@ def _construct_two_step(t, labels):
     spec = _spec(t)
     labels = tuple(spec.coerce_label(label) for label in labels)
     gens = [realize_label(spec, label) for label in labels[:-1]]
-    gen_rep = gens[0] if len(gens) == 1 else direct_sum(gens)
-    wedge_rep = wedge2(gen_rep)
-    hws = highest_weight_vectors(wedge_rep)
-    allowed = [len(gens) == 1 or i < gens[0].dim <= j
-               for i, j in combinations(range(gen_rep.dim), 2)]
-    keep = next((v for v, label in hws if label == labels[-1] and all(
-        allowed[k] for k, x in enumerate(v) if x)), None)
+    derived = wedge2(gens[0]) if len(gens) == 1 else tensor(*gens)
+    hws = highest_weight_vectors(derived)
+    keep = next((v for v, label in hws if label == labels[-1]), None)
     if keep is None:
         raise ValueError("label %s does not embed in the %s"
                          % (ModuleDescriptor([labels[-1]]),
                             "exterior square" if len(gens) == 1
                             else "tensor product"))
-    f, tau = free_two_step(gen_rep, wedge_rep)
-    u = Subspace(f, [[0] * gen_rep.dim + w for v, _ in hws if v is not keep
-                     for w in cyclic_submodule(wedge_rep, v)])
+    f, tau = free_two_step(*gens, derived=derived)
+    d = f.dim - derived.dim
+    u = Subspace(f, [[0] * d + w for v, _ in hws if v is not keep
+                     for w in cyclic_submodule(derived, v)])
     n, proj = quotient_by_ideal(f, u)
     pivots = set(u.pivots)
     index = {c: a for a, c in enumerate(c for c in range(f.dim)
@@ -591,7 +600,7 @@ def _construct_two_step(t, labels):
               for m in tau.action]
     s = spec.algebra()
     g = semidirect(s, Representation(spec, s, action), n)
-    expected = spec.dim + gen_rep.dim + spec.label_dim(labels[-1])
+    expected = spec.dim + d + spec.label_dim(labels[-1])
     if g.dim != expected:
         raise AssertionError("constructed algebra has dim %d, expected %d"
                              % (g.dim, expected))

@@ -312,14 +312,16 @@ def derived_span(g, rows1, rows2):
     """Row basis of span{[x, y] : x in rows1, y in rows2}.  When rows1
     is rows2 only the pairs a < b are bracketed, with the same rows: over
     all pairs, the span would reject [x_a, x_b] = -[x_b, x_a] for b < a,
-    met earlier, and [x_a, x_a] = 0, and meet the rest in this order."""
+    met earlier, and [x_a, x_a] = 0, and meet the rest in this order.
+    A bracket with no entry ({}) never enlarges the span and is skipped;
+    one whose entries cancel is kept as zeros and added."""
     out = []
     span = IncrementalSpan()
     ys = [sparse(y) for y in rows2]
     for a, x in enumerate(map(sparse, rows1)):
         for y in ys[a + 1:] if rows1 is rows2 else ys:
             v = g.sparse_bracket(x, y)
-            if span.add(v):
+            if v and span.add(v):
                 out.append(dense(v, g.dim))
     return out
 
@@ -548,27 +550,35 @@ def _is_derivation(n, cols):
     return not any(defect.values())
 
 
-def free_two_step(rho, wedge=None):
-    """Free 2-step nilpotent algebra on the module space of rho.
+def free_two_step(a, b=None, derived=None):
+    """Free 2-step nilpotent algebra on the module space of a, or its
+    quotient on a + b by the central ideal wedge^2 a + wedge^2 b.
 
-    The underlying space is A + wedge^2 A with [a, a'] = a ^ a' and the
-    exterior square central; returns (f, tau) where tau is the induced
-    module structure on f, which acts by derivations by construction.
-    wedge is wedge2(rho), built here when not given.  The basis of f is
-    labelled v1, v2, ..., the labels semidirect gives an unlabelled n.
+    The underlying space is the generators (a, or a + b) and the bracket
+    part, which is central: wedge^2 a with [a_i, a_j] = a_i ^ a_j for
+    i < j, or a x b in the Kronecker basis with [a_i, b_j] = a_i x b_j
+    and [a, a] = [b, b] = 0.  Returns (f, tau), tau the induced module
+    structure on f, which acts by derivations by construction.  derived
+    is wedge2(a) or tensor(a, b), built here when not given.  The basis
+    of f is labelled v1, v2, ... as in the free algebra on all the
+    generators, whose bracket part lists every pair i < j in order: with
+    every a index below every b index, the pairs (i, dim a + j) are
+    a x b's coordinates in its own order, and each keeps its name.
     """
-    from .repbuilder import direct_sum as rep_direct_sum, wedge2
+    from .repbuilder import direct_sum as rep_direct_sum, tensor, wedge2
     from itertools import combinations
-    d = rho.dim
-    pairs = list(combinations(range(d), 2))
-    index = {p: i for i, p in enumerate(pairs)}
-    table = {}
-    for (i, j), k in index.items():
-        table[(i, j)] = {d + k: 1}
-    f = LieAlgebra(d + len(pairs), table,
-                   labels=["v%d" % (a + 1) for a in range(d + len(pairs))])
-    tau = rep_direct_sum([rho, wedge if wedge is not None else wedge2(rho)])
-    return f, tau
+    gens = [a] if b is None else [a, b]
+    d = sum(r.dim for r in gens)
+    pairs = list(combinations(range(d), 2)) if b is None else [
+        (i, j) for i in range(a.dim) for j in range(a.dim, d)]
+    table = {p: {d + k: 1} for k, p in enumerate(pairs)}
+    # d + the position of (i, j) among all the pairs i < j
+    names = list(range(d)) + [d + i * (2 * d - i - 1) // 2 + j - i - 1
+                              for i, j in pairs]
+    f = LieAlgebra(len(names), table, labels=["v%d" % (c + 1) for c in names])
+    if derived is None:
+        derived = wedge2(a) if b is None else tensor(a, b)
+    return f, rep_direct_sum(gens + [derived])
 
 
 def quotient_by_ideal(g, u):

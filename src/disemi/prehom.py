@@ -273,10 +273,11 @@ def _recorded_spec(g, levi):
     and g's table there is spec.algebra().table (so spec.algebra() is
     the Levi's own structure constants), else None."""
     spec = g.levi_spec
+    ds = spec.dim if spec is not None else 0
     if (spec is None or levi is not g.levi_basis
-            or levi.basis != [g.basis_vector(i) for i in range(spec.dim)]):
+            or levi.basis != [g.basis_vector(i) for i in range(ds)]):
         return None
-    block = {key: row for key, row in g.table.items() if key[1] < spec.dim}
+    block = {key: row for key, row in g.table.items() if key[1] < ds}
     return spec if block == spec.algebra().table else None
 
 

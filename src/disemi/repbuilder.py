@@ -214,12 +214,16 @@ class Representation:
         with [b_i, b_j] = sum_k c_k b_k, the defect A_i A_j - A_j A_i -
         sum_k c_k A_k is summed one row at a time into one dict, and the
         check fails at the first nonzero row (a matrix is 0 iff its rows
-        are), with no commutator or combination matrix built."""
+        are), with no commutator or combination matrix built.  A row a
+        where A_i, A_j and every A_k have nothing is 0 and is skipped."""
         act = self.action
+        ai, aj = act[i], act[j]
         terms = [(c, act[k]) for k, c in self.algebra.structure(i, j).items()]
         for a in range(self.dim):
+            if not (ai[a] or aj[a] or any(mat[a] for _, mat in terms)):
+                continue
             row = {}
-            for p, q, sign in ((act[i], act[j], 1), (act[j], act[i], -1)):
+            for p, q, sign in ((ai, aj, 1), (aj, ai, -1)):
                 for m, x in p[a].items():
                     for b, y in q[m].items():
                         row[b] = row.get(b, 0) + sign * x * y

@@ -16,14 +16,18 @@ from disemi.classify import (DESK_BOUNDS, NotAFreeError, SKTriple,
                              search_type12, simple_labels_upto,
                              sk_reduced_table, type12_candidates,
                              vinberg_table)
-from disemi.liealg import (check_jacobi, is_perfect, lower_central_series,
+from disemi.liealg import (LieAlgebra, check_jacobi, dumps, is_perfect,
+                           lower_central_series, quotient_by_ideal,
                            semidirect, Subspace)
+from disemi.linalg import matmul
 from disemi.prehom import (DecompositionCertificate, Refusal, Symbolic,
                            adjoint_radical_module, certify_disemisimple,
                            is_prehomogeneous)
-from disemi.repbuilder import (ModuleDescriptor, decompose, direct_sum,
-                               natural, outer_tensor, realize, realize_label,
-                               spec_of, spin16_d5, tensor, trivial, wedge2)
+from disemi.repbuilder import (ModuleDescriptor, Representation,
+                               cyclic_submodule, decompose, direct_sum,
+                               highest_weight_vectors, natural, outer_tensor,
+                               realize, realize_label, spec_of, spin16_d5,
+                               tensor, trivial, wedge2)
 from disemi.rootdata import SimpleType, weyl_dim
 
 A1 = SimpleType("A", 1)
@@ -579,21 +583,24 @@ class TestConstructions:
     ])
     def test_one_exterior_square_per_construction(self, monkeypatch, kind,
                                                   labels):
+        # type 1 builds wedge^2 A; type 2 builds A x B and no exterior
+        # square
         import disemi.classify
         import disemi.repbuilder
         calls = []
-        original = disemi.repbuilder.wedge2
+        for name in ("wedge2", "tensor"):
+            original = getattr(disemi.repbuilder, name)
 
-        def counting(r):
-            calls.append(r.dim)
-            return original(r)
-        # classify imports wedge2 by name; free_two_step looks it up in
-        # repbuilder at call time
-        monkeypatch.setattr(disemi.classify, "wedge2", counting)
-        monkeypatch.setattr(disemi.repbuilder, "wedge2", counting)
+            def counting(*rs, name=name, original=original):
+                calls.append(name)
+                return original(*rs)
+            # classify imports both by name; free_two_step looks them up
+            # in repbuilder at call time
+            monkeypatch.setattr(disemi.classify, name, counting)
+            monkeypatch.setattr(disemi.repbuilder, name, counting)
         build = construct_type1 if kind == "type1" else construct_type2
         build(A2, *labels)
-        assert len(calls) == 1
+        assert calls == (["wedge2"] if kind == "type1" else ["tensor"])
 
     @pytest.mark.parametrize("t,labels", [
         (A2, (lab((1, 1)), lab((1, 1)))),
@@ -624,6 +631,75 @@ class TestConstructions:
     def test_type1_bad_b_rejected(self):
         with pytest.raises(ValueError):
             construct_type1(A2, lab((1, 0)), lab((1, 0)))
+
+
+def parent_free_two_step(rho, wedge):
+    """The free 2-step algebra on rho, bracket part wedge^2 rho, and its
+    module structure, as free_two_step builds it for one module."""
+    d = rho.dim
+    pairs = list(itertools.combinations(range(d), 2))
+    f = LieAlgebra(d + len(pairs), {p: {d + k: 1} for k, p in enumerate(pairs)},
+                   labels=["v%d" % (a + 1) for a in range(d + len(pairs))])
+    return f, direct_sum([rho, wedge])
+
+
+def full_wedge_construction(t, labels):
+    """(g, rho): the type-1/2 construction over the free 2-step algebra
+    on all the generators, whose bracket part is wedge^2 (A + B) for
+    type 2, with the kept highest weight vector the first one supported
+    in the A x B pairs; rho is the action semidirect gets.  The oracle
+    for _construct_two_step, which builds A x B alone for type 2."""
+    spec = classify._spec(t)
+    labels = tuple(spec.coerce_label(label) for label in labels)
+    gens = [realize_label(spec, label) for label in labels[:-1]]
+    gen_rep = gens[0] if len(gens) == 1 else direct_sum(gens)
+    wedge_rep = wedge2(gen_rep)
+    hws = highest_weight_vectors(wedge_rep)
+    allowed = [len(gens) == 1 or i < gens[0].dim <= j
+               for i, j in itertools.combinations(range(gen_rep.dim), 2)]
+    keep = next(v for v, label in hws if label == labels[-1] and all(
+        allowed[k] for k, x in enumerate(v) if x))
+    f, tau = parent_free_two_step(gen_rep, wedge_rep)
+    u = Subspace(f, [[0] * gen_rep.dim + w for v, _ in hws if v is not keep
+                     for w in cyclic_submodule(wedge_rep, v)])
+    n, proj = quotient_by_ideal(f, u)
+    pivots = set(u.pivots)
+    index = {c: a for a, c in enumerate(c for c in range(f.dim)
+                                         if c not in pivots)}
+    action = [matmul(proj.matrix, [{index[c]: y for c, y in row.items()
+                                    if c in index} for row in m])
+              for m in tau.action]
+    s = spec.algebra()
+    rho = Representation(spec, s, action)
+    return semidirect(s, rho, n), rho
+
+
+class TestTensorBlockMatchesFullWedge:
+    @pytest.mark.parametrize("t,bound,count", [
+        (A3, None, 6), (A4, None, 6), (B3, None, 1), (C3, None, 1),
+        (D4, None, 3), (C4, 35, 1), (D5, 44, 4), (A5, 34, 10),
+    ], ids=str)
+    def test_candidates(self, monkeypatch, t, bound, count):
+        cands = type12_candidates(t, bound)
+        assert len(cands) == count
+        for cand in cands:
+            self.check(monkeypatch, t, cand.labels)
+
+    def test_a1xa1_type2(self, monkeypatch):
+        self.check(monkeypatch, spec_of(A1, A1),
+                   (lab((1,), (0,)), lab((0,), (1,)), lab((1,), (1,))))
+
+    @staticmethod
+    def check(monkeypatch, t, labels):
+        seen = []
+        original = classify.semidirect
+        monkeypatch.setattr(classify, "semidirect", lambda s, rho, n:
+                            seen.append(rho) or original(s, rho, n))
+        g = classify._construct_two_step(t, labels)
+        want, rho = full_wedge_construction(t, labels)
+        assert dumps(g) == dumps(want), (t, labels)
+        assert g.labels == want.labels
+        assert [rho_g.action for rho_g in seen] == [rho.action]
 
 
 class TestAFree:

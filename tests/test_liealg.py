@@ -733,6 +733,72 @@ class TestSeriesMatchAllPairs:
                         == all_pairs_series(g, None, lower)), g
 
 
+def parent_derived_span(g, rows1, rows2):
+    """derived_span handing every bracket, {} included, to the span: the
+    reference for its skip of empty brackets."""
+    from disemi.linalg import IncrementalSpan, sparse
+    out = []
+    span = IncrementalSpan()
+    ys = [sparse(y) for y in rows2]
+    for a, x in enumerate(map(sparse, rows1)):
+        for y in ys[a + 1:] if rows1 is rows2 else ys:
+            v = g.sparse_bracket(x, y)
+            if span.add(v):
+                out.append(dense(v, g.dim))
+    return out
+
+
+def parent_series(g, sub, lower):
+    """The lower central or derived series rows over parent_derived_span."""
+    top = cur = sub.basis if sub is not None else full_subspace(g).basis
+    series = [top]
+    while cur:
+        nxt = parent_derived_span(g, top if lower else cur, cur)
+        if len(nxt) == len(cur):
+            break
+        series.append(nxt)
+        cur = nxt
+    return series
+
+
+class TestSeriesSkipEmptyBrackets:
+    def test_rows_match_the_parent_and_no_empty_bracket_is_added(
+            self, type12_algebras, monkeypatch):
+        from disemi.linalg import IncrementalSpan
+        add = IncrementalSpan.add
+        added = []
+        skipped = 0
+        for g in type12_algebras:
+            for sub in (None, _radical(g), g.levi_basis):
+                for lower, build in ((True, lower_central_series),
+                                     (False, derived_series)):
+                    ref = parent_series(g, sub, lower)
+                    with monkeypatch.context() as m:
+                        m.setattr(IncrementalSpan, "add", lambda self, v:
+                                  added.append(v) or add(self, v))
+                        series = build(g, sub)
+                    assert [s.basis for s in series] == ref
+            rad = _radical(g).basis
+            skipped += sum(not g.sparse_bracket(sparse(x), sparse(y))
+                           for a, x in enumerate(rad) for y in rad[a + 1:])
+        assert added and {} not in added
+        # the radical's own brackets alone hold empty ones to skip
+        assert skipped
+
+    def test_cancelling_bracket_still_goes_to_the_span(self, monkeypatch):
+        from disemi.linalg import IncrementalSpan
+        g = chevalley(A1)
+        assert g.labels == ["h1", "e1", "f1"]
+        # [e + f, e + f] = h - h, kept as a zero entry
+        x = [0, 1, 1]
+        add = IncrementalSpan.add
+        added = []
+        monkeypatch.setattr(IncrementalSpan, "add", lambda self, v:
+                            added.append(v) or add(self, v))
+        assert derived_span(g, [x], [list(x)]) == []
+        assert len(added) == 1 and added[0] and not any(added[0].values())
+
+
 class TestIdealMatchesAllBrackets:
     def test_type12_subspaces(self, type12_algebras):
         verdicts = []

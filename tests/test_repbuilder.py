@@ -487,6 +487,26 @@ class TestGeneratorHomomorphismCheck:
         with pytest.raises(ValueError, match="homomorphism"):
             semidirect(r.algebra, bad)
 
+    def test_corrupt_row_empty_in_both_factors(self):
+        # [e_1, e_2] = c b_k; an entry put into a row a of A_k where A_e1
+        # and A_e2 have nothing makes the defect row a equal to -c A_k[a]
+        from disemi.liealg import semidirect
+        r = natural(A3)
+        _, e, _ = r.spec.generator_indices()
+        i, j = e[0], e[1]
+        (k,) = r.algebra.structure(i, j)
+        act = r.action
+        a = next(a for a in range(r.dim)
+                 if not (act[i][a] or act[j][a] or act[k][a]))
+        action = [[dict(row) for row in m] for m in act]
+        action[k][a][0] = 1
+        bad = Representation(r.spec, r.algebra, action)
+        assert r._bracket_holds(i, j)
+        assert not bad._bracket_holds(i, j)
+        assert not bad.check_homomorphism()
+        with pytest.raises(ValueError, match="homomorphism"):
+            semidirect(r.algebra, bad)
+
     @pytest.mark.parametrize("make,pairs", [
         (lambda: natural(A4), 156),
         (spin16_d5, 395),
