@@ -13,9 +13,8 @@ import os
 from collections import Counter
 from operator import add
 
-from .liealg import (Subspace, free_two_step, lower_central_series,
-                     quotient_by_ideal, semidirect)
-from .prehom import Symbolic, adjoint_radical_module, is_prehomogeneous
+from .liealg import Subspace, free_two_step, quotient_by_ideal, semidirect
+from .prehom import Symbolic, is_prehomogeneous, levi_split
 from .repbuilder import (ModuleDescriptor, Representation, SemisimpleSpec,
                          cyclic_submodule, decompose,
                          highest_weight_vectors, realize, realize_label,
@@ -573,7 +572,9 @@ def _construct_two_step(t, labels):
     so g is a Lie algebra; u, a sum of submodules, is s-stable, which
     makes g equal to (s |x f) / u.  The
     dimension, the nilpotency class and the decomposition of the radical
-    are checked on the result.
+    are checked on the result, the first two on the radical its
+    levi_split reads off the trailing unit vectors, which
+    certify_disemisimple reads again.
     """
     spec = _spec(t)
     labels = tuple(spec.coerce_label(label) for label in labels)
@@ -604,12 +605,11 @@ def _construct_two_step(t, labels):
     if g.dim != expected:
         raise AssertionError("constructed algebra has dim %d, expected %d"
                              % (g.dim, expected))
-    rad = Subspace(g, [g.basis_vector(i) for i in range(s.dim, g.dim)])
-    series = lower_central_series(g, rad)
-    if len(series) != 3 or series[-1].dim != 0:
+    split = levi_split(g)
+    if split.radical is None or len(split.series) != 3:
         raise AssertionError("radical is not nilpotent of class exactly 2")
     want = ModuleDescriptor(labels)
-    got = decompose(adjoint_radical_module(g, g.levi_basis, rad)[0])
+    got = decompose(split.radical_module(g))
     if got != want:
         raise AssertionError("radical decomposes as %s, expected %s"
                              % (got, want))

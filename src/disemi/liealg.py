@@ -32,7 +32,10 @@ class LieAlgebra:
     Instances are immutable by convention.  levi_basis is metadata
     recorded by constructors that know a Levi subalgebra by construction;
     levi_spec, when set, is the SemisimpleSpec whose algebra() the
-    constructor built it from.
+    constructor built it from.  Two facts are memoised on the instance,
+    so they die with it: split, the LeviSplit that prehom.levi_split
+    last built (keyed on the Levi, levi_basis and levi_spec), and the
+    answer of is_semisimple.
     """
 
     def __init__(self, dim, table, labels=None):
@@ -51,6 +54,8 @@ class LieAlgebra:
         self.labels = list(labels) if labels else None
         self.levi_basis = None
         self.levi_spec = None
+        self.split = None
+        self._semisimple = None
 
     def __repr__(self):
         return "LieAlgebra(dim=%d)" % self.dim
@@ -401,10 +406,11 @@ def killing_form(g):
 
 
 def is_semisimple(g):
-    """True iff the Killing form is nondegenerate."""
-    if g.dim == 0:
-        return True
-    return rank(killing_form(g)) == g.dim
+    """True iff the Killing form is nondegenerate; ranked once per
+    algebra, as g is immutable."""
+    if g._semisimple is None:
+        g._semisimple = g.dim == 0 or rank(killing_form(g)) == g.dim
+    return g._semisimple
 
 
 def solvable_radical(g):
@@ -441,10 +447,19 @@ def check_jacobi(g):
 
 def is_ideal(g, sub):
     """True iff [b_i, r] lies in sub for every basis vector b_i of g and
-    every basis row r.  Per r, every [r, b_i] = sum_j r_j [b_j, b_i] is
-    summed in one pass over g.brackets, and only nonzero ones are
-    tested: 0 lies in every subspace."""
-    for r in map(sparse, sub.basis):
+    every basis row r.  When every row has one entry, sub is spanned by
+    the unit vectors of those columns, and a vector lies in it iff it
+    has no entry on another column; [b_i, c e_j] = -c [b_j, b_i], so
+    the column test reads the rows of g.brackets[j] alone.  Otherwise,
+    per r, every [r, b_i] = sum_j r_j [b_j, b_i] is summed in one pass
+    over g.brackets, and only nonzero ones are tested: 0 lies in every
+    subspace."""
+    rows = [sparse(r) for r in sub.basis]
+    if all(len(r) == 1 for r in rows):
+        cols = {j for r in rows for j in r}
+        return all(k in cols for j in cols
+                   for row in g.brackets[j].values() for k in row)
+    for r in rows:
         out = {}
         for j, x in r.items():
             for i, row in g.brackets[j].items():

@@ -12,6 +12,7 @@ import json
 import random
 from fractions import Fraction
 from itertools import chain
+from operator import is_
 
 from .linalg import columns, dense, rank, rank_mod_p, sparse
 from .liealg import (LinearMap, Subspace, apply_map_subspace, exp_ad,
@@ -117,10 +118,10 @@ def has_trivial_summand(r):
     return rank(stacked, stop_at=r.dim) < r.dim
 
 
-def _validated_yes(r, v, mode, seed=None, trials_used=None):
-    """Build a Yes certificate, re-validating the witness independently."""
-    ev = evaluation_matrix(r, v)
-    rk = ev.rank()
+def _validated_yes(r, v, rows, mode, seed=None, trials_used=None):
+    """Build a Yes certificate, re-validating the witness independently:
+    the exact rank of rows, the evaluation matrix at v."""
+    rk = rank(rows)
     if rk != r.dim:
         raise AssertionError("witness failed independent rank validation")
     return PrehomCertificate(verdict="prehomogeneous", witness=list(v),
@@ -128,11 +129,11 @@ def _validated_yes(r, v, mode, seed=None, trials_used=None):
                              trials_used=trials_used)
 
 
-def _witness_rank(r, v):
-    """Rank mod PRIME of the evaluation matrix at v, a lower bound for
-    its rank: a point reaching dim V is a witness, which _validated_yes
-    still re-checks exactly."""
-    return rank_mod_p(syzygy.evaluation_rows(r, v), stop_at=r.dim)
+def _witness_rank(r, rows):
+    """Rank mod PRIME of rows, the evaluation matrix at a point, a lower
+    bound for its rank: a point reaching dim V is a witness, which
+    _validated_yes still re-checks exactly on the same rows."""
+    return rank_mod_p(rows, stop_at=r.dim)
 
 
 def dimension_verdict(dim_v, dim_s):
@@ -192,8 +193,9 @@ def is_prehomogeneous(r, mode=None):
     for trial in range(trials + 1):
         if trial < trials:
             v = [boxes.randint(-COORD_BOUND, COORD_BOUND) for _ in range(d)]
-            if _witness_rank(r, v) == d:
-                return _validated_yes(r, v, mode="randomized",
+            rows = syzygy.evaluation_rows(r, v)
+            if _witness_rank(r, rows) == d:
+                return _validated_yes(r, v, rows, mode="randomized",
                                       seed=mode.seed, trials_used=trial + 1)
         if grank is None:
             grank = syzygy.generic_rank_certified(r)
@@ -204,8 +206,9 @@ def is_prehomogeneous(r, mode=None):
     rnd = random.Random(syzygy.SAMPLE_SEED)
     stream = ([rnd.randint(-99, 99) for _ in range(d)] for _ in range(1000))
     for v in chain(syzygy.sample_points(d), stream):
-        if _witness_rank(r, v) == d:
-            return _validated_yes(r, v, mode="symbolic")
+        rows = syzygy.evaluation_rows(r, v)
+        if _witness_rank(r, rows) == d:
+            return _validated_yes(r, v, rows, mode="symbolic")
     raise AssertionError("full generic rank but no witness found")
 
 
@@ -274,7 +277,7 @@ def _recorded_spec(g, levi):
     the Levi's own structure constants), else None."""
     spec = g.levi_spec
     ds = spec.dim if spec is not None else 0
-    if (spec is None or levi is not g.levi_basis
+    if (spec is None or levi is not g.levi_basis or ds != levi.dim
             or levi.basis != [g.basis_vector(i) for i in range(ds)]):
         return None
     block = {key: row for key, row in g.table.items() if key[1] < ds}
@@ -292,11 +295,17 @@ def adjoint_radical_module(g, levi, radical=None, lev_alg=None):
     find the kernel side as invariant gradients, each verified before it
     is ranked.  Raises ValueError when a bracket leaves the radical, or
     for a zero Levi and a nonzero radical (no action matrix would give
-    the dimension)."""
+    the dimension).  Returns (module, radical)."""
     rad = radical if radical is not None else solvable_radical(g)
+    return (_radical_module(g, levi, rad, _recorded_spec(g, levi), lev_alg),
+            rad)
+
+
+def _radical_module(g, levi, rad, spec, lev_alg):
+    """adjoint_radical_module's module, for spec = _recorded_spec(g, levi)."""
     if not levi.dim and rad.dim:
         raise ValueError("a zero Levi cannot act on a nonzero radical")
-    spec, ds = _recorded_spec(g, levi), levi.dim
+    ds = levi.dim
     unstable = "radical is not stable under the Levi action"
     if spec is not None and rad.basis == [g.basis_vector(i)
                                           for i in range(ds, g.dim)]:
@@ -316,7 +325,78 @@ def adjoint_radical_module(g, levi, radical=None, lev_alg=None):
                 raise ValueError(unstable)
             action.append([dict(c) for c in columns(cols, rad.dim)])
     alg = spec.algebra() if spec is not None else lev_alg or subalgebra(g, levi)
-    return Representation(spec, alg, action), rad
+    return Representation(spec, alg, action)
+
+
+@record
+class LeviSplit:
+    """What levi_split verifies about an algebra g and a Levi:
+    - levi, and recorded = (g.levi_basis, g.levi_spec) when it was made;
+    - spec = _recorded_spec(g, levi), and lev_alg, the Levi as an
+      algebra, checked semisimple;
+    - radical, read off the split, and its lower central series, both
+      None when the read-off fails;
+    - module, the radical module, once radical_module has built it."""
+
+    levi: Subspace
+    recorded: tuple
+    spec: object
+    lev_alg: object
+    radical: Subspace
+    series: list
+    module: Representation = None
+
+    def radical_module(self, g):
+        """The Levi's adjoint action on the radical (see
+        adjoint_radical_module), built on first use: a refusal may need
+        none, and a zero Levi over a nonzero radical has none.  g is
+        passed in, not kept: a split kept on g that held g would make a
+        reference cycle."""
+        if self.module is None:
+            self.module = _radical_module(g, self.levi, self.radical,
+                                          self.spec, self.lev_alg)
+        return self.module
+
+
+def levi_split(g, levi=None):
+    """The LeviSplit of g over levi (default g.levi_basis), computed once
+    and memoised on g as g.split, which dies with g.  The memo is reused
+    while levi, g.levi_basis and g.levi_spec are the objects it was made
+    for, and recomputed when one of them is another; g's structure
+    constants are immutable by convention.
+
+    When the Levi spans the leading unit vectors e_0..e_{ds-1}, as every
+    constructor's does, the radical is read off the split: if the
+    trailing unit vectors span an ideal n whose lower central series
+    reaches 0, n is a solvable ideal, so n lies in rad g, and rad g / n
+    is a solvable ideal of g/n, which is isomorphic to the Levi, checked
+    semisimple first, so rad g = n.  Raises ValueError for no Levi, or
+    one that is not closed or not semisimple.
+    """
+    if levi is None:
+        levi = g.levi_basis
+    if levi is None:
+        raise ValueError("no Levi subalgebra supplied or recorded on g")
+    recorded = (g.levi_basis, g.levi_spec)
+    split = g.split
+    if (split is not None and split.levi is levi
+            and all(map(is_, split.recorded, recorded))):
+        return split
+    spec = _recorded_spec(g, levi)      # else subalgebra checks closure
+    lev_alg = spec.algebra() if spec is not None else subalgebra(g, levi)
+    if not is_semisimple(lev_alg):
+        raise ValueError("supplied Levi subalgebra is not semisimple")
+    ds, rad, series = levi.dim, None, None
+    # the Levi spans e_0..e_{ds-1}; _recorded_spec and _radical_module
+    # also need its rows to be those vectors, as they read g.table by index
+    if not any(x for r in levi.basis for x in r[ds:]):
+        n = Subspace(g, [g.basis_vector(i) for i in range(ds, g.dim)])
+        if is_ideal(g, n):
+            lower = lower_central_series(g, n)
+            if not lower[-1].dim:
+                rad, series = n, lower
+    g.split = LeviSplit(levi, recorded, spec, lev_alg, rad, series)
+    return g.split
 
 
 def certify_disemisimple(g, levi=None, mode=None):
@@ -328,36 +408,24 @@ def certify_disemisimple(g, levi=None, mode=None):
     prehomogeneous under the Levi action; the construction then takes
     z = -v for a witness v and maps the Levi through exp(ad z).
 
-    When the Levi spans the leading unit vectors e_0..e_{ds-1}, as every
-    constructor's does, the radical is read off the split: if the
-    trailing unit vectors span an ideal n whose lower central series
-    reaches 0, n is a solvable ideal, so n lies in rad g, and rad g / n
-    is a solvable ideal of g/n, which is isomorphic to the Levi, checked
-    semisimple, so rad g = n.  Otherwise solvable_radical searches for
-    it.  Its basis is the same either way: solvable_radical's nullspace
-    basis of the span of the trailing unit vectors is those vectors.
+    The Levi, the radical, its lower central series and the radical
+    module are read off levi_split, which a constructor that checked
+    its result has already filled in.  When the radical cannot be read
+    off the split (a scrambled Levi, or trailing unit vectors that span
+    no ideal or no nilpotent one), solvable_radical searches for it, on
+    every call, into a split that is not kept.  Its basis is the same
+    either way: solvable_radical's nullspace basis of the span of the
+    trailing unit vectors is those vectors.
 
     Returns a DecompositionCertificate or a Refusal.
     """
     mode = _checked_mode(mode)
-    if levi is None:
-        levi = g.levi_basis
-    if levi is None:
-        raise ValueError("no Levi subalgebra supplied or recorded on g")
-    spec = _recorded_spec(g, levi)      # else subalgebra checks closure
-    lev_alg = spec.algebra() if spec is not None else subalgebra(g, levi)
-    if not is_semisimple(lev_alg):
-        raise ValueError("supplied Levi subalgebra is not semisimple")
-    ds, series = levi.dim, None
-    # the Levi spans e_0..e_{ds-1}; _recorded_spec and adjoint_radical_module
-    # also need its rows to be those vectors, as they read g.table by index
-    if not any(x for r in levi.basis for x in r[ds:]):
-        rad = Subspace(g, [g.basis_vector(i) for i in range(ds, g.dim)])
-        if is_ideal(g, rad):
-            series = lower_central_series(g, rad)
-    if series is None or series[-1].dim:
+    split = levi_split(g, levi)
+    if split.radical is None:
         rad = solvable_radical(g)
-        series = lower_central_series(g, rad)
+        split = LeviSplit(split.levi, split.recorded, split.spec,
+                          split.lev_alg, rad, lower_central_series(g, rad))
+    levi, rad, series = split.levi, split.radical, split.series
     if levi.dim + rad.dim != g.dim:
         raise ValueError("Levi dimension %d plus radical dimension %d "
                          "does not fill the algebra" % (levi.dim, rad.dim))
@@ -373,8 +441,7 @@ def certify_disemisimple(g, levi=None, mode=None):
     cert = dimension_verdict(rad.dim, levi.dim)
     if cert is not None and not cert:
         return Refusal(reason=RADICAL_NOT_PREHOMOGENEOUS, inner=cert)
-    rep, rad = adjoint_radical_module(g, levi, rad, lev_alg)
-    cert = is_prehomogeneous(rep, mode=mode)
+    cert = is_prehomogeneous(split.radical_module(g), mode=mode)
     if not cert:
         return Refusal(reason=RADICAL_NOT_PREHOMOGENEOUS, inner=cert)
     v_global = [0] * g.dim

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import chain
 from pathlib import Path
@@ -850,9 +851,9 @@ def two_flow_decide(r, mode=None):
         for trial in range(mode.trials):
             v = [rnd.randint(-prehom.COORD_BOUND, prehom.COORD_BOUND)
                  for _ in range(r.dim)]
-            if rank_mod_p(syzygy.evaluation_rows(r, v),
-                          stop_at=r.dim) == r.dim:
-                return prehom._validated_yes(r, v, mode="randomized",
+            rows = syzygy.evaluation_rows(r, v)
+            if rank_mod_p(rows, stop_at=r.dim) == r.dim:
+                return prehom._validated_yes(r, v, rows, mode="randomized",
                                              seed=mode.seed,
                                              trials_used=trial + 1)
             if not trial and rank_mod_p(
@@ -868,8 +869,9 @@ def two_flow_decide(r, mode=None):
     stream = ([rnd.randint(-99, 99) for _ in range(r.dim)]
               for _ in range(1000))
     for v in chain(syzygy.sample_points(r.dim), stream):
-        if rank_mod_p(syzygy.evaluation_rows(r, v), stop_at=r.dim) == r.dim:
-            return prehom._validated_yes(r, v, mode="symbolic")
+        rows = syzygy.evaluation_rows(r, v)
+        if rank_mod_p(rows, stop_at=r.dim) == r.dim:
+            return prehom._validated_yes(r, v, rows, mode="symbolic")
     raise AssertionError("full generic rank but no witness found")
 
 
@@ -908,6 +910,25 @@ class TestOneFlowMatchesTwoFlows:
         modules = [(str(d), realize(spec_of(t), d)) for d in vinberg_table(t)]
         assert modules
         assert_flows_agree(modules)
+
+
+class TestWitnessRowsBuiltOnce:
+    """The evaluation matrix at each point is built once: the mod-PRIME
+    screen and the exact re-validation of a witness share it."""
+
+    @pytest.mark.parametrize("mode", [Randomized(), Randomized(seed=184),
+                                      Symbolic()], ids=str)
+    def test_each_point_is_evaluated_once(self, mode, monkeypatch):
+        r = realize_label(spec_of(A1, A2), lab((1,), (0, 1)))
+        expect = two_flow_decide(r, mode)
+        points = Counter()
+        rows = syzygy.evaluation_rows
+        monkeypatch.setattr(syzygy, "evaluation_rows", lambda rep, v: (
+            points.update([tuple(v)]) or rows(rep, v)))
+        cert = is_prehomogeneous(r, mode=mode)
+        assert cert and cert.to_json_dict() == expect.to_json_dict()
+        assert points[tuple(cert.witness)] == 1
+        assert max(points.values()) == 1
 
 
 class TestSerialization:
